@@ -15,8 +15,9 @@ The subcommands cover the common experiments without writing code::
     python -m repro result --key <sha256> --wait
     python -m repro queue
 
-``run``, ``compare`` and ``faults`` accept ``--json`` for a
-machine-readable stats dict instead of the table rendering.  ``run``
+``run``, ``compare`` and ``faults`` accept ``--json`` for the
+store's result dict (plus ``config_hash``, the job key, and the package
+``version``) instead of the table rendering.  ``run``
 and ``compare`` accept ``--sanitize`` to run the per-cycle invariant
 sanitizer (docs/ANALYSIS.md) alongside the simulation, and the
 observability flags ``--trace`` / ``--metrics`` / ``--profile-sim``
@@ -26,9 +27,7 @@ observability flags ``--trace`` / ``--metrics`` / ``--profile-sim``
 ``run`` and ``compare`` also take ``--cache`` (with ``--store PATH``)
 to read/write the content-addressed result store that backs
 ``repro serve`` — a repeated run with the same parameters is answered
-from the store, bit-identically (docs/SERVICE.md).  Their ``--json``
-output always carries the canonical ``config_hash`` (the store's job
-key) and the package ``version``.
+from the store, bit-identically (docs/SERVICE.md).
 
 All cycle counts are short by default so the CLI answers in seconds;
 raise ``--warmup/--measure/--seeds`` for publication-grade runs (the
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import json
 import sys
 from pathlib import Path
@@ -49,7 +47,7 @@ from . import __version__
 from .analysis.sanitizer import InvariantViolation
 from .core.threshold_search import derive_thresholds_empirically
 from .faults import FaultSpec, ProtectionConfig
-from .harness.experiment import ExperimentRunner, MAIN_DESIGNS
+from .harness.experiment import KINDS, MAIN_DESIGNS
 from .harness.reporting import format_normalized_table, format_table
 from .harness.sweep import SweepGrid, run_open_loop_sweep
 from .network.config import Design, NetworkConfig
@@ -113,25 +111,11 @@ def _nonneg_int(value: str) -> int:
     return parsed
 
 
-def _json_default(obj: Any) -> Any:
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _emit_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _result_dict(result: Any) -> dict:
-    """A dataclass result as a JSON-ready dict (enums to values)."""
-    out = {}
-    for key, value in dataclasses.asdict(result).items():
-        out[key] = value.value if isinstance(value, enum.Enum) else value
-    return out
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
     parser.add_argument("--width", type=int, default=3, help="mesh width")
     parser.add_argument("--height", type=int, default=3, help="mesh height")
     parser.add_argument(
@@ -143,15 +127,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seeds", type=int, default=1, help="independent runs to average"
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for independent runs (1 = serial; results "
-            "are identical at any job count)"
-        ),
-    )
+    if jobs:
+        parser.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help=(
+                "worker processes for independent runs (1 = serial; "
+                "results are identical at any job count)"
+            ),
+        )
     parser.add_argument(
         "--base-seed",
         type=int,
@@ -168,14 +153,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("naive", "active", "vector"),
+        choices=("active", "vector"),
         default="active",
         help=(
             "cycle engine: 'active' (default) skips idle routers, "
-            "'naive' steps every router, 'vector' batch-steps the whole "
-            "mesh through numpy (falls back to 'active' for "
-            "not-yet-vectorized designs and hooked runs); results are "
-            "bit-identical across engines"
+            "'vector' batch-steps the whole mesh through numpy (falls "
+            "back to 'active' for not-yet-vectorized designs and hooked "
+            "runs); results are bit-identical across engines"
         ),
     )
 
@@ -280,49 +264,56 @@ def _print_obs_reports(
         print(render_report(payload["profile"]))
 
 
-def _strip_bulky_obs(payload: dict) -> dict:
-    """Drop the full trace from a --json result (it goes to
-    --trace-out; the summary stays in the JSON)."""
-    obs = payload.get("observability")
-    if obs:
-        obs.pop("trace", None)
-    return payload
-
-
-def _runner(args: argparse.Namespace) -> ExperimentRunner:
-    config = NetworkConfig(width=args.width, height=args.height)
-    return ExperimentRunner(
-        config=config,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.measure,
-        seeds=args.seeds,
-        jobs=args.jobs,
-        base_seed=args.base_seed,
-        sanitize=getattr(args, "sanitize", False),
-        obs=_obs_options(args),
-        engine=getattr(args, "engine", "active"),
-    )
-
-
-def _closed_loop_spec(args: argparse.Namespace, design: Design):
-    """The service :class:`~repro.service.JobSpec` equivalent of a
-    ``run``/``compare`` invocation — its key is the canonical config
-    hash the ``--json`` outputs carry."""
+def _spec(
+    args: argparse.Namespace,
+    kind: str,
+    design: Optional[Design] = None,
+    **params: Any,
+):
+    """The one argv -> :class:`~repro.service.JobSpec` mapping.  Every
+    experiment command runs the spec this returns (:func:`_run_spec`)
+    and ``submit`` sends it, so the ``config_hash`` a run reports is the
+    key of what ran.  ``params`` are the kind's request parameters; the
+    ones not given are read off same-named flags.  ``submit --spec
+    FILE`` replaces the flags wholesale."""
     from .service import JobSpec
 
+    source = getattr(args, "spec", None)
+    if source is not None:
+        text = sys.stdin.read() if source == "-" else Path(source).read_text()
+        return JobSpec.from_dict(json.loads(text))
+    for name in KINDS[kind].params:
+        if name not in params and hasattr(args, name):
+            params[name] = getattr(args, name)
     return JobSpec(
-        kind="closed_loop",
-        design=design,
+        kind=kind,
+        design=design or args.design,
         width=args.width,
         height=args.height,
         warmup_cycles=args.warmup,
         measure_cycles=args.measure,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        engine=getattr(args, "engine", "active"),
-        workload=args.workload.name,
+        engine=args.engine,
         metrics=getattr(args, "metrics", False),
+        **params,
     )
+
+
+def _result_json(spec, result: Any) -> dict:
+    """The store's result shape plus the spec's key; the full trace
+    goes to --trace-out, only its summary stays in the JSON."""
+    from .service import result_to_dict
+
+    payload = result_to_dict(result)
+    if payload.get("observability"):
+        payload["observability"] = {
+            name: part
+            for name, part in payload["observability"].items()
+            if name != "trace"
+        }
+    payload["config_hash"] = spec.key()
+    return payload
 
 
 def _cache_eligible(args: argparse.Namespace) -> bool:
@@ -338,37 +329,41 @@ def _cache_eligible(args: argparse.Namespace) -> bool:
     )
 
 
-def _run_cached(args: argparse.Namespace, design: Design):
-    """Run one closed-loop experiment through the result store when
-    ``--cache`` allows it; returns ``(result, config_hash)``."""
+def _run_spec(args: argparse.Namespace, spec):
+    """Run ``spec`` in the foreground, through the result store when
+    ``--cache`` allows it."""
     from .service import ResultStore, result_from_dict, result_to_dict
 
-    spec = _closed_loop_spec(args, design)
+    store = None
+    if getattr(args, "cache", False):
+        if _cache_eligible(args):
+            store = ResultStore(args.store)
+        else:
+            print(
+                "cache: bypassed (trace/profile/probe/sanitize runs are "
+                "not cacheable)",
+                file=sys.stderr,
+            )
     key = spec.key()
-    use_cache = getattr(args, "cache", False)
-    if use_cache and not _cache_eligible(args):
-        print(
-            "cache: bypassed (trace/profile/probe/sanitize runs are "
-            "not cacheable)",
-            file=sys.stderr,
-        )
-        use_cache = False
-    if not use_cache:
-        return _runner(args).run_closed_loop(design, args.workload), key
-    store = ResultStore(args.store)
-    record = store.get(key)
+    record = store.get(key) if store is not None else None
     if record is not None:
         print(f"cache: hit {key}", file=sys.stderr)
-        return result_from_dict(record["result"]), key
-    result = _runner(args).run_closed_loop(design, args.workload)
-    store.put(key, spec.kind, spec.to_dict(), result_to_dict(result))
-    print(f"cache: stored {key}", file=sys.stderr)
-    return result, key
+        return result_from_dict(record["result"])
+    result = spec.run(
+        jobs=args.jobs,
+        sanitize=getattr(args, "sanitize", False),
+        obs=_obs_options(args),
+    )
+    if store is not None:
+        store.put(key, spec.kind, spec.to_dict(), result_to_dict(result))
+        print(f"cache: stored {key}", file=sys.stderr)
+    return result
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    spec = _spec(args, "closed_loop", workload=args.workload.name)
     try:
-        result, config_hash = _run_cached(args, args.design)
+        result = _run_spec(args, spec)
     except InvariantViolation as exc:
         print(f"sanitizer: {exc}", file=sys.stderr)
         return 2
@@ -376,10 +371,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("sanitizer: enabled, no invariant violations")
     _write_obs_artifacts(args, result)
     if args.json:
-        payload = _strip_bulky_obs(_result_dict(result))
-        payload["config_hash"] = config_hash
-        payload["version"] = __version__
-        _emit_json(payload)
+        _emit_json({**_result_json(spec, result), "version": __version__})
         return 0
     rows = [
         ["performance (txn/kcycle/core)", f"{result.performance:.3f}"],
@@ -408,29 +400,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    specs = {
+        design: _spec(
+            args, "closed_loop", design, workload=args.workload.name
+        )
+        for design in MAIN_DESIGNS
+    }
     try:
-        pairs = {
-            design: _run_cached(args, design) for design in MAIN_DESIGNS
+        results = {
+            design: _run_spec(args, spec) for design, spec in specs.items()
         }
     except InvariantViolation as exc:
         print(f"sanitizer: {exc}", file=sys.stderr)
         return 2
-    results = {design: result for design, (result, _) in pairs.items()}
     if args.sanitize and not args.json:
         print("sanitizer: enabled, no invariant violations")
     for design, result in results.items():
         _write_obs_artifacts(args, result, label=design.value)
     if args.json:
-        designs = {}
-        for design, (result, config_hash) in pairs.items():
-            entry = _strip_bulky_obs(_result_dict(result))
-            entry["config_hash"] = config_hash
-            designs[design.value] = entry
         _emit_json(
             {
                 "workload": args.workload.name,
                 "version": __version__,
-                "designs": designs,
+                "designs": {
+                    design.value: _result_json(specs[design], result)
+                    for design, result in results.items()
+                },
             }
         )
         return 0
@@ -451,11 +446,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    designs = args.designs or [
-        Design.BACKPRESSURED,
-        Design.BACKPRESSURELESS,
-        Design.AFC,
-    ]
+    designs = args.designs or list(FAULT_DESIGNS)
     grid = SweepGrid(
         designs=designs,
         rates=args.rates,
@@ -470,6 +461,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         source_queue_limit=500,
         jobs=args.jobs,
+        base_seed=args.base_seed,
+        engine=args.engine,
     )
     cells = {
         (row[1], row[2]): (row[3], row[4]) for row in table.rows
@@ -492,7 +485,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    spec = FaultSpec(
+    fault = FaultSpec(
         seed=args.fault_seed,
         link_flap_rate=args.flap_rate,
         flap_duration=args.flap_duration,
@@ -509,20 +502,22 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             max_retries=args.max_retries, ack_timeout=args.ack_timeout
         )
     )
-    runner = _runner(args)
-    designs = args.designs or list(FAULT_DESIGNS)
-    results = {
-        design: runner.run_faulted(
-            design, args.rate, spec, protection=protection
+    specs = {
+        design: _spec(
+            args, "faulted", design, fault=fault, protection=protection
         )
-        for design in designs
+        for design in args.designs or FAULT_DESIGNS
+    }
+    results = {
+        design: _run_spec(args, spec) for design, spec in specs.items()
     }
     if args.json:
         _emit_json(
             {
-                "spec": dataclasses.asdict(spec),
+                "spec": dataclasses.asdict(fault),
+                "version": __version__,
                 "designs": {
-                    design.value: _result_dict(result)
+                    design.value: _result_json(specs[design], result)
                     for design, result in results.items()
                 },
             }
@@ -760,33 +755,6 @@ def _client(args: argparse.Namespace):
     )
 
 
-def _submit_spec(args: argparse.Namespace) -> dict:
-    if args.spec is not None:
-        text = (
-            sys.stdin.read()
-            if args.spec == "-"
-            else Path(args.spec).read_text()
-        )
-        return json.loads(text)
-    spec: dict = {
-        "kind": args.kind,
-        "design": args.design.value,
-        "width": args.width,
-        "height": args.height,
-        "warmup_cycles": args.warmup,
-        "measure_cycles": args.measure,
-        "seeds": args.seeds,
-        "base_seed": args.base_seed,
-        "engine": args.engine,
-        "metrics": args.metrics,
-    }
-    if args.kind == "closed_loop":
-        spec["workload"] = args.workload
-    else:
-        spec["rate"] = args.rate
-    return spec
-
-
 def _client_call(args: argparse.Namespace, call) -> int:
     """Run one client op, mapping connection/protocol errors to a
     message + exit 1 instead of a traceback."""
@@ -806,10 +774,11 @@ def _client_call(args: argparse.Namespace, call) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service import JobSpec
-
-    spec = _submit_spec(args)
-    JobSpec.from_dict(spec)  # fail client-side with a real message
+    try:  # fail client-side, before taking a queue slot
+        spec = _spec(args, args.kind).to_dict()
+    except ValueError as exc:
+        print(f"invalid job spec: {exc}", file=sys.stderr)
+        return 2
 
     def call(client):
         out = client.submit(spec, priority=args.priority)
@@ -1034,6 +1003,28 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_closed_loop_flags(parser: argparse.ArgumentParser) -> None:
+    """What ``run`` and ``compare`` share: both are foreground views of
+    the ``closed_loop`` kind."""
+    parser.add_argument(
+        "--workload", type=_workload, default=WORKLOADS["apache"]
+    )
+    parser.add_argument(
+        "--json", action="store_true", help="emit the full stats dict as JSON"
+    )
+    parser.add_argument(
+        "--sanitize",
+        action="store_true",
+        help=(
+            "check per-cycle NoC invariants (flit conservation, credit "
+            "agreement, mode legality) during every run; exit 2 on violation"
+        ),
+    )
+    _add_obs_flags(parser)
+    _add_cache_flags(parser)
+    _add_common(parser)
+
+
 def _add_client_flags(parser: argparse.ArgumentParser) -> None:
     """How to reach a running ``repro serve``."""
     parser.add_argument(
@@ -1065,18 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="one design on one workload")
     run.add_argument("--design", type=_design, default=Design.AFC)
-    run.add_argument("--workload", type=_workload, default=WORKLOADS["apache"])
-    run.add_argument(
-        "--json", action="store_true", help="emit the full stats dict as JSON"
-    )
-    run.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "check per-cycle NoC invariants (flit conservation, credit "
-            "agreement, mode legality) during the run; exit 2 on violation"
-        ),
-    )
     run.add_argument(
         "--probe-every",
         type=_positive_int,
@@ -1101,31 +1080,13 @@ def build_parser() -> argparse.ArgumentParser:
             "keeps every completed sample (no torn records)"
         ),
     )
-    _add_obs_flags(run)
-    _add_cache_flags(run)
-    _add_common(run)
+    _add_closed_loop_flags(run)
     run.set_defaults(func=_cmd_run)
 
     compare = sub.add_parser(
         "compare", help="all Figure-2 designs on one workload"
     )
-    compare.add_argument(
-        "--workload", type=_workload, default=WORKLOADS["apache"]
-    )
-    compare.add_argument(
-        "--json", action="store_true", help="emit the full stats dict as JSON"
-    )
-    compare.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "check per-cycle NoC invariants during every run; exit 2 on "
-            "violation"
-        ),
-    )
-    _add_obs_flags(compare)
-    _add_cache_flags(compare)
-    _add_common(compare)
+    _add_closed_loop_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
     trace = sub.add_parser(
@@ -1534,7 +1495,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--kind",
-        choices=("closed_loop", "open_loop", "faulted"),
+        choices=tuple(KINDS),
         default="closed_loop",
     )
     submit.add_argument("--design", type=_design, default=Design.AFC)
@@ -1572,7 +1533,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="give up on --wait after this many seconds",
     )
-    _add_common(submit)
+    _add_common(submit, jobs=False)
     submit.set_defaults(func=_cmd_submit)
 
     status = sub.add_parser(

@@ -8,20 +8,28 @@ synthetic traffic for the saturation and spatial-variation studies.
 warmup → ``begin_measurement`` → measure, and every reported number is
 a mean over seeds with its standard deviation (the paper's variance
 bars).
+
+What an experiment *kind* is — its per-seed inputs, how one seed runs,
+what a sample holds, how samples fold into a result — is described once,
+in :data:`KINDS`.  The runner, the sweeps, the experiment service
+(:mod:`repro.service`) and the CLI look a kind up there; none of them
+branches on it (docs/EXTENDING.md, "Adding an experiment kind").
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import (
+    Any,
     Callable,
+    ClassVar,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -63,63 +71,6 @@ ENERGY_DESIGNS_LOW_LOAD: Tuple[Design, ...] = MAIN_DESIGNS + (
 )
 
 
-def _maybe_sanitize(net: Network, enabled: bool):
-    """A :class:`~repro.analysis.sanitizer.Sanitizer` attached to
-    ``net`` when ``enabled``, else a no-op context.  With the sanitizer
-    off nothing touches ``net.pre_step_hook``, so the run stays on the
-    zero-overhead fast path and is bit-identical to an unsanitized one.
-
-    Faulted runs (:meth:`ExperimentRunner.run_faulted`) deliberately do
-    not support sanitizing: injected faults break the very credit and
-    conservation invariants the sanitizer asserts (the protection layer
-    repairs them out-of-band via its own resync, see
-    ``FaultInjector._resync_afc``)."""
-    if enabled:
-        return Sanitizer(net)
-    return nullcontext()
-
-
-def _make_observer(net: Network, options) -> Optional[Observability]:
-    """An attached :class:`~repro.obs.Observability` when ``options``
-    enables anything, else ``None`` (the hooks stay unset and the run
-    is bit-identical to an unobserved one)."""
-    if options is None or not options.enabled:
-        return None
-    return Observability(net, options).attach()
-
-
-def _merge_observability(payloads: Sequence[Optional[dict]]) -> Optional[dict]:
-    """Combine per-seed observability payloads into one result payload.
-
-    Metrics registries from *all* seeds merge (counters/histograms add,
-    in seed order, so the merged registry is identical at any ``--jobs``
-    because :func:`map_jobs` preserves input order).  Trace and profile
-    payloads come from a single seed by construction (see
-    :meth:`ExperimentRunner._obs_for_seed`) and pass through."""
-    present = [p for p in payloads if p]
-    if not present:
-        return None
-    merged: dict = {}
-    registries = [p["metrics"] for p in present if "metrics" in p]
-    if registries:
-        registry = MetricsRegistry()
-        for flat in registries:
-            registry.merge(MetricsRegistry.from_dict(flat))
-        merged["metrics"] = registry.to_dict()
-    for key in ("trace_summary", "trace", "profile", "probe"):
-        for payload in present:
-            if key in payload:
-                merged[key] = payload[key]
-                break
-    return merged or None
-
-
-def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
-
-
 _T = TypeVar("_T")
 _J = TypeVar("_J")
 
@@ -152,8 +103,56 @@ def map_jobs(
         return list(pool.map(worker, jobs_args))
 
 
+# -- the per-seed scaffold ------------------------------------------------
+
+
+def _simulate(
+    job: Any,
+    build: Callable[[Network], Any],
+    phases: Callable[[Network, Any], Any],
+) -> Tuple[Network, Any, Any, Optional[dict]]:
+    """One seed of any kind: returns ``(net, driver, outcome,
+    observability)`` where ``driver = build(net)`` is the kind's traffic
+    source and ``outcome = phases(net, driver)`` its phase schedule.
+
+    Every RNG is seeded from the job alone, and nothing in a run
+    depends on the *absolute* value of the global packet-id counter
+    (ids only ever tie-break orderings, which offsets preserve), so a
+    sample is the same whether computed in-process or in a fresh
+    worker.  The reset keeps long sweeps from growing the counter
+    without bound.
+
+    With ``job.obs`` / ``job.sanitize`` off nothing touches the
+    network's hooks, so the run stays on the zero-overhead fast path and
+    is bit-identical to an unobserved, unsanitized one.  The driver is
+    built before the observer attaches because the observer discovers
+    what is already chained on the hooks.
+    """
+    reset_packet_ids()
+    net = Network(job.config, job.design, seed=job.seed, engine=job.engine)
+    driver = build(net)
+    observer = None
+    if job.obs is not None and job.obs.enabled:
+        observer = Observability(net, job.obs).attach()
+    # One attribute rebind per run: lets a LiveSeedPublisher thread in
+    # a service worker stream progress; invisible to the simulation.
+    publish_run(net, observer.registry if observer is not None else None)
+    try:
+        with Sanitizer(net) if job.sanitize else nullcontext():
+            outcome = phases(net, driver)
+    finally:
+        if observer is not None:
+            observer.detach()
+        clear_run()
+    payload = observer.payload() if observer is not None else None
+    return net, driver, outcome, payload
+
+
+# -- closed loop ----------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class _ClosedLoopJob:
+class ClosedLoopJob:
     """Picklable description of one closed-loop (seed) run."""
 
     config: NetworkConfig
@@ -169,7 +168,7 @@ class _ClosedLoopJob:
 
 
 @dataclass(frozen=True)
-class _ClosedLoopSample:
+class ClosedLoopSample:
     performance: float
     energy_per_txn: float
     breakdown_per_txn: EnergyBreakdown
@@ -186,50 +185,33 @@ class _ClosedLoopSample:
     observability: Optional[dict] = None
 
 
-def _run_closed_loop_seed(job: _ClosedLoopJob) -> _ClosedLoopSample:
-    """One warmed-up closed-loop run (module-level so it pickles).
+def run_closed_loop_seed(job: ClosedLoopJob) -> ClosedLoopSample:
+    """One warmed-up closed-loop run (module-level so it pickles)."""
 
-    Every RNG is seeded from the job alone, and nothing in a run
-    depends on the *absolute* value of the global packet-id counter
-    (ids only ever tie-break orderings, which offsets preserve), so a
-    sample is the same whether computed in-process or in a fresh
-    worker.  The reset keeps long sweeps from growing the counter
-    without bound.
-    """
-    reset_packet_ids()
-    net = Network(job.config, job.design, seed=job.seed, engine=job.engine)
-    system = MemorySystem(
-        net, job.workload, machine=job.machine, seed=1000 + job.seed
+    def phases(net: Network, system: MemorySystem) -> None:
+        system.run(job.warmup_cycles)
+        system.begin_measurement()
+        system.run(job.measure_cycles)
+
+    net, system, _, observability = _simulate(
+        job,
+        lambda net: MemorySystem(
+            net, job.workload, machine=job.machine, seed=1000 + job.seed
+        ),
+        phases,
     )
-    observer = _make_observer(net, job.obs)
-    # One attribute rebind per run: lets a LiveSeedPublisher thread in
-    # a service worker stream progress; invisible to the simulation.
-    publish_run(net, observer.registry if observer is not None else None)
-    try:
-        with _maybe_sanitize(net, job.sanitize):
-            system.run(job.warmup_cycles)
-            system.begin_measurement()
-            system.run(job.measure_cycles)
-    finally:
-        if observer is not None:
-            observer.detach()
-        clear_run()
     txns = max(1, system.transactions_completed)
     energy = net.measured_energy()
     stats = net.stats
     modes = stats.mode_stats.values()
-    return _ClosedLoopSample(
+    return ClosedLoopSample(
         performance=system.transactions_per_kilocycle_per_core,
         energy_per_txn=energy.total / txns,
         breakdown_per_txn=EnergyBreakdown(
-            buffer_dynamic=energy.buffer_dynamic / txns,
-            buffer_static=energy.buffer_static / txns,
-            link=energy.link / txns,
-            crossbar=energy.crossbar / txns,
-            arbiter=energy.arbiter / txns,
-            latch=energy.latch / txns,
-            credit=energy.credit / txns,
-            logic_static=energy.logic_static / txns,
+            **{
+                f.name: getattr(energy, f.name) / txns
+                for f in fields(EnergyBreakdown)
+            }
         ),
         injection_rate=stats.injection_rate,
         avg_packet_latency=stats.avg_packet_latency,
@@ -241,347 +223,7 @@ def _run_closed_loop_seed(job: _ClosedLoopJob) -> _ClosedLoopSample:
         p50_packet_latency=stats.p50_packet_latency,
         p95_packet_latency=stats.p95_packet_latency,
         p99_packet_latency=stats.p99_packet_latency,
-        observability=observer.payload() if observer is not None else None,
-    )
-
-
-@dataclass(frozen=True)
-class _OpenLoopJob:
-    """Picklable description of one open-loop (seed) run."""
-
-    config: NetworkConfig
-    warmup_cycles: int
-    measure_cycles: int
-    design: Design
-    rate: Union[float, Tuple[float, ...]]
-    pattern: Optional[TrafficPattern]
-    mix: PacketMix
-    latency_groups: Tuple[Tuple[str, Tuple[int, ...]], ...]
-    source_queue_limit: Optional[int]
-    seed: int
-    sanitize: bool = False
-    obs: Optional[ObservabilityOptions] = None
-    engine: str = "active"
-
-
-@dataclass(frozen=True)
-class _OpenLoopSample:
-    throughput: float
-    avg_network_latency: float
-    avg_packet_latency: float
-    deflection_rate: float
-    energy_per_flit: float
-    breakdown: EnergyBreakdown
-    backpressured_fraction: float
-    gossip_switches: float
-    group_latency: Tuple[Tuple[str, float], ...]
-    p50_packet_latency: float = 0.0
-    p95_packet_latency: float = 0.0
-    p99_packet_latency: float = 0.0
-    observability: Optional[dict] = None
-
-
-def _run_open_loop_seed(job: _OpenLoopJob) -> _OpenLoopSample:
-    """One warmed-up open-loop run (module-level so it pickles)."""
-    reset_packet_ids()
-    net = Network(job.config, job.design, seed=job.seed, engine=job.engine)
-    source = OpenLoopSource(
-        net,
-        job.rate,
-        pattern=job.pattern,
-        mix=job.mix,
-        seed=2000 + job.seed,
-        source_queue_limit=job.source_queue_limit,
-    )
-    observer = _make_observer(net, job.obs)
-    publish_run(net, observer.registry if observer is not None else None)
-    try:
-        with _maybe_sanitize(net, job.sanitize):
-            source.run(job.warmup_cycles)
-            net.begin_measurement()
-            source.run(job.measure_cycles)
-    finally:
-        if observer is not None:
-            observer.detach()
-        clear_run()
-    stats = net.stats
-    energy = net.measured_energy()
-    flits = max(1, stats.flits_ejected)
-    groups = []
-    for name, nodes in job.latency_groups:
-        members = set(nodes)
-        lat_sum = sum(stats.per_node_latency_sum[n] for n in members)
-        count = sum(stats.per_node_completed[n] for n in members)
-        groups.append((name, lat_sum / count if count else 0.0))
-    return _OpenLoopSample(
-        throughput=stats.throughput,
-        avg_network_latency=stats.avg_network_latency,
-        avg_packet_latency=stats.avg_packet_latency,
-        deflection_rate=stats.deflection_rate,
-        energy_per_flit=energy.total / flits,
-        breakdown=energy,
-        backpressured_fraction=stats.network_backpressured_fraction,
-        gossip_switches=stats.total_gossip_switches,
-        group_latency=tuple(groups),
-        p50_packet_latency=stats.p50_packet_latency,
-        p95_packet_latency=stats.p95_packet_latency,
-        p99_packet_latency=stats.p99_packet_latency,
-        observability=observer.payload() if observer is not None else None,
-    )
-
-
-@dataclass(frozen=True)
-class _FaultJob:
-    """Picklable description of one faulted (seed) run.
-
-    Carries the :class:`FaultSpec` (a recipe), not the expanded
-    schedule: the worker derives the schedule from ``(spec, seed)``
-    alone, so fault experiments are reproducible regardless of which
-    worker process runs which seed (the ``--jobs`` satellite fix)."""
-
-    config: NetworkConfig
-    warmup_cycles: int
-    measure_cycles: int
-    design: Design
-    rate: float
-    spec: FaultSpec
-    protection: Optional[ProtectionConfig]
-    drain_max_cycles: int
-    seed: int
-    engine: str = "active"
-
-
-@dataclass(frozen=True)
-class _FaultSample:
-    delivered_packet_rate: float
-    delivered_flit_rate: float
-    avg_packet_latency: float
-    throughput: float
-    fault_events: int
-    flits_corrupted: int
-    credits_lost: int
-    retransmissions: int
-    packets_orphaned: int
-    credit_resyncs: int
-    reroutes: int
-    avg_time_to_reroute: float
-    drain_cycles: int
-
-
-def _run_fault_seed(job: _FaultJob) -> _FaultSample:
-    """One faulted open-loop run (module-level so it pickles).
-
-    No mid-run measurement reset: the statistics window covers the
-    whole run including the drain tail, so after draining
-    ``packets_completed == packets_injected - packets_orphaned`` holds
-    exactly and the delivered rates are true fractions.  The warmup
-    merely delays fault onset (the schedule starts at
-    ``warmup_cycles``) so faults hit a loaded network."""
-    reset_packet_ids()
-    net = Network(job.config, job.design, seed=job.seed, engine=job.engine)
-    schedule = job.spec.schedule(
-        net.mesh,
-        start=job.warmup_cycles,
-        horizon=job.measure_cycles,
-        salt=job.seed,
-    )
-    injector = FaultInjector(net, schedule, protection=job.protection)
-    source = OpenLoopSource(
-        net, job.rate, seed=2000 + job.seed, source_queue_limit=2_000
-    )
-    publish_run(net)
-    try:
-        source.run(job.warmup_cycles + job.measure_cycles)
-        drained = injector.drain(max_cycles=job.drain_max_cycles)
-    finally:
-        clear_run()
-    stats = net.stats
-    return _FaultSample(
-        delivered_packet_rate=stats.delivered_despite_fault_rate,
-        delivered_flit_rate=stats.delivered_flit_rate,
-        avg_packet_latency=stats.avg_packet_latency,
-        throughput=stats.throughput,
-        fault_events=stats.fault_events,
-        flits_corrupted=stats.flits_corrupted,
-        credits_lost=stats.credits_lost,
-        retransmissions=stats.protection_retransmissions,
-        packets_orphaned=stats.packets_orphaned,
-        credit_resyncs=stats.credit_resyncs,
-        reroutes=stats.reroutes,
-        avg_time_to_reroute=stats.avg_time_to_reroute,
-        drain_cycles=drained,
-    )
-
-
-def _mean_breakdown(parts: Sequence[EnergyBreakdown]) -> EnergyBreakdown:
-    n = len(parts)
-    return EnergyBreakdown(
-        buffer_dynamic=sum(p.buffer_dynamic for p in parts) / n,
-        buffer_static=sum(p.buffer_static for p in parts) / n,
-        link=sum(p.link for p in parts) / n,
-        crossbar=sum(p.crossbar for p in parts) / n,
-        arbiter=sum(p.arbiter for p in parts) / n,
-        latch=sum(p.latch for p in parts) / n,
-        credit=sum(p.credit for p in parts) / n,
-        logic_static=sum(p.logic_static for p in parts) / n,
-    )
-
-
-def aggregate_closed_loop(
-    design: Design,
-    workload_name: str,
-    samples: Sequence[_ClosedLoopSample],
-) -> "ClosedLoopResult":
-    """Fold per-seed closed-loop samples into one result.
-
-    Pure and deterministic: the result is a function of the sample
-    sequence alone (order included — observability payloads merge in
-    seed order), so an aggregate over samples recovered from the
-    experiment service's seed checkpoints is bit-identical to one over
-    freshly computed samples."""
-    perf_mean, perf_std = _mean_std([s.performance for s in samples])
-    energy_mean, energy_std = _mean_std([s.energy_per_txn for s in samples])
-    return ClosedLoopResult(
-        design=design,
-        workload=workload_name,
-        seeds=len(samples),
-        performance=perf_mean,
-        performance_std=perf_std,
-        energy_per_txn=energy_mean,
-        energy_per_txn_std=energy_std,
-        breakdown_per_txn=_mean_breakdown(
-            [s.breakdown_per_txn for s in samples]
-        ),
-        injection_rate=statistics.fmean(
-            s.injection_rate for s in samples
-        ),
-        avg_packet_latency=statistics.fmean(
-            s.avg_packet_latency for s in samples
-        ),
-        avg_miss_latency=statistics.fmean(
-            s.avg_miss_latency for s in samples
-        ),
-        backpressured_fraction=statistics.fmean(
-            s.backpressured_fraction for s in samples
-        ),
-        forward_switches=statistics.fmean(
-            s.forward_switches for s in samples
-        ),
-        reverse_switches=statistics.fmean(
-            s.reverse_switches for s in samples
-        ),
-        gossip_switches=statistics.fmean(
-            s.gossip_switches for s in samples
-        ),
-        p50_packet_latency=statistics.fmean(
-            s.p50_packet_latency for s in samples
-        ),
-        p95_packet_latency=statistics.fmean(
-            s.p95_packet_latency for s in samples
-        ),
-        p99_packet_latency=statistics.fmean(
-            s.p99_packet_latency for s in samples
-        ),
-        observability=_merge_observability(
-            [s.observability for s in samples]
-        ),
-    )
-
-
-def aggregate_open_loop(
-    design: Design,
-    offered_rate: float,
-    samples: Sequence[_OpenLoopSample],
-) -> "OpenLoopResult":
-    """Fold per-seed open-loop samples into one result (see
-    :func:`aggregate_closed_loop` for the determinism contract)."""
-    group_sums: Dict[str, List[float]] = {}
-    for sample in samples:
-        for name, value in sample.group_latency:
-            group_sums.setdefault(name, []).append(value)
-    lat_mean, lat_std = _mean_std([s.avg_network_latency for s in samples])
-    return OpenLoopResult(
-        design=design,
-        offered_rate=offered_rate,
-        seeds=len(samples),
-        throughput=statistics.fmean(s.throughput for s in samples),
-        avg_network_latency=lat_mean,
-        latency_std=lat_std,
-        avg_packet_latency=statistics.fmean(
-            s.avg_packet_latency for s in samples
-        ),
-        deflection_rate=statistics.fmean(
-            s.deflection_rate for s in samples
-        ),
-        energy_per_flit=statistics.fmean(
-            s.energy_per_flit for s in samples
-        ),
-        breakdown=_mean_breakdown([s.breakdown for s in samples]),
-        backpressured_fraction=statistics.fmean(
-            s.backpressured_fraction for s in samples
-        ),
-        gossip_switches=statistics.fmean(
-            s.gossip_switches for s in samples
-        ),
-        group_latency={
-            name: statistics.fmean(vals)
-            for name, vals in group_sums.items()
-        },
-        p50_packet_latency=statistics.fmean(
-            s.p50_packet_latency for s in samples
-        ),
-        p95_packet_latency=statistics.fmean(
-            s.p95_packet_latency for s in samples
-        ),
-        p99_packet_latency=statistics.fmean(
-            s.p99_packet_latency for s in samples
-        ),
-        observability=_merge_observability(
-            [s.observability for s in samples]
-        ),
-    )
-
-
-def aggregate_faulted(
-    design: Design,
-    offered_rate: float,
-    samples: Sequence[_FaultSample],
-) -> "FaultResult":
-    """Fold per-seed faulted samples into one result (see
-    :func:`aggregate_closed_loop` for the determinism contract)."""
-    return FaultResult(
-        design=design,
-        offered_rate=offered_rate,
-        seeds=len(samples),
-        delivered_packet_rate=statistics.fmean(
-            s.delivered_packet_rate for s in samples
-        ),
-        delivered_flit_rate=statistics.fmean(
-            s.delivered_flit_rate for s in samples
-        ),
-        avg_packet_latency=statistics.fmean(
-            s.avg_packet_latency for s in samples
-        ),
-        throughput=statistics.fmean(s.throughput for s in samples),
-        fault_events=statistics.fmean(s.fault_events for s in samples),
-        flits_corrupted=statistics.fmean(
-            s.flits_corrupted for s in samples
-        ),
-        credits_lost=statistics.fmean(s.credits_lost for s in samples),
-        retransmissions=statistics.fmean(
-            s.retransmissions for s in samples
-        ),
-        packets_orphaned=statistics.fmean(
-            s.packets_orphaned for s in samples
-        ),
-        credit_resyncs=statistics.fmean(
-            s.credit_resyncs for s in samples
-        ),
-        reroutes=statistics.fmean(s.reroutes for s in samples),
-        avg_time_to_reroute=statistics.fmean(
-            s.avg_time_to_reroute for s in samples
-        ),
-        drain_cycles=statistics.fmean(s.drain_cycles for s in samples),
+        observability=observability,
     )
 
 
@@ -616,29 +258,89 @@ class ClosedLoopResult:
     observability: Optional[dict] = None
 
 
-@dataclass
-class FaultResult:
-    """Multi-seed summary of one (design, rate, fault-spec) run."""
+# -- open loop ------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class OpenLoopJob:
+    """Picklable description of one open-loop (seed) run."""
+
+    config: NetworkConfig
+    warmup_cycles: int
+    measure_cycles: int
     design: Design
-    offered_rate: float
-    seeds: int
-    #: Fraction of offered packets delivered (exactly once) by the end
-    #: of the drain — the headline resilience metric.
-    delivered_packet_rate: float
-    #: Fraction of offered flits belonging to completed packets.
-    delivered_flit_rate: float
-    avg_packet_latency: float
+    rate: Union[float, Tuple[float, ...]]
+    mix: PacketMix
+    source_queue_limit: Optional[int]
+    seed: int
+    pattern: Optional[TrafficPattern] = None
+    latency_groups: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    sanitize: bool = False
+    obs: Optional[ObservabilityOptions] = None
+    engine: str = "active"
+
+
+@dataclass(frozen=True)
+class OpenLoopSample:
     throughput: float
-    fault_events: float
-    flits_corrupted: float
-    credits_lost: float
-    retransmissions: float
-    packets_orphaned: float
-    credit_resyncs: float
-    reroutes: float
-    avg_time_to_reroute: float
-    drain_cycles: float
+    avg_network_latency: float
+    avg_packet_latency: float
+    deflection_rate: float
+    energy_per_flit: float
+    breakdown: EnergyBreakdown
+    backpressured_fraction: float
+    gossip_switches: float
+    group_latency: Tuple[Tuple[str, float], ...]
+    p50_packet_latency: float = 0.0
+    p95_packet_latency: float = 0.0
+    p99_packet_latency: float = 0.0
+    observability: Optional[dict] = None
+
+
+def run_open_loop_seed(job: OpenLoopJob) -> OpenLoopSample:
+    """One warmed-up open-loop run (module-level so it pickles)."""
+
+    def phases(net: Network, source: OpenLoopSource) -> None:
+        source.run(job.warmup_cycles)
+        net.begin_measurement()
+        source.run(job.measure_cycles)
+
+    net, _, _, observability = _simulate(
+        job,
+        lambda net: OpenLoopSource(
+            net,
+            job.rate,
+            pattern=job.pattern,
+            mix=job.mix,
+            seed=2000 + job.seed,
+            source_queue_limit=job.source_queue_limit,
+        ),
+        phases,
+    )
+    stats = net.stats
+    energy = net.measured_energy()
+    flits = max(1, stats.flits_ejected)
+    groups = []
+    for name, nodes in job.latency_groups:
+        members = set(nodes)
+        lat_sum = sum(stats.per_node_latency_sum[n] for n in members)
+        count = sum(stats.per_node_completed[n] for n in members)
+        groups.append((name, lat_sum / count if count else 0.0))
+    return OpenLoopSample(
+        throughput=stats.throughput,
+        avg_network_latency=stats.avg_network_latency,
+        avg_packet_latency=stats.avg_packet_latency,
+        deflection_rate=stats.deflection_rate,
+        energy_per_flit=energy.total / flits,
+        breakdown=energy,
+        backpressured_fraction=stats.network_backpressured_fraction,
+        gossip_switches=stats.total_gossip_switches,
+        group_latency=tuple(groups),
+        p50_packet_latency=stats.p50_packet_latency,
+        p95_packet_latency=stats.p95_packet_latency,
+        p99_packet_latency=stats.p99_packet_latency,
+        observability=observability,
+    )
 
 
 @dataclass
@@ -668,6 +370,307 @@ class OpenLoopResult:
     #: Merged observability payload (metrics from all seeds; trace /
     #: profile from the first); ``None`` when observability is off.
     observability: Optional[dict] = None
+
+
+# -- faulted --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaultJob:
+    """Picklable description of one faulted (seed) run.
+
+    Carries the :class:`FaultSpec` (a recipe), not the expanded
+    schedule: the worker derives the schedule from ``(fault, seed)``
+    alone, so fault experiments are reproducible regardless of which
+    worker process runs which seed."""
+
+    config: NetworkConfig
+    warmup_cycles: int
+    measure_cycles: int
+    design: Design
+    rate: float
+    fault: FaultSpec
+    protection: Optional[ProtectionConfig]
+    drain_max_cycles: int
+    seed: int
+    engine: str = "active"
+
+    #: Not fields, so the runner never sets them: injected faults break
+    #: the very credit and conservation invariants the sanitizer asserts
+    #: (the protection layer repairs them out-of-band via its own
+    #: resync, see ``FaultInjector._resync_afc``), and a faulted sample
+    #: has no observability payload to carry.
+    sanitize: ClassVar[bool] = False
+    obs: ClassVar[None] = None
+
+
+@dataclass(frozen=True)
+class FaultSample:
+    delivered_packet_rate: float
+    delivered_flit_rate: float
+    avg_packet_latency: float
+    throughput: float
+    fault_events: int
+    flits_corrupted: int
+    credits_lost: int
+    retransmissions: int
+    packets_orphaned: int
+    credit_resyncs: int
+    reroutes: int
+    avg_time_to_reroute: float
+    drain_cycles: int
+
+
+def run_fault_seed(job: FaultJob) -> FaultSample:
+    """One faulted open-loop run (module-level so it pickles).
+
+    No mid-run measurement reset: the statistics window covers the
+    whole run including the drain tail, so after draining
+    ``packets_completed == packets_injected - packets_orphaned`` holds
+    exactly and the delivered rates are true fractions.  The warmup
+    merely delays fault onset (the schedule starts at
+    ``warmup_cycles``) so faults hit a loaded network."""
+
+    def build(net: Network) -> Tuple[FaultInjector, OpenLoopSource]:
+        schedule = job.fault.schedule(
+            net.mesh,
+            start=job.warmup_cycles,
+            horizon=job.measure_cycles,
+            salt=job.seed,
+        )
+        injector = FaultInjector(net, schedule, protection=job.protection)
+        source = OpenLoopSource(
+            net, job.rate, seed=2000 + job.seed, source_queue_limit=2_000
+        )
+        return injector, source
+
+    def phases(net: Network, driver) -> int:
+        injector, source = driver
+        source.run(job.warmup_cycles + job.measure_cycles)
+        return injector.drain(max_cycles=job.drain_max_cycles)
+
+    net, _, drained, _ = _simulate(job, build, phases)
+    stats = net.stats
+    return FaultSample(
+        delivered_packet_rate=stats.delivered_despite_fault_rate,
+        delivered_flit_rate=stats.delivered_flit_rate,
+        avg_packet_latency=stats.avg_packet_latency,
+        throughput=stats.throughput,
+        fault_events=stats.fault_events,
+        flits_corrupted=stats.flits_corrupted,
+        credits_lost=stats.credits_lost,
+        retransmissions=stats.protection_retransmissions,
+        packets_orphaned=stats.packets_orphaned,
+        credit_resyncs=stats.credit_resyncs,
+        reroutes=stats.reroutes,
+        avg_time_to_reroute=stats.avg_time_to_reroute,
+        drain_cycles=drained,
+    )
+
+
+@dataclass
+class FaultResult:
+    """Multi-seed summary of one (design, rate, fault-spec) run."""
+
+    design: Design
+    offered_rate: float
+    seeds: int
+    #: Fraction of offered packets delivered (exactly once) by the end
+    #: of the drain — the headline resilience metric.
+    delivered_packet_rate: float
+    #: Fraction of offered flits belonging to completed packets.
+    delivered_flit_rate: float
+    avg_packet_latency: float
+    throughput: float
+    fault_events: float
+    flits_corrupted: float
+    credits_lost: float
+    retransmissions: float
+    packets_orphaned: float
+    credit_resyncs: float
+    reroutes: float
+    avg_time_to_reroute: float
+    drain_cycles: float
+
+
+# -- the aggregator -------------------------------------------------------
+
+
+def _std(values: Sequence[float]) -> float:
+    return statistics.stdev(values) if len(values) > 1 else 0.0
+
+
+def _mean_breakdown(parts: Sequence[EnergyBreakdown]) -> EnergyBreakdown:
+    n = len(parts)
+    return EnergyBreakdown(
+        **{
+            f.name: sum(getattr(p, f.name) for p in parts) / n
+            for f in fields(EnergyBreakdown)
+        }
+    )
+
+
+def _mean_groups(
+    groups: Sequence[Tuple[Tuple[str, float], ...]]
+) -> Dict[str, float]:
+    by_name: Dict[str, List[float]] = {}
+    for pairs in groups:
+        for name, value in pairs:
+            by_name.setdefault(name, []).append(value)
+    return {name: statistics.fmean(vals) for name, vals in by_name.items()}
+
+
+def _merge_observability(payloads: Sequence[Optional[dict]]) -> Optional[dict]:
+    """Combine per-seed observability payloads into one result payload.
+
+    Metrics registries from *all* seeds merge (counters/histograms add,
+    in seed order, so the merged registry is identical at any ``--jobs``
+    because :func:`map_jobs` preserves input order).  Trace and profile
+    payloads come from a single seed by construction (see
+    :meth:`ExperimentRunner._obs_for_seed`) and pass through."""
+    present = [p for p in payloads if p]
+    if not present:
+        return None
+    merged: dict = {}
+    registries = [p["metrics"] for p in present if "metrics" in p]
+    if registries:
+        registry = MetricsRegistry()
+        for flat in registries:
+            registry.merge(MetricsRegistry.from_dict(flat))
+        merged["metrics"] = registry.to_dict()
+    for key in ("trace_summary", "trace", "profile", "probe"):
+        for payload in present:
+            if key in payload:
+                merged[key] = payload[key]
+                break
+    return merged or None
+
+
+#: Result fields that are *not* ``statistics.fmean`` of the same-named
+#: sample field: result field -> (sample field, reducer over the
+#: per-seed values in seed order).
+_REDUCERS: Dict[str, Tuple[str, Callable[[list], Any]]] = {
+    "performance_std": ("performance", _std),
+    "energy_per_txn_std": ("energy_per_txn", _std),
+    "latency_std": ("avg_network_latency", _std),
+    "breakdown_per_txn": ("breakdown_per_txn", _mean_breakdown),
+    "breakdown": ("breakdown", _mean_breakdown),
+    "group_latency": ("group_latency", _mean_groups),
+    "observability": ("observability", _merge_observability),
+}
+
+
+def _fold(result_cls: type, samples: Sequence[Any], **header: Any) -> Any:
+    """Per-seed samples folded into a ``result_cls``: ``header`` names
+    the run (design, workload or offered rate), ``seeds`` counts the
+    samples, every other field is reduced per :data:`_REDUCERS`.
+
+    Pure and deterministic: the result is a function of the sample
+    sequence alone (order included — observability payloads merge in
+    seed order), so an aggregate over samples recovered from the
+    experiment service's seed checkpoints is bit-identical to one over
+    freshly computed samples."""
+    reduced = {}
+    for f in fields(result_cls):
+        if f.name == "seeds" or f.name in header:
+            continue
+        source, reducer = _REDUCERS.get(f.name, (f.name, statistics.fmean))
+        reduced[f.name] = reducer([getattr(s, source) for s in samples])
+    return result_cls(seeds=len(samples), **header, **reduced)
+
+
+def aggregate_closed_loop(
+    design: Design,
+    workload_name: str,
+    samples: Sequence[ClosedLoopSample],
+) -> ClosedLoopResult:
+    """Fold per-seed closed-loop samples into one result (:func:`_fold`)."""
+    return _fold(
+        ClosedLoopResult, samples, design=design, workload=workload_name
+    )
+
+
+def _offered(rate: Union[float, Sequence[float]]) -> float:
+    if isinstance(rate, (int, float)):
+        return float(rate)
+    return statistics.fmean(rate)
+
+
+# -- the registry ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything that distinguishes one experiment kind."""
+
+    #: Frozen, picklable per-seed inputs.  Runner settings
+    #: (``config``, ``machine``, cycle counts, ``seed``, ``sanitize``,
+    #: ``obs``, ``engine``) reach a job iff it declares the field.
+    job: type
+    sample: type
+    result: type
+    #: ``job -> sample``; module-level so it pickles.
+    run_seed: Callable[[Any], Any]
+    #: ``(job, samples) -> result``: the result's identity fields read
+    #: off any one seed's job, the rest through :func:`_fold`.
+    fold: Callable[[Any, Sequence[Any]], Any]
+    #: The request parameters (``JobSpec`` fields, named like the job
+    #: fields they fill) this kind consumes: emitted, validated and
+    #: hashed for this kind only.
+    params: Tuple[str, ...]
+    #: Package defaults the job depends on, pinned into a service job
+    #: and its hash so that changing the default changes the key.
+    pinned: Mapping[str, Any] = field(default_factory=dict)
+
+
+KINDS: Dict[str, Kind] = {
+    "closed_loop": Kind(
+        job=ClosedLoopJob,
+        sample=ClosedLoopSample,
+        result=ClosedLoopResult,
+        run_seed=run_closed_loop_seed,
+        # Through the module namespace at call time: benchmarks/ledger
+        # times the fold by wrapping this module attribute.
+        fold=lambda job, samples: aggregate_closed_loop(
+            job.design, job.workload.name, samples
+        ),
+        params=("workload",),
+        pinned={"machine": DEFAULT_MACHINE_CONFIG},
+    ),
+    "open_loop": Kind(
+        job=OpenLoopJob,
+        sample=OpenLoopSample,
+        result=OpenLoopResult,
+        run_seed=run_open_loop_seed,
+        fold=lambda job, samples: _fold(
+            OpenLoopResult,
+            samples,
+            design=job.design,
+            offered_rate=_offered(job.rate),
+        ),
+        params=("rate", "source_queue_limit"),
+        pinned={"mix": PacketMix()},
+    ),
+    "faulted": Kind(
+        job=FaultJob,
+        sample=FaultSample,
+        result=FaultResult,
+        run_seed=run_fault_seed,
+        fold=lambda job, samples: _fold(
+            FaultResult, samples, design=job.design, offered_rate=job.rate
+        ),
+        params=("rate", "fault", "protection", "drain_max_cycles"),
+    ),
+}
+
+def kind_entry(name: str) -> Kind:
+    """``KINDS[name]``, for names that arrive from argv, JSON or disk."""
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment kind {name!r}; choose from {tuple(KINDS)}"
+        ) from None
 
 
 class ExperimentRunner:
@@ -705,13 +708,11 @@ class ExperimentRunner:
         #: Observability options applied to closed/open-loop runs;
         #: ``None`` (the default) leaves every hook unset.
         self.obs = obs
-        #: Cycle engine every run is built with (``naive``, ``active``
-        #: or ``vector``); carried inside the picklable job description
-        #: so the parallel ``--jobs`` path uses it too.
+        #: Cycle engine every run is built with (``active``, ``vector``,
+        #: or the ``naive`` reference loop); carried inside the
+        #: picklable job description so the parallel ``--jobs`` path
+        #: uses it too.
         self.engine = engine
-
-    def _seed_range(self) -> range:
-        return range(self.base_seed, self.base_seed + self.seeds)
 
     def _obs_for_seed(self, index: int) -> Optional[ObservabilityOptions]:
         """Per-seed observability: metrics come from every seed (they
@@ -726,32 +727,39 @@ class ExperimentRunner:
         )
         return trimmed if trimmed.enabled else None
 
-    # -- closed loop ----------------------------------------------------------
+    def seed_job(self, kind: str, index: int, **inputs: Any) -> Any:
+        """The ``kind`` job of seed ``index``: the runner settings the
+        job class declares, then the run's own ``inputs``."""
+        settings = {
+            "config": self.config,
+            "machine": self.machine,
+            "warmup_cycles": self.warmup_cycles,
+            "measure_cycles": self.measure_cycles,
+            "seed": self.base_seed + index,
+            "sanitize": self.sanitize,
+            "obs": self._obs_for_seed(index),
+            "engine": self.engine,
+        }
+        job_cls = KINDS[kind].job
+        declared = {f.name for f in fields(job_cls)}
+        settings = {k: v for k, v in settings.items() if k in declared}
+        return job_cls(**{**settings, **inputs})
+
+    def run(self, kind: str, **inputs: Any) -> Any:
+        """Every seed of one ``kind`` run, folded into its result."""
+        entry = KINDS[kind]
+        seed_jobs = [
+            self.seed_job(kind, index, **inputs)
+            for index in range(self.seeds)
+        ]
+        samples = map_jobs(entry.run_seed, seed_jobs, self.jobs)
+        return entry.fold(seed_jobs[0], samples)
+
     def run_closed_loop(
         self, design: Design, workload: WorkloadProfile
     ) -> ClosedLoopResult:
-        samples = map_jobs(
-            run_closed_loop_seed,
-            [
-                _ClosedLoopJob(
-                    config=self.config,
-                    machine=self.machine,
-                    warmup_cycles=self.warmup_cycles,
-                    measure_cycles=self.measure_cycles,
-                    design=design,
-                    workload=workload,
-                    seed=seed,
-                    sanitize=self.sanitize,
-                    obs=self._obs_for_seed(index),
-                    engine=self.engine,
-                )
-                for index, seed in enumerate(self._seed_range())
-            ],
-            self.jobs,
-        )
-        return aggregate_closed_loop(design, workload.name, samples)
+        return self.run("closed_loop", design=design, workload=workload)
 
-    # -- open loop ----------------------------------------------------------------
     def run_open_loop(
         self,
         design: Design,
@@ -761,43 +769,19 @@ class ExperimentRunner:
         latency_groups: Optional[Dict[str, Sequence[int]]] = None,
         source_queue_limit: Optional[int] = 2_000,
     ) -> OpenLoopResult:
-        groups = tuple(
-            (name, tuple(nodes))
-            for name, nodes in (latency_groups or {}).items()
+        return self.run(
+            "open_loop",
+            design=design,
+            rate=rate if isinstance(rate, (int, float)) else tuple(rate),
+            pattern=pattern,
+            mix=mix,
+            latency_groups=tuple(
+                (name, tuple(nodes))
+                for name, nodes in (latency_groups or {}).items()
+            ),
+            source_queue_limit=source_queue_limit,
         )
-        job_rate = (
-            rate if isinstance(rate, (int, float)) else tuple(rate)
-        )
-        samples = map_jobs(
-            run_open_loop_seed,
-            [
-                _OpenLoopJob(
-                    config=self.config,
-                    warmup_cycles=self.warmup_cycles,
-                    measure_cycles=self.measure_cycles,
-                    design=design,
-                    rate=job_rate,
-                    pattern=pattern,
-                    mix=mix,
-                    latency_groups=groups,
-                    source_queue_limit=source_queue_limit,
-                    seed=seed,
-                    sanitize=self.sanitize,
-                    obs=self._obs_for_seed(index),
-                    engine=self.engine,
-                )
-                for index, seed in enumerate(self._seed_range())
-            ],
-            self.jobs,
-        )
-        offered = (
-            float(rate)
-            if isinstance(rate, (int, float))
-            else statistics.fmean(rate)
-        )
-        return aggregate_open_loop(design, offered, samples)
 
-    # -- faulted runs ----------------------------------------------------------
     def run_faulted(
         self,
         design: Design,
@@ -813,40 +797,11 @@ class ExperimentRunner:
         the end of warmup, then drains until the protection ledger is
         empty — so ``delivered_packet_rate`` is exact, not
         window-censored."""
-        samples = map_jobs(
-            run_fault_seed,
-            [
-                _FaultJob(
-                    config=self.config,
-                    warmup_cycles=self.warmup_cycles,
-                    measure_cycles=self.measure_cycles,
-                    design=design,
-                    rate=rate,
-                    spec=spec,
-                    protection=protection,
-                    drain_max_cycles=drain_max_cycles,
-                    seed=seed,
-                    engine=self.engine,
-                )
-                for seed in self._seed_range()
-            ],
-            self.jobs,
+        return self.run(
+            "faulted",
+            design=design,
+            rate=rate,
+            fault=spec,
+            protection=protection,
+            drain_max_cycles=drain_max_cycles,
         )
-        return aggregate_faulted(design, rate, samples)
-
-
-#: Public aliases for seed-level scheduling.  The experiment service
-#: (:mod:`repro.service`) executes, checkpoints and recovers work one
-#: seed at a time, so the per-seed job descriptions, runners and sample
-#: types are its unit of work; the aggregate_* functions above fold the
-#: recovered samples back into the exact results the foreground runner
-#: produces.
-ClosedLoopJob = _ClosedLoopJob
-ClosedLoopSample = _ClosedLoopSample
-OpenLoopJob = _OpenLoopJob
-OpenLoopSample = _OpenLoopSample
-FaultJob = _FaultJob
-FaultSample = _FaultSample
-run_closed_loop_seed = _run_closed_loop_seed
-run_open_loop_seed = _run_open_loop_seed
-run_fault_seed = _run_fault_seed

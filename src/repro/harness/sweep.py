@@ -98,28 +98,70 @@ class SweepGrid:
         return [("default", NetworkConfig())]
 
 
-def _run_closed_loop_cell(args) -> List[object]:
-    """One (config, design, workload) sweep cell (module-level so it
+#: Per sweep, table column -> result field (after the three key columns).
+_CLOSED_LOOP_COLUMNS = {
+    "performance": "performance",
+    "performance_std": "performance_std",
+    "energy_per_txn": "energy_per_txn",
+    "injection_rate": "injection_rate",
+    "miss_latency": "avg_miss_latency",
+    "bp_fraction": "backpressured_fraction",
+}
+_OPEN_LOOP_COLUMNS = {
+    "throughput": "throughput",
+    "network_latency": "avg_network_latency",
+    "deflection_rate": "deflection_rate",
+    "energy_per_flit": "energy_per_flit",
+    "bp_fraction": "backpressured_fraction",
+}
+
+
+def _run_cell(cell) -> List[object]:
+    """One (config, design, point) sweep cell (module-level so it
     pickles); seeds inside the cell run serially in this worker."""
-    config_name, config, design, workload, warmup, measure, seeds = args
-    runner = ExperimentRunner(
-        config=config,
-        warmup_cycles=warmup,
-        measure_cycles=measure,
-        seeds=seeds,
-    )
-    result = runner.run_closed_loop(design, workload)
-    return [
-        config_name,
-        design.value,
-        workload.name,
-        result.performance,
-        result.performance_std,
-        result.energy_per_txn,
-        result.injection_rate,
-        result.avg_miss_latency,
-        result.backpressured_fraction,
+    config_name, runner, method, design, point, extra, result_fields = cell
+    result = getattr(runner, method)(design, point, **extra)
+    return [config_name, design.value, getattr(point, "name", point)] + [
+        getattr(result, name) for name in result_fields
     ]
+
+
+def _sweep(
+    grid: SweepGrid,
+    method: str,
+    axis: str,
+    points: Sequence[object],
+    columns: Dict[str, str],
+    jobs: int,
+    extra: Dict[str, object],
+    **runner_settings,
+) -> SweepTable:
+    """``ExperimentRunner.<method>`` over configs × designs × points.
+
+    ``jobs > 1`` fans the independent grid cells out across worker
+    processes; rows come back in grid order and every cell derives its
+    own seeds, so the table is identical at any job count.
+    """
+    if not points:
+        raise ValueError(f"sweep needs {axis}s")
+    table = SweepTable(columns=["config", "design", axis] + list(columns))
+    cells = [
+        (
+            config_name,
+            ExperimentRunner(config=config, **runner_settings),
+            method,
+            design,
+            point,
+            extra,
+            tuple(columns.values()),
+        )
+        for config_name, config in grid.config_items()
+        for design in grid.designs
+        for point in points
+    ]
+    for row in map_jobs(_run_cell, cells, jobs):
+        table.add(row)
+    return table
 
 
 def run_closed_loop_sweep(
@@ -128,64 +170,24 @@ def run_closed_loop_sweep(
     measure_cycles: int = 6_000,
     seeds: int = 1,
     jobs: int = 1,
+    base_seed: int = 0,
+    engine: str = "active",
 ) -> SweepTable:
-    """Closed-loop sweep over configs × designs × workloads.
-
-    ``jobs > 1`` fans the independent grid cells out across worker
-    processes; rows come back in grid order and every cell derives its
-    own seeds, so the table is identical at any job count.
-    """
-    if not grid.workloads:
-        raise ValueError("closed-loop sweep needs workloads")
-    table = SweepTable(
-        columns=[
-            "config",
-            "design",
-            "workload",
-            "performance",
-            "performance_std",
-            "energy_per_txn",
-            "injection_rate",
-            "miss_latency",
-            "bp_fraction",
-        ]
-    )
-    cells = [
-        (config_name, config, design, workload,
-         warmup_cycles, measure_cycles, seeds)
-        for config_name, config in grid.config_items()
-        for design in grid.designs
-        for workload in grid.workloads
-    ]
-    for row in map_jobs(_run_closed_loop_cell, cells, jobs):
-        table.add(row)
-    return table
-
-
-def _run_open_loop_cell(args) -> List[object]:
-    """One (config, design, rate) sweep cell (module-level so it
-    pickles)."""
-    (config_name, config, design, rate,
-     warmup, measure, seeds, source_queue_limit) = args
-    runner = ExperimentRunner(
-        config=config,
-        warmup_cycles=warmup,
-        measure_cycles=measure,
+    """Closed-loop sweep over configs × designs × workloads."""
+    return _sweep(
+        grid,
+        "run_closed_loop",
+        "workload",
+        grid.workloads,
+        _CLOSED_LOOP_COLUMNS,
+        jobs,
+        {},
+        warmup_cycles=warmup_cycles,
+        measure_cycles=measure_cycles,
         seeds=seeds,
+        base_seed=base_seed,
+        engine=engine,
     )
-    result = runner.run_open_loop(
-        design, rate, source_queue_limit=source_queue_limit
-    )
-    return [
-        config_name,
-        design.value,
-        rate,
-        result.throughput,
-        result.avg_network_latency,
-        result.deflection_rate,
-        result.energy_per_flit,
-        result.backpressured_fraction,
-    ]
 
 
 def run_open_loop_sweep(
@@ -195,34 +197,21 @@ def run_open_loop_sweep(
     seeds: int = 1,
     source_queue_limit: Optional[int] = 500,
     jobs: int = 1,
+    base_seed: int = 0,
+    engine: str = "active",
 ) -> SweepTable:
-    """Open-loop sweep over configs × designs × rates.
-
-    ``jobs > 1`` fans the independent grid cells out across worker
-    processes; rows come back in grid order and every cell derives its
-    own seeds, so the table is identical at any job count.
-    """
-    if not grid.rates:
-        raise ValueError("open-loop sweep needs rates")
-    table = SweepTable(
-        columns=[
-            "config",
-            "design",
-            "rate",
-            "throughput",
-            "network_latency",
-            "deflection_rate",
-            "energy_per_flit",
-            "bp_fraction",
-        ]
+    """Open-loop sweep over configs × designs × rates."""
+    return _sweep(
+        grid,
+        "run_open_loop",
+        "rate",
+        grid.rates,
+        _OPEN_LOOP_COLUMNS,
+        jobs,
+        {"source_queue_limit": source_queue_limit},
+        warmup_cycles=warmup_cycles,
+        measure_cycles=measure_cycles,
+        seeds=seeds,
+        base_seed=base_seed,
+        engine=engine,
     )
-    cells = [
-        (config_name, config, design, rate,
-         warmup_cycles, measure_cycles, seeds, source_queue_limit)
-        for config_name, config in grid.config_items()
-        for design in grid.designs
-        for rate in grid.rates
-    ]
-    for row in map_jobs(_run_open_loop_cell, cells, jobs):
-        table.add(row)
-    return table

@@ -19,7 +19,7 @@ dedupe, crash-safe execution, and the result cache.
    is checkpointed to the store *before* it counts as done; a worker
    crash requeues only the lost seed, never completed ones.
 4. **aggregate** — when every seed index has a checkpoint, the samples
-   are decoded and folded by the same ``aggregate_*`` functions the
+   are decoded and folded by the same per-kind ``fold`` the
    foreground runner uses, the record is stored atomically, the
    partials are cleared, and every waiter resolves.
 
@@ -64,7 +64,7 @@ def _percentiles_of(row: dict) -> dict:
 
 def _mean_percentiles(rows: List[dict]) -> dict:
     """Seed-mean of each percentile field over the rows carrying it —
-    the same per-field mean the ``aggregate_*`` functions take over
+    the same per-field mean the harness fold takes over
     finished samples (fault samples carry no percentiles and simply
     drop out)."""
     out = {}

@@ -9,156 +9,142 @@ The store persists two shapes of payload:
 
 Both round-trip *exactly* through JSON: every field is an int, str,
 bool, None, float (JSON uses shortest round-trip ``repr``, which is
-exact for IEEE-754 doubles), or a container of those.  ``to`` / ``from``
-pairs restore the precise dataclass — including tuple-vs-list shapes —
-so ``result_from_dict(result_to_dict(r)) == r`` field-for-field and a
-result recovered from the store is bit-identical to a fresh one
-(test-pinned in ``tests/test_service_store.py``).
+exact for IEEE-754 doubles), or a container of those.  :func:`encode`
+flattens a dataclass with :func:`~repro.service.canonical.canonicalize`
+(nested dataclasses field by field, enums by value, tuples as arrays);
+:func:`decode` is its inverse, driven by the dataclass field types from
+one per-class plan, and restores the precise dataclass
+— including tuple-vs-list shapes — so ``result_from_dict(result_to_dict(r))
+== r`` field-for-field and a result recovered from the store is
+bit-identical to a fresh one (test-pinned in
+``tests/test_service_store.py``).  Which dataclasses a ``"kind"``
+discriminator names comes from :data:`repro.harness.experiment.KINDS`.
+
+:func:`result_to_dict` is the one JSON shape of a result: the store,
+``repro result`` and the ``run`` / ``compare`` / ``faults`` ``--json``
+outputs all emit it (the CLI adds ``config_hash`` / ``version`` next to
+it).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Mapping, Optional
+import enum
+import functools
+import typing
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
-from ..energy.model import EnergyBreakdown
-from ..harness.experiment import (
-    ClosedLoopResult,
-    ClosedLoopSample,
-    FaultResult,
-    FaultSample,
-    OpenLoopResult,
-    OpenLoopSample,
-)
-from ..network.config import Design
+from ..harness.experiment import KINDS, kind_entry
+from .canonical import canonicalize
 
 __all__ = [
+    "decode",
+    "encode",
     "result_to_dict",
     "result_from_dict",
     "sample_to_dict",
     "sample_from_dict",
 ]
 
-#: Result-payload kinds (the discriminator stored alongside payloads).
-KIND_CLOSED = "closed_loop"
-KIND_OPEN = "open_loop"
-KIND_FAULTED = "faulted"
+
+def _decoder(hint: Any) -> Optional[Callable[[Any], Any]]:
+    """JSON value -> field value for one field type, or ``None`` when
+    the JSON value *is* the field value (numbers, strings, dicts)."""
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(decode, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and type(None) in args and len(args) == 2:
+        inner = _decoder(args[0] if args[1] is type(None) else args[1])
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple:
+        # ``Tuple[X, ...]`` decodes its items; a fixed-shape tuple such
+        # as a ``(name, value)`` pair holds plain values.
+        item = _decoder(args[0]) if args[1:] == (Ellipsis,) else None
+        if item is None:
+            return tuple
+        return lambda value: tuple(item(entry) for entry in value)
+    return None
 
 
-def _breakdown_to_dict(breakdown: EnergyBreakdown) -> Dict[str, float]:
-    return dataclasses.asdict(breakdown)
-
-
-def _breakdown_from_dict(data: Mapping[str, float]) -> EnergyBreakdown:
-    return EnergyBreakdown(**{k: float(v) for k, v in data.items()})
-
-
-def _plain_fields(obj: Any, skip: frozenset) -> Dict[str, Any]:
+@functools.lru_cache(maxsize=None)
+def _decoders(cls: type) -> Dict[str, Optional[Callable[[Any], Any]]]:
+    """Every field of the dataclass ``cls`` -> its decoder."""
+    hints = typing.get_type_hints(cls)
     return {
-        f.name: getattr(obj, f.name)
-        for f in dataclasses.fields(obj)
-        if f.name not in skip
+        f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls)
     }
 
 
-# -- samples (seed checkpoints) -------------------------------------------
+def encode(obj: Any, only: Optional[Iterable[str]] = None) -> dict:
+    """The dataclass ``obj`` (its ``only`` fields) as a JSON-ready dict:
+    the fields :func:`decode` must rebuild are canonicalized, the rest —
+    observability payloads included — pass through untouched."""
+    decoders = _decoders(type(obj))
+    return {
+        name: getattr(obj, name)
+        if decoders[name] is None
+        else canonicalize(getattr(obj, name))
+        for name in (decoders if only is None else only)
+    }
 
-_CLOSED_SAMPLE_SKIP = frozenset({"breakdown_per_txn", "observability"})
-_OPEN_SAMPLE_SKIP = frozenset({"breakdown", "group_latency", "observability"})
+
+def decode(cls: type, data: Mapping[str, Any]) -> Any:
+    """The exact ``cls`` instance that :func:`encode` flattened into
+    ``data``.  Absent fields take the dataclass default; unknown ones
+    are an error (the data comes from disk or from a client)."""
+    decoders = _decoders(cls)
+    unknown = set(data) - set(decoders)
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} fields: {sorted(unknown)}"
+        )
+    return cls(
+        **{
+            name: value if decoders[name] is None else decoders[name](value)
+            for name, value in data.items()
+        }
+    )
+
+
+#: Sample / result class -> the ``"kind"`` discriminator stored with it.
+_KIND_OF = {
+    cls: name
+    for name, entry in KINDS.items()
+    for cls in (entry.sample, entry.result)
+}
+# Planned at import so an unresolvable field type fails here, not at a
+# worker's first checkpoint.
+for _cls in _KIND_OF:
+    _decoders(_cls)
+
+
+def _tagged(obj: Any) -> dict:
+    out = encode(obj)
+    out["kind"] = _KIND_OF[type(obj)]
+    return out
 
 
 def sample_to_dict(sample: Any) -> dict:
-    """A JSON-ready dict for any of the three per-seed sample types."""
-    if isinstance(sample, ClosedLoopSample):
-        out = _plain_fields(sample, _CLOSED_SAMPLE_SKIP)
-        out["breakdown_per_txn"] = _breakdown_to_dict(
-            sample.breakdown_per_txn
-        )
-        out["observability"] = sample.observability
-        out["kind"] = KIND_CLOSED
-        return out
-    if isinstance(sample, OpenLoopSample):
-        out = _plain_fields(sample, _OPEN_SAMPLE_SKIP)
-        out["breakdown"] = _breakdown_to_dict(sample.breakdown)
-        out["group_latency"] = [
-            [name, value] for name, value in sample.group_latency
-        ]
-        out["observability"] = sample.observability
-        out["kind"] = KIND_OPEN
-        return out
-    if isinstance(sample, FaultSample):
-        out = _plain_fields(sample, frozenset())
-        out["kind"] = KIND_FAULTED
-        return out
-    raise TypeError(f"not a seed sample: {sample!r}")
+    """A JSON-ready dict for any kind's per-seed sample."""
+    return _tagged(sample)
 
 
 def sample_from_dict(data: Mapping[str, Any]) -> Any:
     """The exact sample dataclass encoded by :func:`sample_to_dict`."""
     payload = dict(data)
-    kind = payload.pop("kind")
-    if kind == KIND_CLOSED:
-        payload["breakdown_per_txn"] = _breakdown_from_dict(
-            payload["breakdown_per_txn"]
-        )
-        return ClosedLoopSample(**payload)
-    if kind == KIND_OPEN:
-        payload["breakdown"] = _breakdown_from_dict(payload["breakdown"])
-        payload["group_latency"] = tuple(
-            (name, value) for name, value in payload["group_latency"]
-        )
-        return OpenLoopSample(**payload)
-    if kind == KIND_FAULTED:
-        return FaultSample(**payload)
-    raise ValueError(f"unknown sample kind {kind!r}")
-
-
-# -- results (cached payloads) --------------------------------------------
+    return decode(kind_entry(payload.pop("kind")).sample, payload)
 
 
 def result_to_dict(result: Any) -> dict:
-    """A JSON-ready dict for any of the three result types.
-
-    This is the store's canonical result shape; ``repro result`` and
-    the ``--json`` CLI paths emit it unchanged.
-    """
-    if isinstance(result, ClosedLoopResult):
-        out = _plain_fields(
-            result, frozenset({"design", "breakdown_per_txn"})
-        )
-        out["design"] = result.design.value
-        out["breakdown_per_txn"] = _breakdown_to_dict(
-            result.breakdown_per_txn
-        )
-        out["kind"] = KIND_CLOSED
-        return out
-    if isinstance(result, OpenLoopResult):
-        out = _plain_fields(result, frozenset({"design", "breakdown"}))
-        out["design"] = result.design.value
-        out["breakdown"] = _breakdown_to_dict(result.breakdown)
-        out["kind"] = KIND_OPEN
-        return out
-    if isinstance(result, FaultResult):
-        out = _plain_fields(result, frozenset({"design"}))
-        out["design"] = result.design.value
-        out["kind"] = KIND_FAULTED
-        return out
-    raise TypeError(f"not an experiment result: {result!r}")
+    """A JSON-ready dict for any kind's result."""
+    return _tagged(result)
 
 
 def result_from_dict(data: Mapping[str, Any]) -> Any:
     """The exact result dataclass encoded by :func:`result_to_dict`."""
     payload = dict(data)
-    kind = payload.pop("kind")
-    payload["design"] = Design(payload["design"])
-    if kind == KIND_CLOSED:
-        payload["breakdown_per_txn"] = _breakdown_from_dict(
-            payload["breakdown_per_txn"]
-        )
-        return ClosedLoopResult(**payload)
-    if kind == KIND_OPEN:
-        payload["breakdown"] = _breakdown_from_dict(payload["breakdown"])
-        return OpenLoopResult(**payload)
-    if kind == KIND_FAULTED:
-        return FaultResult(**payload)
-    raise ValueError(f"unknown result kind {kind!r}")
+    return decode(kind_entry(payload.pop("kind")).result, payload)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults import FaultSpec
 
 
 class TestParser:
@@ -57,6 +58,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the reference loop is a test oracle, not a user engine
+            ["run", "--engine", "naive"],
+            # nothing runs client-side for --jobs to parallelise
+            ["submit", "--jobs", "2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flags_no_command_honours_are_not_registered(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_fault_defaults(self):
         args = build_parser().parse_args(["faults"])
         assert args.rate == 0.25
@@ -102,6 +117,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "backpressureless" not in out
+
+    def test_sweep_honours_base_seed(self, capsys):
+        """``--base-seed`` used to parse and then be dropped: every
+        sweep ran seeds 0..n-1."""
+        from repro import Design
+        from repro.harness import ExperimentRunner
+
+        def sweep(base_seed):
+            argv = [
+                "sweep", "--rates", "0.3", "--designs", "backpressureless",
+                "--base-seed", str(base_seed),
+            ]
+            assert main(argv + self.FAST) == 0
+            return capsys.readouterr().out
+
+        direct = ExperimentRunner(
+            warmup_cycles=300, measure_cycles=800, seeds=1, base_seed=7
+        ).run_open_loop(
+            Design.BACKPRESSURELESS, 0.3, source_queue_limit=500
+        )
+        cell = f"{direct.throughput:.3f} / {direct.avg_network_latency:6.1f}"
+        assert cell in sweep(7)
+        assert cell not in sweep(0)
 
     def test_derive_thresholds(self, capsys):
         code = main(
@@ -159,6 +197,7 @@ class TestJsonOutput:
         assert payload["workload"] == "water"
         assert payload["performance"] > 0
         assert payload["seeds"] == 1
+        assert payload["kind"] == "closed_loop"
 
     def test_compare_json_round_trip(self, capsys):
         code = main(["compare", "--workload", "water", "--json"] + self.FAST)
@@ -188,6 +227,19 @@ class TestJsonOutput:
         for stats in designs.values():
             assert stats["delivered_packet_rate"] > 0.9
             assert stats["design"] in designs
+            assert stats["kind"] == "faulted"
+        # One result shape, one key: the store's codec reads it back.
+        from repro.service import JobSpec, result_from_dict
+
+        afc = dict(designs["afc"])
+        assert afc.pop("config_hash") == JobSpec(
+            kind="faulted",
+            rate=0.25,
+            warmup_cycles=300,
+            measure_cycles=800,
+            fault=FaultSpec(**payload["spec"]),
+        ).key()
+        assert result_from_dict(afc).delivered_packet_rate > 0.9
 
 
 class TestObservabilityFlags:

@@ -1,8 +1,12 @@
 """Tests for the experiment harness and reporting."""
 
+import dataclasses
+import typing
+
 import pytest
 
 from repro import Design, EnergyBreakdown, NetworkConfig
+from repro.faults import FaultSpec
 from repro.harness import (
     ENERGY_DESIGNS_LOW_LOAD,
     MAIN_DESIGNS,
@@ -12,7 +16,9 @@ from repro.harness import (
     format_table,
     geometric_mean,
 )
+from repro.harness.experiment import KINDS
 from repro.traffic.patterns import UniformRandom
+from repro.traffic.synthetic import PacketMix
 from repro.traffic.workloads import WORKLOADS
 
 
@@ -146,3 +152,110 @@ class TestExperimentRunner:
         )
         assert result.seeds == 2
         assert result.performance_std >= 0.0
+
+
+class TestDeclaredReducers:
+    """The aggregator is a table (``experiment._REDUCERS`` over a
+    default of ``fmean``), so it is checked as one: two synthetic
+    samples per kind, every result field against arithmetic done here."""
+
+    #: result field -> the sample field whose sample std it reports.
+    STD_OF = {
+        "performance_std": "performance",
+        "energy_per_txn_std": "energy_per_txn",
+        "latency_std": "avg_network_latency",
+    }
+    #: result fields that name the run rather than summarise samples.
+    HEADER = {"design", "workload", "offered_rate", "seeds"}
+
+    #: The run-specific job inputs of each kind (``seed_job`` adds the rest).
+    INPUTS = {
+        "closed_loop": dict(design=Design.AFC, workload=WORKLOADS["water"]),
+        "open_loop": dict(
+            design=Design.AFC,
+            rate=(0.2, 0.4),
+            mix=PacketMix(),
+            source_queue_limit=None,
+        ),
+        "faulted": dict(
+            design=Design.AFC,
+            rate=0.2,
+            fault=FaultSpec(),
+            protection=None,
+            drain_max_cycles=1,
+        ),
+    }
+
+    @staticmethod
+    def synthetic(sample_cls, scale):
+        """A sample whose i-th field holds ``scale * (i + 1)``."""
+        hints = typing.get_type_hints(sample_cls)
+        values = {}
+        for i, f in enumerate(dataclasses.fields(sample_cls), start=1):
+            x = scale * i
+            if hints[f.name] is EnergyBreakdown:
+                values[f.name] = EnergyBreakdown(
+                    **{
+                        part.name: x + j
+                        for j, part in enumerate(
+                            dataclasses.fields(EnergyBreakdown)
+                        )
+                    }
+                )
+            elif f.name == "group_latency":
+                values[f.name] = (("left", x), ("right", 2 * x))
+            elif f.name == "observability":
+                values[f.name] = {"probe": {"scale": scale}}
+            else:
+                values[f.name] = hints[f.name](x)
+        return sample_cls(**values)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_result_field_is_the_declared_fold(self, kind):
+        entry = KINDS[kind]
+        a, b = (self.synthetic(entry.sample, scale) for scale in (1.0, 3.5))
+        job = ExperimentRunner().seed_job(kind, 0, **self.INPUTS[kind])
+        result = entry.fold(job, [a, b])
+        assert isinstance(result, entry.result) and result.seeds == 2
+        assert result.design is Design.AFC
+
+        def mean(x, y):
+            return (x + y) / 2
+
+        for f in dataclasses.fields(entry.result):
+            got = getattr(result, f.name)
+            if f.name in self.HEADER:
+                continue
+            if f.name in self.STD_OF:
+                x, y = (getattr(s, self.STD_OF[f.name]) for s in (a, b))
+                assert got == pytest.approx(abs(x - y) / 2**0.5), f.name
+                continue
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, EnergyBreakdown):
+                want = EnergyBreakdown(
+                    **{
+                        part.name: mean(
+                            getattr(x, part.name), getattr(y, part.name)
+                        )
+                        for part in dataclasses.fields(EnergyBreakdown)
+                    }
+                )
+            elif f.name == "group_latency":
+                want = {
+                    name: mean(value, dict(y)[name]) for name, value in x
+                }
+            elif f.name == "observability":
+                want = x  # single-run payloads come from the first seed
+            else:
+                want = mean(x, y)
+            assert got == want, f.name
+
+    def test_headers_name_the_run(self):
+        def header(kind):
+            entry = KINDS[kind]
+            job = ExperimentRunner().seed_job(kind, 0, **self.INPUTS[kind])
+            return entry.fold(job, [self.synthetic(entry.sample, 1.0)])
+
+        assert header("closed_loop").workload == "water"
+        assert header("open_loop").offered_rate == pytest.approx(0.3)
+        assert header("faulted").offered_rate == 0.2

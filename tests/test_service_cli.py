@@ -255,6 +255,25 @@ class TestClientCommands:
         assert snapshot["counters"]["jobs_completed"] == 1
         assert snapshot["shutdown"] is True
 
+    def test_illegal_mesh_is_refused_before_it_takes_a_queue_slot(
+        self, capsys, live_server
+    ):
+        from repro.service import ServiceClient, ServiceError
+
+        sock = str(live_server)
+        # The CLI refuses client-side, with the reason ...
+        rc = main(["submit", "--socket", sock, "--width", "0"] + FAST)
+        assert rc == 2
+        assert "mesh must be at least 2x2" in capsys.readouterr().err
+        # ... and so does the protocol's submit verb for any other client.
+        with ServiceClient(socket_path=live_server) as client:
+            with pytest.raises(ServiceError, match="at least 2x2"):
+                client.submit({"kind": "open_loop", "rate": 0.2, "width": 1})
+        snapshot, _ = run_json(
+            capsys, ["queue", "--socket", sock, "--shutdown"]
+        )
+        assert snapshot["counters"]["submitted"] == 0
+
     def test_unreachable_service_fails_cleanly(self, capsys, tmp_path):
         rc = main(
             ["status", "--socket", str(tmp_path / "nope.sock"),
@@ -267,24 +286,24 @@ class TestClientCommands:
 
 class TestSubmitSpecBuilding:
     def test_inline_flags_build_a_valid_spec(self):
-        from repro.cli import _submit_spec
+        from repro.cli import _spec
 
         args = build_parser().parse_args(
             ["submit", "--kind", "faulted", "--rate", "0.3",
              "--design", "backpressured"] + FAST
         )
-        spec = JobSpec.from_dict(_submit_spec(args))
+        spec = _spec(args, args.kind)
         assert spec.kind == "faulted"
         assert spec.rate == 0.3
         assert spec.design.value == "backpressured"
 
     def test_spec_file_wins_over_flags(self, tmp_path):
-        from repro.cli import _submit_spec
+        from repro.cli import _spec
 
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "open_loop", "rate": 0.4}))
         args = build_parser().parse_args(
             ["submit", "--spec", str(path), "--kind", "closed_loop"]
         )
-        spec = JobSpec.from_dict(_submit_spec(args))
+        spec = _spec(args, args.kind)
         assert spec.kind == "open_loop" and spec.rate == 0.4

@@ -10,7 +10,13 @@ identical across engines by repo contract) does not.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,13 +78,50 @@ def test_canonicalize_rejects_key_collisions():
 # -- key discipline --------------------------------------------------------
 
 
+#: Default-spec keys of the three kinds.  If one changes, every stored
+#: result is orphaned, which is only correct when the hashed payload
+#: deliberately changed shape (bump _HASH_SCHEMA when it does).
+PINNED_KEYS = {
+    "closed_loop": (
+        dict(workload="apache"),
+        "408d35d599eb6add8b40e0e9c20d9409ca070dc5677e2d24042f51372a8d8596",
+    ),
+    "open_loop": (
+        dict(rate=0.2),
+        "3d6e1a45d9cc240f65457b6aa12194c1fc69215b8029342cdb60ea5736be8288",
+    ),
+    "faulted": (
+        dict(rate=0.2),
+        "b987efd09bcac04a8772c944dca15599afe0ff298720d88d160614fcbcf1d34e",
+    ),
+}
+
+
 def test_key_is_stable_across_processes():
-    # A literal pin: if this changes, every stored result is orphaned,
-    # which is only correct when the hashed payload deliberately
-    # changed shape (bump _HASH_SCHEMA when it does).
-    spec = JobSpec(kind="closed_loop", workload="apache", **FAST)
-    assert spec.key() == JobSpec.from_dict(spec.to_dict()).key()
-    assert len(spec.key()) == 64
+    specs = {
+        kind: JobSpec(kind=kind, **params)
+        for kind, (params, _) in PINNED_KEYS.items()
+    }
+    for kind, spec in specs.items():
+        assert spec.key() == PINNED_KEYS[kind][1]
+        assert spec.key() == JobSpec.from_dict(spec.to_dict()).key()
+    # A fresh interpreter under another string-hash seed agrees.
+    script = (
+        "import json, sys; from repro.service import JobSpec; "
+        "print(json.dumps([JobSpec.from_dict(s).key() "
+        "for s in json.load(sys.stdin)]))"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps([spec.to_dict() for spec in specs.values()]),
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert json.loads(out.stdout) == [key for _, key in PINNED_KEYS.values()]
 
 
 @pytest.mark.parametrize(
@@ -129,6 +172,28 @@ def test_key_sees_fault_and_protection():
     assert len(keys) == 4
 
 
+@pytest.mark.parametrize(
+    "name, nested",
+    [("fault", f) for f in dataclasses.fields(FaultSpec)]
+    + [("protection", f) for f in dataclasses.fields(ProtectionConfig)],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_every_nested_field_survives_the_wire(name, nested):
+    """Workers simulate ``from_dict(to_dict(spec))`` and the result is
+    stored under ``spec.key()``: a fault / protection knob the wire
+    shape dropped would cache a wrong result under a content key."""
+    default = getattr(JobSpec(), name)
+    perturbed = dataclasses.replace(
+        default, **{nested.name: getattr(default, nested.name) + 1}
+    )
+    spec = JobSpec(kind="faulted", rate=0.2, **{name: perturbed}, **FAST)
+    wired = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert getattr(wired, name) == perturbed
+    assert wired == spec
+    assert wired.key() == spec.key()
+    assert spec.key() != JobSpec(kind="faulted", rate=0.2, **FAST).key()
+
+
 def test_kinds_never_collide():
     closed = JobSpec(kind="closed_loop", workload="apache", **FAST)
     open_ = JobSpec(kind="open_loop", rate=0.2, **FAST)
@@ -145,6 +210,17 @@ def test_spec_validation():
         JobSpec(kind="open_loop", rate=1.5)
     with pytest.raises(ValueError):
         JobSpec.from_dict({"kind": "open_loop", "rate": 0.2, "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "mesh", [dict(width=0), dict(width=-2), dict(width=1, height=1)]
+)
+def test_illegal_mesh_rejected_at_admission(mesh):
+    """Not inside a forked worker, after taking a queue slot."""
+    with pytest.raises(ValueError, match="at least 2x2"):
+        JobSpec(kind="open_loop", rate=0.2, **mesh)
+    with pytest.raises(ValueError, match="at least 2x2"):
+        JobSpec.from_dict({"kind": "open_loop", "rate": 0.2, **mesh})
 
 
 # -- exact result round-trips ---------------------------------------------
@@ -200,6 +276,40 @@ def test_sample_round_trips_exactly():
     sample = spec.run_seed(0)
     encoded = _through_json(sample_to_dict(sample))
     assert sample_from_dict(encoded) == sample
+
+
+# -- stores written by earlier commits stay readable ----------------------
+
+PARENT_STORE = Path(__file__).parent / "fixtures" / "parent_store"
+
+
+@pytest.mark.parametrize(
+    "key",
+    sorted(p.stem for p in PARENT_STORE.glob("objects/*/*.json")),
+    ids=lambda key: key[:8],
+)
+def test_parent_written_store_loads_and_reencodes_identically(key, tmp_path):
+    """``fixtures/parent_store`` holds one object and one seed partial
+    per kind, written by the commit before the registry refactor.  The
+    codec must load them, re-encode them byte-identically in canonical
+    JSON, and today's simulation of the stored spec must still produce
+    exactly that sample and result."""
+    store = ResultStore(shutil.copytree(PARENT_STORE, tmp_path / "store"))
+    record = store.get(key)
+    spec = JobSpec.from_dict(record["spec"])
+    assert spec.kind == record["kind"] and spec.key() == key
+
+    result = result_from_dict(record["result"])
+    assert canonical_json(result_to_dict(result)) == canonical_json(
+        record["result"]
+    )
+    (stored_sample,) = store.partial_seeds(key).values()
+    sample = sample_from_dict(stored_sample)
+    assert canonical_json(sample_to_dict(sample)) == canonical_json(
+        stored_sample
+    )
+    assert spec.run_seed(0) == sample
+    assert spec.aggregate([sample]) == result
 
 
 # -- the store -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Design, NetworkConfig
+from repro.harness import ExperimentRunner
 from repro.harness.sweep import (
     SweepGrid,
     SweepTable,
@@ -83,3 +84,23 @@ class TestGrids:
         latency = dict(zip(table.column("config"), table.column("network_latency")))
         # longer links, longer latency — the sweep detects config effects
         assert latency["L=4"] > latency["L=2"]
+
+    def test_base_seed_and_engine_reach_every_cell(self):
+        """A sweep cell is an ``ExperimentRunner`` run: the same seeds
+        give the same numbers, other seeds give others, and the engine
+        is the one asked for."""
+        grid = SweepGrid(designs=[Design.BACKPRESSURELESS], rates=[0.3])
+        fast = dict(warmup_cycles=200, measure_cycles=600, seeds=1)
+
+        def latency(**settings):
+            table = run_open_loop_sweep(grid, **fast, **settings)
+            return table.column("network_latency")[0]
+
+        direct = ExperimentRunner(base_seed=7, **fast).run_open_loop(
+            Design.BACKPRESSURELESS, 0.3, source_queue_limit=500
+        )
+        assert latency(base_seed=7) == direct.avg_network_latency
+        assert latency(base_seed=7, engine="vector") == latency(base_seed=7)
+        assert latency(base_seed=0) != latency(base_seed=7)
+        with pytest.raises(ValueError, match="engine"):
+            latency(engine="warp")
