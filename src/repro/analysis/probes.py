@@ -90,19 +90,16 @@ class TimeSeriesProbe:
 
     # -- hook-driven operation ------------------------------------------------
     def attach(self) -> "TimeSeriesProbe":
-        """Sample automatically after every network cycle (installs the
-        network's ``post_step_hook``); pairs with :meth:`detach`.
+        """Sample automatically after every network cycle (subscribes
+        to the network's ``cycle_end`` site); pairs with :meth:`detach`.
 
         This makes the probe usable where the caller does not own the
         simulation loop (the experiment harness, the CLI)."""
-        if self.network.post_step_hook is not None:
-            raise ValueError("network already has a post_step_hook installed")
-        self.network.post_step_hook = self._on_cycle
+        self.network.subscribe("cycle_end", self._on_cycle)
         return self
 
     def detach(self) -> None:
-        if self.network.post_step_hook == self._on_cycle:
-            self.network.post_step_hook = None
+        self.network.unsubscribe("cycle_end", self._on_cycle)
         self.close()
 
     def close(self) -> None:

@@ -36,16 +36,16 @@ Checked invariants (see docs/ANALYSIS.md for the paper references):
   full stepped cycle must have begun a forward switch.
 
 The sanitizer is a pure observer: it mutates nothing, so a sanitized
-run is bit-identical to a plain one, and the sanitizer-*off* path (no
-hook installed) is exactly the zero-overhead ``pre_step_hook is None``
-fast path (pinned by tests/test_allocation_budget.py and
+run is bit-identical to a plain one, and the sanitizer-*off* path
+(nothing subscribed) is exactly the zero-overhead empty ``cycle_start``
+site (pinned by tests/test_allocation_budget.py and
 tests/test_engine_determinism.py).
 
-Attach order with fault injection: :class:`~repro.faults.FaultInjector`
-must be installed *first* (it refuses to chain); the sanitizer then
-chains its hook.  Note that injected faults deliberately break credit
-and conservation invariants, so sanitized runs are meant for fault-free
-configurations.
+The sanitizer subscribes to ``Network``'s ``cycle_start`` site and
+coexists with a :class:`~repro.faults.FaultInjector` in either attach
+order.  Note that credit-loss and link-down faults deliberately break
+the credit ledgers of the credit-tracking designs, so sanitized faulted
+runs are meant for the deflection designs (or fault-free schedules).
 
 Usage::
 
@@ -58,7 +58,7 @@ or via the CLI: ``repro run --design afc --sanitize``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..core.mode_controller import Mode
 from ..network.flit import VNETS
@@ -96,7 +96,6 @@ class Sanitizer:
         self.checks_run = 0
         self.violations_found = 0
         self._attached = False
-        self._prev_hook: Optional[Callable[[int], None]] = None
         self._last_checked: Optional[int] = None
 
         design = net.design
@@ -143,21 +142,15 @@ class Sanitizer:
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self) -> "Sanitizer":
-        """Install the per-cycle hook (chains any existing hook, e.g. a
-        fault injector's, which runs first)."""
+        """Subscribe the per-cycle check to ``cycle_start``."""
         if self._attached:
             raise RuntimeError("sanitizer already attached")
-        self._prev_hook = self.net.pre_step_hook
-        self.net.pre_step_hook = self._on_cycle
+        self.net.subscribe("cycle_start", self._on_cycle)
         self._attached = True
         return self
 
     def detach(self) -> None:
-        """Restore the network's previous hook state exactly."""
-        if not self._attached:
-            return
-        self.net.pre_step_hook = self._prev_hook
-        self._prev_hook = None
+        self.net.unsubscribe("cycle_start", self._on_cycle)
         self._attached = False
 
     def __enter__(self) -> "Sanitizer":
@@ -171,8 +164,6 @@ class Sanitizer:
             self.detach()
 
     def _on_cycle(self, cycle: int) -> None:
-        if self._prev_hook is not None:
-            self._prev_hook(cycle)
         if cycle % self.every == 0:
             self.check_now(cycle)
 

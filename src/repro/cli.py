@@ -605,7 +605,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.traffic_seed,
         source_queue_limit=args.queue_limit,
     )
-    obs = Observability(net, trace=True, trace_capacity=args.capacity)
+    obs = Observability(
+        net, ObservabilityOptions(trace=True, trace_capacity=args.capacity)
+    )
     with obs:
         source.run(args.cycles)
     tracer = obs.tracer

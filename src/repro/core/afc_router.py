@@ -166,12 +166,14 @@ class AfcRouter(BaseRouter):
             self._input_ports[in_port].insert(flit)
             self.energy.buffer_write(self.node)
             if self.obs is not None:
-                self.obs.on_arrive(self.node, flit, in_port, True, cycle)
+                for sink in self.obs:
+                    sink.on_arrive(self.node, flit, in_port, True, cycle)
         else:
             self._latched.append((flit, in_port))
             self.energy.latch(self.node)
             if self.obs is not None:
-                self.obs.on_arrive(self.node, flit, in_port, False, cycle)
+                for sink in self.obs:
+                    sink.on_arrive(self.node, flit, in_port, False, cycle)
 
     def _accept_credit(
         self, out_port: Direction, credit: CreditMessage, cycle: int
@@ -252,7 +254,8 @@ class AfcRouter(BaseRouter):
         if gossip:
             entry.gossip_switches += 1
         if self.obs is not None:
-            self.obs.on_mode_switch(self.node, True, gossip, cycle)
+            for sink in self.obs:
+                sink.on_mode_switch(self.node, True, gossip, cycle)
         for direction, channel in self.in_channels.items():
             channel.send_mode_notice(
                 ModeNotification(
@@ -267,7 +270,8 @@ class AfcRouter(BaseRouter):
         self._mode.begin_reverse()
         self.stats.mode(self.node).reverse_switches += 1
         if self.obs is not None:
-            self.obs.on_mode_switch(self.node, False, False, cycle)
+            for sink in self.obs:
+                sink.on_mode_switch(self.node, False, False, cycle)
         for channel in self.in_channels.values():
             channel.send_mode_notice(
                 ModeNotification(kind=ModeNotice.STOP_CREDITS), cycle
@@ -347,7 +351,8 @@ class AfcRouter(BaseRouter):
             self._input_ports[in_port].insert(flit)
             self.energy.buffer_write(self.node)
             if self.obs is not None:
-                self.obs.on_buffer(self.node, flit, in_port, cycle)
+                for sink in self.obs:
+                    sink.on_buffer(self.node, flit, in_port, cycle)
             if already_switching and in_port is not Direction.LOCAL:
                 # The forward-switch notification (and its occupancy
                 # snapshot) already went out: reconcile the upstream

@@ -21,10 +21,11 @@ SoA layout
   makes the ring conflict-free (this is the DelayLine contract).
 * **Router state** — pipeline latches as ``(router, 4)`` slot arrays
   with counts, injection round-robin pointers, and per-node source
-  queue mirrors (``src_q``) maintained by an ``on_offer`` hook on each
-  network interface (the queues themselves stay live — injection pops
-  through :meth:`NetworkInterface.pop` so ``injected_at`` stamping and
-  statistics behave exactly as under the scalar engines).
+  queue mirrors (``src_q``) refreshed through each network interface's
+  engine-internal ``on_activity`` notification (the queues themselves
+  stay live — injection pops through :meth:`NetworkInterface.pop` so
+  ``injected_at`` stamping and statistics behave exactly as under the
+  scalar engines).
 * **RNG** — per-router ``random.Random`` streams are advanced by
   :class:`~repro.engine.mt.BatchedMT19937`, replaying CPython's draw
   sequence word-for-word so randomized ejection, port allocation and
@@ -50,15 +51,16 @@ Per-cycle pass order (backpressureless design)
 Scalar fallback
 ===============
 
-Only plain-:class:`BackpressurelessRouter` networks with no external
-hooks are adopted; :func:`ineligibility` names the reason a network is
-not (fault injector, sanitizer, observability, protection layer, other
-designs...), and :class:`~repro.simulation.Network` then falls back to
-the active-set scalar engine for the whole run.  Hook attachment *after*
-adoption is detected at the next cycle boundary: the engine
-materializes every buffer back into the scalar objects (flit pipes,
-latches, RNG states, round-robin pointers) and the run continues —
-bit-identically — on the scalar path.
+Only plain-:class:`BackpressurelessRouter` networks with no subscriber
+at any event site are adopted; :func:`ineligibility` names the reason a
+network is not (other designs, ``Network.subscribed`` sites, a client
+packet callback...), and :class:`~repro.simulation.Network` then falls
+back to the active-set scalar engine for the whole run.  A subscriber
+arriving *after* adoption pushes the engine out: ``Network.subscribe``
+calls :meth:`VectorEngine.materialize` — every buffer goes back into
+the scalar objects (flit pipes, latches, RNG states, round-robin
+pointers) — and the run continues, bit-identically, on the scalar path.
+The engine never polls for hooks.
 """
 
 from __future__ import annotations
@@ -90,15 +92,15 @@ def ineligibility(net) -> Optional[str]:
     """Why ``net`` cannot run on the vector engine (``None`` if it can).
 
     The conditions mirror what the vectorized passes actually model: a
-    plain backpressureless mesh with no per-cycle hooks, no per-flit
-    observers and no retransmission traffic.  Anything else — including
-    every other flow-control design for now — runs on the scalar
-    active-set engine instead.
+    plain backpressureless mesh with no subscriber at any event site,
+    no client packet callback and no retransmission traffic.  Anything
+    else — including every other flow-control design for now — runs on
+    the scalar active-set engine instead.
     """
     if net.design is not Design.BACKPRESSURELESS:
         return f"design {net.design.value!r} is not vectorized"
-    if net.pre_step_hook is not None or net.post_step_hook is not None:
-        return "per-cycle hooks attached (fault injector / sanitizer / probe)"
+    if net.subscribed:
+        return f"subscribers attached at {', '.join(net.subscribed)}"
     if not isinstance(net.energy, (OrionEnergyMeter, NullEnergyMeter)):
         return f"unsupported energy meter {type(net.energy).__name__}"
     if net._retransmit_heap:
@@ -106,8 +108,6 @@ def ineligibility(net) -> Optional[str]:
     for router in net.routers:
         if type(router) is not BackpressurelessRouter:
             return f"router type {type(router).__name__} is not vectorized"
-        if router.obs is not None:
-            return "router observability sink attached"
         expected = [d for d in _IN_DRAIN if d in router.in_channels]
         if list(router.in_channels.keys()) != expected:
             return "non-canonical input-channel wiring"
@@ -116,16 +116,9 @@ def ineligibility(net) -> Optional[str]:
                 return "channel fault state attached"
             if channel._backflow._items:
                 return "backflow in flight"
-    for ni in net.interfaces:
-        if (
-            ni.on_offer is not None
-            or ni.on_activity is not None
-            or ni.guard is not None
-            or ni.on_complete is not None
-            or ni.obs is not None
-            or ni.on_packet is not None
-        ):
-            return "network-interface hooks attached"
+    if any(ni.on_packet is not None for ni in net.interfaces):
+        # Completions would offer replies in the middle of the eject pass.
+        return "client packet callback attached"
     return None
 
 
@@ -196,7 +189,6 @@ class VectorEngine:
         "inflight",
         "src_q",
         "src_tot",
-        "_mirrors",
         "mt",
         "orion",
         "_static_buffer",
@@ -273,14 +265,9 @@ class VectorEngine:
         # -- source-queue mirrors ---------------------------------------
         self.src_q = np.zeros((R, 3), np.int64)
         self.src_tot = np.zeros(R, np.int64)
-        self._mirrors: List = []
-        for node, ni in enumerate(net.interfaces):
-            for vnet, queue in ni._queues.items():
-                self.src_q[node, int(vnet)] = len(queue)
-            self.src_tot[node] = ni._queued
-            hook = self._make_offer_hook(node)
-            ni.on_offer = hook
-            self._mirrors.append(hook)
+        for ni in net.interfaces:
+            ni.on_activity = self._make_mirror(ni)
+            ni.on_activity()
 
         # -- adopt in-flight state (mid-run adoption is supported) -------
         for node, router in enumerate(net.routers):
@@ -350,16 +337,20 @@ class VectorEngine:
         self.f_defl[slot] = flit.deflections
         return slot
 
-    def _make_offer_hook(self, node: int):
+    def _make_mirror(self, ni):
+        """``on_activity`` callback copying ``ni``'s queue lengths into
+        the mirror arrays (it fires after every offer)."""
+        node = ni.node
         src_q = self.src_q
         src_tot = self.src_tot
+        queues = [ni._queues[vnet] for vnet in VNETS]
 
-        def hook(packet, _node=node):
-            n = packet.num_flits
-            src_q[_node, packet.vnet] += n
-            src_tot[_node] += n
+        def sync():
+            for v, queue in enumerate(queues):
+                src_q[node, v] = len(queue)
+            src_tot[node] = ni._queued
 
-        return hook
+        return sync
 
     def _replay_adds(self, start: float, const: float, k: int) -> float:
         """``start`` plus ``k`` sequential additions of ``const``.
@@ -373,29 +364,6 @@ class VectorEngine:
         buf[1 : k + 1] = const
         np.add.accumulate(buf[: k + 1], out=buf[: k + 1])
         return float(buf[k])
-
-    def hooks_dirty(self) -> Optional[str]:
-        """Cheap per-cycle re-check for hooks attached after adoption.
-
-        Sinks that attach per-node do so on every node, so probing node
-        0 suffices; per-cycle hooks live on the network itself.
-        """
-        net = self.net
-        if net.pre_step_hook is not None or net.post_step_hook is not None:
-            return "per-cycle hook attached"
-        if net._retransmit_heap:
-            return "retransmissions pending"
-        if net.routers[0].obs is not None:
-            return "router observability sink attached"
-        ni0 = net.interfaces[0]
-        if (
-            ni0.obs is not None
-            or ni0.guard is not None
-            or ni0.on_complete is not None
-            or ni0.on_offer is not self._mirrors[0]
-        ):
-            return "network-interface hook attached"
-        return None
 
     def flits_in_network(self) -> int:
         return self.inflight + int(self.lat_n.sum())
@@ -682,6 +650,5 @@ class VectorEngine:
                 objs[slot] = None
             router._inject_rr = int(self.inject_rr[node])
         self.lat_n[:] = 0
-        for ni, hook in zip(net.interfaces, self._mirrors):
-            if ni.on_offer is hook:
-                ni.on_offer = None
+        for ni in net.interfaces:
+            ni.on_activity = None

@@ -1,11 +1,11 @@
 """Clock-driven fault injection with optional protection.
 
-The injector installs three hooks on a built :class:`Network` — the
-per-cycle ``pre_step_hook``, per-channel ``fault`` states, and (when
-protection is enabled) the NI ``guard``/``on_offer``/``on_complete``
-hooks of :class:`~repro.faults.protection.ProtectionLayer` — and then
-replays a :class:`~repro.faults.schedule.FaultSchedule` against the
-simulation clock.
+The injector subscribes to a built :class:`Network`'s ``cycle_start``
+site, owns the per-channel ``fault`` states, and (when protection is
+enabled) the ``offer``/``guard``/``complete`` subscriptions of
+:class:`~repro.faults.protection.ProtectionLayer` — and then replays a
+:class:`~repro.faults.schedule.FaultSchedule` against the simulation
+clock.  It coexists with any other subscriber in any attach order.
 
 Fault semantics (see docs/RESILIENCE.md for the rationale):
 
@@ -47,7 +47,7 @@ from ..core.mode_controller import Mode
 from ..network.config import Design
 from ..network.flit import Flit, VNETS
 from ..network.link import Channel, CreditMessage, ModeNotification
-from .protection import ProtectionConfig, ProtectionLayer
+from .protection import ProtectionConfig, ProtectionLayer, publish_fault
 from .reroute import damaged_route_rows
 from .schedule import FaultEvent, FaultKind, FaultSchedule
 
@@ -108,8 +108,6 @@ class FaultInjector:
                 "fault injection does not support the dropping design "
                 "(flit objects are destroyed mid-network)"
             )
-        if net.pre_step_hook is not None:
-            raise ValueError("network already has a pre_step_hook installed")
         self.net = net
         self.stats = net.stats
         self.schedule = schedule
@@ -135,29 +133,14 @@ class FaultInjector:
         self.protection: Optional[ProtectionLayer] = None
         if protection is not None:
             self.protection = ProtectionLayer(net, protection, self._corrupt_ids)
-        #: Optional observability counters (repro.obs): resolved once by
-        #: ``attach_metrics`` so the fault paths stay at one ``is None``
-        #: check when no registry is attached.
-        self._m_events = None
-        self._m_corrupted = None
-        self._m_credits_lost = None
-        net.pre_step_hook = self.on_cycle
+        net.subscribe("cycle_start", self.on_cycle)
 
-    # -- observability (repro.obs) ------------------------------------------
-    def attach_metrics(self, registry) -> None:
-        """Publish fault counters into an observability registry."""
-        self._m_events = registry.counter("noc_fault_events_total")
-        self._m_corrupted = registry.counter("noc_flits_corrupted_total")
-        self._m_credits_lost = registry.counter("noc_credits_lost_total")
+    def detach(self) -> None:
+        """Stop driving the schedule and remove the protection layer's
+        subscriptions (channel fault states already applied stay)."""
+        self.net.unsubscribe("cycle_start", self.on_cycle)
         if self.protection is not None:
-            self.protection.attach_metrics(registry)
-
-    def detach_metrics(self) -> None:
-        self._m_events = None
-        self._m_corrupted = None
-        self._m_credits_lost = None
-        if self.protection is not None:
-            self.protection.detach_metrics()
+            self.protection.detach()
 
     # -- per-cycle driver ---------------------------------------------------
     def on_cycle(self, cycle: int) -> None:
@@ -183,8 +166,7 @@ class FaultInjector:
     # -- event application ---------------------------------------------------
     def _apply_event(self, ev: FaultEvent, cycle: int) -> None:
         self.stats.record_fault_event()
-        if self._m_events is not None:
-            self._m_events.inc()
+        publish_fault(self.net, "noc_fault_events_total")
         kind = ev.kind
         if kind is FaultKind.LINK_FLAP:
             self._down_pair(ev.a, ev.b, cycle + ev.duration)
@@ -255,14 +237,12 @@ class FaultInjector:
                 return False
             ids.add(fid)
         self.stats.record_flit_corrupted()
-        if self._m_corrupted is not None:
-            self._m_corrupted.inc()
+        publish_fault(self.net, "noc_flits_corrupted_total")
         return True
 
     def _credit_lost(self) -> None:
         self.stats.record_credit_lost()
-        if self._m_credits_lost is not None:
-            self._m_credits_lost.inc()
+        publish_fault(self.net, "noc_credits_lost_total")
 
     def _corrupt_in_flight(self, channel: Channel, limit: Optional[int]) -> int:
         marked = 0

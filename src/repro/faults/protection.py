@@ -77,6 +77,15 @@ class ProtectionConfig:
             raise ValueError("reroute_delay must be >= 0")
 
 
+def publish_fault(net, counter: str) -> None:
+    """Count one fault/protection event on every attached flit-lifecycle
+    sink (``repro.obs.Observability`` turns it into a metrics counter).
+    Sinks are looked up per event, so publication does not depend on
+    whether the sink or the fault source attached first."""
+    for sink in net.subscribers("flit"):
+        sink.on_fault(counter)
+
+
 class _Outstanding:
     """Ledger entry for one offered-but-not-completed packet."""
 
@@ -92,11 +101,11 @@ class _Outstanding:
 class ProtectionLayer:
     """Checksum guard + NACK/retransmission for every NI of a network.
 
-    Install via :class:`repro.faults.FaultInjector`; the layer chains
-    the NIs' ``on_offer`` observers (it must coexist with traffic
-    tracing) and owns their ``guard``/``on_complete`` hooks.  Packets
-    offered *before* installation are invisible to the ledger, so the
-    injector must be created before any traffic is offered.
+    Install via :class:`repro.faults.FaultInjector`; the layer
+    subscribes to the network's ``offer``, ``guard`` and ``complete``
+    sites next to whoever else is there (traffic tracing, say).
+    Packets offered *before* installation are invisible to the ledger,
+    so the injector must be created before any traffic is offered.
     """
 
     def __init__(self, net, config: ProtectionConfig, corrupt_ids: Set[int]) -> None:
@@ -118,44 +127,16 @@ class ProtectionLayer:
         #: pids abandoned after exhausting the retry budget.
         self.orphaned_pids: Set[int] = set()
         self._due_buffer: List[_Outstanding] = []
-        #: Optional observability counters (repro.obs), resolved once by
-        #: ``attach_metrics``; ``None`` keeps the protection paths at a
-        #: single ``is None`` check each.
-        self._m_discarded = None
-        self._m_retransmissions = None
-        self._m_orphaned = None
-        for ni in net.interfaces:
-            ni.on_offer = self._chain_offer(ni.on_offer)
-            ni.guard = self
-            ni.on_complete = self._on_complete
+        net.subscribe("offer", self._on_offer)
+        net.subscribe("guard", self.accept_flit)
+        net.subscribe("complete", self._on_complete)
 
-    # -- observability (repro.obs) ------------------------------------------
-    def attach_metrics(self, registry) -> None:
-        """Publish protection counters into an observability registry."""
-        self._m_discarded = registry.counter(
-            "noc_corrupt_flits_discarded_total"
-        )
-        self._m_retransmissions = registry.counter(
-            "noc_protection_retransmissions_total"
-        )
-        self._m_orphaned = registry.counter("noc_packets_orphaned_total")
+    def detach(self) -> None:
+        self.net.unsubscribe("offer", self._on_offer)
+        self.net.unsubscribe("guard", self.accept_flit)
+        self.net.unsubscribe("complete", self._on_complete)
 
-    def detach_metrics(self) -> None:
-        self._m_discarded = None
-        self._m_retransmissions = None
-        self._m_orphaned = None
-
-    # -- NI hooks ----------------------------------------------------------
-    def _chain_offer(self, prev):
-        if prev is None:
-            return self._on_offer
-
-        def chained(packet: Packet, _prev=prev) -> None:
-            _prev(packet)
-            self._on_offer(packet)
-
-        return chained
-
+    # -- NI subscriptions --------------------------------------------------
     def _on_offer(self, packet: Packet) -> None:
         self._ledger[packet.pid] = _Outstanding(packet, self.net.cycle)
 
@@ -169,7 +150,7 @@ class ProtectionLayer:
         self._scheduled.discard(pid)
 
     def accept_flit(self, ni: NetworkInterface, flit: Flit, cycle: int) -> bool:
-        """Checksum check at the ejection port (NI ``guard`` hook).
+        """Checksum check at the ejection port (``guard`` site).
 
         Returns False to discard the flit.  Corrupt current-epoch flits
         NACK their packet; corrupt stale flits are silently discarded —
@@ -183,8 +164,7 @@ class ProtectionLayer:
             return True
         corrupt.discard(fid)
         self.stats.record_corrupt_flit_discarded()
-        if self._m_discarded is not None:
-            self._m_discarded.inc()
+        publish_fault(self.net, "noc_corrupt_flits_discarded_total")
         if flit.epoch >= flit.packet.epoch:
             self._nack(flit.packet, cycle)
         return False
@@ -213,11 +193,10 @@ class ProtectionLayer:
         self._ledger.pop(packet.pid, None)
         self.orphaned_pids.add(packet.pid)
         self.stats.record_packet_orphaned(packet.num_flits)
-        if self._m_orphaned is not None:
-            self._m_orphaned.inc()
+        publish_fault(self.net, "noc_packets_orphaned_total")
 
     def tick(self, cycle: int) -> None:
-        """Per-cycle service (called by the injector's pre-step hook)."""
+        """Per-cycle service (called from the injector's ``on_cycle``)."""
         heap = self._heap
         while heap and heap[0][0] <= cycle:
             _, _, packet = heapq.heappop(heap)
@@ -237,8 +216,7 @@ class ProtectionLayer:
             )
             entry.last_send = cycle
             self.stats.record_protection_retransmission()
-            if self._m_retransmissions is not None:
-                self._m_retransmissions.inc()
+            publish_fault(self.net, "noc_protection_retransmissions_total")
         if cycle % self.config.check_interval == 0 and self._ledger:
             deadline = cycle - self.config.ack_timeout
             due = self._due_buffer

@@ -122,11 +122,9 @@ def _simulate(
     worker.  The reset keeps long sweeps from growing the counter
     without bound.
 
-    With ``job.obs`` / ``job.sanitize`` off nothing touches the
-    network's hooks, so the run stays on the zero-overhead fast path and
-    is bit-identical to an unobserved, unsanitized one.  The driver is
-    built before the observer attaches because the observer discovers
-    what is already chained on the hooks.
+    With ``job.obs`` / ``job.sanitize`` off nothing subscribes to the
+    network, so the run stays on the zero-overhead fast path and is
+    bit-identical to an unobserved, unsanitized one.
     """
     reset_packet_ids()
     net = Network(job.config, job.design, seed=job.seed, engine=job.engine)

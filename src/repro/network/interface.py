@@ -47,22 +47,20 @@ class NetworkInterface:
         self.node = node
         self.stats = stats
         self.on_packet = on_packet
-        #: Optional observer of every offered packet (traffic tracing).
-        self.on_offer: Optional[Callable[[Packet], None]] = None
-        #: Notifies the active-set cycle engine that this node gained
-        #: injectable work (set by the engine; None under the naive loop).
+        #: Event-site slots (``on_offer``, ``guard``, ``on_complete``,
+        #: ``obs``): each holds the site's subscriber tuple, ``None``
+        #: while empty.  Written only by ``Network.subscribe`` /
+        #: ``unsubscribe`` (see ``repro.simulation.SITES`` for the call
+        #: signatures); ``None`` keeps each site at one ``is None`` test.
+        self.on_offer: Optional[tuple] = None
+        self.guard: Optional[tuple] = None
+        self.on_complete: Optional[tuple] = None
+        self.obs: Optional[tuple] = None
+        #: Engine-internal (not an extension point): tells the cycle
+        #: engine this node's source queue changed — the active-set
+        #: wake, or the vector engine's queue mirror; None under the
+        #: naive loop.
         self.on_activity: Optional[Callable[[], None]] = None
-        #: Optional checksum guard on the ejection port (the protection
-        #: layer of repro.faults).  ``guard.accept_flit`` returning
-        #: False discards the flit (it still counts for conservation).
-        self.guard = None
-        #: Optional observer of every completed packet, called before
-        #: the packet is handed to the client (protection-layer ledger).
-        self.on_complete: Optional[Callable[[CompletedPacket], None]] = None
-        #: Optional flit-lifecycle sink (repro.obs.Observability): sees
-        #: every injection and every completed packet.  ``None`` keeps
-        #: both paths at a single ``is None`` check.
-        self.obs = None
         self._queues: Dict[VirtualNetwork, Deque[Flit]] = {
             vnet: deque() for vnet in VirtualNetwork
         }
@@ -88,7 +86,8 @@ class NetworkInterface:
         self.stats.record_injection(packet)
         self.flits_offered_total += packet.num_flits
         if self.on_offer is not None:
-            self.on_offer(packet)
+            for callback in self.on_offer:
+                callback(packet)
         queue = self._queues[packet.vnet]
         for flit in packet.flits():
             queue.append(flit)
@@ -107,7 +106,8 @@ class NetworkInterface:
         self._queued -= 1
         flit.injected_at = cycle
         if self.obs is not None:
-            self.obs.on_inject(self.node, flit, cycle)
+            for sink in self.obs:
+                sink.on_inject(self.node, flit, cycle)
         return flit
 
     def offer_retransmission(self, packet: Packet, purge: bool = True) -> int:
@@ -165,15 +165,18 @@ class NetworkInterface:
         toward goodput statistics.
         """
         self.flits_ejected_total += 1
-        if self.guard is not None and not self.guard.accept_flit(self, flit, cycle):
-            return
+        if self.guard is not None:
+            for accept in self.guard:
+                if not accept(self, flit, cycle):
+                    return
         if flit.epoch >= flit.packet.epoch:
             self.stats.record_flit_ejected(self.node)
         done = self.reassembly.accept(flit, cycle)
         if done is None:
             return
         if self.on_complete is not None:
-            self.on_complete(done)
+            for callback in self.on_complete:
+                callback(done)
         self.stats.record_packet_complete(
             done.packet,
             completed_at=done.completed_at,
@@ -182,7 +185,8 @@ class NetworkInterface:
             total_deflections=done.deflections,
         )
         if self.obs is not None:
-            self.obs.on_complete(self.node, done, cycle)
+            for sink in self.obs:
+                sink.on_complete(self.node, done, cycle)
         if self.on_packet is not None:
             self.on_packet(done)
         else:

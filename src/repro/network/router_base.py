@@ -60,10 +60,11 @@ class BaseRouter(ABC):
         #: Output channels keyed by output-port direction.
         self.out_channels: Dict[Direction, Channel] = {}
         self.ni: Optional["NetworkInterface"] = None
-        #: Optional flit-lifecycle sink (repro.obs.Observability).  Stays
-        #: ``None`` unless observability is attached, so the dispatch and
-        #: ejection paths pay one ``is None`` check each.
-        self.obs = None
+        #: Subscriber tuple of the ``flit`` site (flit-lifecycle sinks),
+        #: written only by ``Network.subscribe``.  ``None`` while empty,
+        #: so the dispatch and ejection paths pay one ``is None`` check
+        #: each.
+        self.obs: Optional[tuple] = None
         self.router_class = mesh.router_class(node)
         #: Hot-path lookups, populated by :meth:`_cache_tables` once the
         #: channels are wired (``None`` until then).
@@ -214,7 +215,8 @@ class BaseRouter(ABC):
         assert self.ni is not None, "router has no network interface"
         self.energy.crossbar(self.node)
         if self.obs is not None:
-            self.obs.on_eject(self.node, flit, cycle)
+            for sink in self.obs:
+                sink.on_eject(self.node, flit, cycle)
         self.ni.eject(flit, cycle)
 
     def _dispatch(self, flit: Flit, out_port: Direction, cycle: int) -> None:
@@ -222,7 +224,8 @@ class BaseRouter(ABC):
         self.energy.crossbar(self.node)
         self.energy.link(self.node)
         if self.obs is not None:
-            self.obs.on_dispatch(self.node, flit, out_port, cycle)
+            for sink in self.obs:
+                sink.on_dispatch(self.node, flit, out_port, cycle)
         self.out_channels[out_port].send_flit(flit, cycle)
 
     # -- introspection (used by energy accounting and invariant checks) -----------

@@ -1,19 +1,21 @@
-"""The observability hub: one attachable sink behind every hook.
+"""The observability hub: one attachable sink behind every event site.
 
-:class:`Observability` is the object routers and network interfaces
-see as their ``obs`` attribute.  When disabled (the default), every
-hook stays ``None`` and the simulator pays a single ``is None`` check
-per event site — the sanitizer's zero-overhead pattern.  When
-attached, the hub fans each lifecycle event out to whichever consumers
-were requested:
+:class:`Observability` subscribes itself to the network's ``flit`` site
+(``Network.subscribe``), which is what routers and network interfaces
+see in their ``obs`` slot.  When disabled (the default), every site
+stays ``None`` and the simulator pays a single ``is None`` check per
+event site — the sanitizer's zero-overhead pattern.  When attached,
+the hub fans each lifecycle event out to whichever consumers were
+requested:
 
 * ``trace`` — a :class:`~repro.obs.trace.FlitTracer` ring buffer
   (Chrome trace-event / Perfetto export, hop-path dumps);
 * ``metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry` with
   per-router and per-vnet counters and latency histograms, plus
-  whatever the :class:`~repro.faults.FaultInjector` and
-  :class:`ProtectionLayer` publish (discovered via
-  ``Network.pre_step_hook`` and duck-typed ``attach_metrics``);
+  the fault and protection events the
+  :class:`~repro.faults.FaultInjector` and :class:`ProtectionLayer`
+  push to every ``flit`` subscriber (:meth:`Observability.on_fault`),
+  whichever of the two attached first;
 * ``profile`` — a :class:`~repro.obs.profiler.PipelineProfiler`
   timing router pipeline stages per cycle bucket.
 
@@ -24,7 +26,7 @@ readable (``tracer``, ``registry``, ``profiler``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.mode_controller import Mode
@@ -81,31 +83,9 @@ class Observability:
         net,
         options: Optional[ObservabilityOptions] = None,
         *,
-        trace: Optional[bool] = None,
-        trace_capacity: Optional[int] = None,
-        metrics: Optional[bool] = None,
-        profile: Optional[bool] = None,
-        profile_bucket: Optional[int] = None,
-        probe_every: Optional[int] = None,
-        probe_jsonl: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         opts = options or ObservabilityOptions()
-        overrides = {
-            key: value
-            for key, value in (
-                ("trace", trace),
-                ("trace_capacity", trace_capacity),
-                ("metrics", metrics),
-                ("profile", profile),
-                ("profile_bucket", profile_bucket),
-                ("probe_every", probe_every),
-                ("probe_jsonl", probe_jsonl),
-            )
-            if value is not None
-        }
-        if overrides:
-            opts = replace(opts, **overrides)
         self.net = net
         self.options = opts
         self.attached = False
@@ -139,7 +119,6 @@ class Observability:
         #: (pid, seq) -> deflection count last seen at a dispatch, used
         #: to attribute a deflection to the hop that caused it.
         self._defl_seen: Dict[Tuple[int, int], int] = {}
-        self._metrics_sinks: List[object] = []
         # Per-node counter arrays, resolved once so the hot path is a
         # list index + integer add (registry lookups are dict + sort).
         self._c_dispatch: Optional[List[Counter]] = None
@@ -209,20 +188,8 @@ class Observability:
     def attach(self) -> "Observability":
         if self.attached:
             return self
-        net = self.net
         if self.tracer is not None or self.registry is not None:
-            for router in net.routers:
-                router.obs = self
-            for ni in net.interfaces:
-                ni.obs = self
-        if self.registry is not None:
-            # The fault injector (and through it the protection layer)
-            # publishes its own counters; discover it behind the
-            # pre-step hook it installs on the network.
-            injector = getattr(net.pre_step_hook, "__self__", None)
-            if injector is not None and hasattr(injector, "attach_metrics"):
-                injector.attach_metrics(self.registry)
-                self._metrics_sinks.append(injector)
+            self.net.subscribe("flit", self)
         if self.profiler is not None:
             self.profiler.attach()
         if self.probe is not None:
@@ -233,13 +200,7 @@ class Observability:
     def detach(self) -> None:
         if not self.attached:
             return
-        for router in self.net.routers:
-            router.obs = None
-        for ni in self.net.interfaces:
-            ni.obs = None
-        for sink in self._metrics_sinks:
-            sink.detach_metrics()  # type: ignore[attr-defined]
-        self._metrics_sinks.clear()
+        self.net.unsubscribe("flit", self)
         if self.profiler is not None:
             self.profiler.detach()
         if self.probe is not None:
@@ -331,6 +292,12 @@ class Observability:
             self.registry.counter(
                 "noc_mode_switches_total", router=node, kind=label
             ).inc()
+
+    def on_fault(self, counter: str) -> None:
+        """One fault/protection event (``repro.faults.protection.publish_fault``);
+        rare, so the registry lookup is fine here too."""
+        if self.registry is not None:
+            self.registry.counter(counter).inc()
 
     # -- export ------------------------------------------------------------
     def payload(self) -> dict:

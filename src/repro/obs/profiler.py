@@ -6,7 +6,10 @@ sub-stages such as ``_route_and_allocate_vcs`` or ``_deflection_step``)
 with timing closures installed as *instance attributes*, shadowing the
 class methods.  ``detach`` deletes the instance attributes, restoring
 the originals — no subclassing, no permanent monkey-patching, and zero
-cost for un-profiled networks.
+cost for un-profiled networks.  The profiler registers with the network
+like every other extension — a ``cycle_end`` subscription that counts
+profiled cycles — so a vector-engine network falls back to the scalar
+routers being timed instead of running invisibly.
 
 Inclusive time is accumulated per ``(node, stage)`` and per cycle
 bucket; :meth:`report` converts to *exclusive* (self) time by
@@ -86,6 +89,7 @@ class PipelineProfiler:
     def attach(self) -> "PipelineProfiler":
         if self.attached:
             return self
+        self.net.subscribe("cycle_end", self._count_cycle)
         for router in self.net.routers:
             node = router.node
             for stage in _ROUTER_STAGES:
@@ -94,8 +98,7 @@ class PipelineProfiler:
                     continue
                 setattr(router, stage, self._wrap(original, node, stage))
                 self._wrapped.append((router, stage))
-        original_step = self.net.step
-        self.net.step = self._wrap_net_step(original_step)
+        self.net.step = self._wrap(self.net.step, _ENGINE, "net.step")
         self._wrapped.append((self.net, "step"))
         self.attached = True
         return self
@@ -103,6 +106,7 @@ class PipelineProfiler:
     def detach(self) -> None:
         if not self.attached:
             return
+        self.net.unsubscribe("cycle_end", self._count_cycle)
         # Deleting the instance attribute re-exposes the class method.
         for owner, name in self._wrapped:
             try:
@@ -145,32 +149,8 @@ class PipelineProfiler:
 
         return timed
 
-    def _wrap_net_step(self, original: Callable) -> Callable:
-        perf = time.perf_counter
-        totals = self._totals
-        buckets = self._buckets
-        key = (_ENGINE, "net.step")
-        bucket_cycles = self.bucket_cycles
-        net = self.net
-
-        def timed(*args, **kwargs):
-            bucket = net.cycle // bucket_cycles
-            start = perf()
-            result = original(*args, **kwargs)
-            elapsed = perf() - start
-            cell = totals.get(key)
-            if cell is None:
-                cell = totals[key] = [0.0, 0]
-            cell[0] += elapsed
-            cell[1] += 1
-            per_stage = buckets.get(bucket)
-            if per_stage is None:
-                per_stage = buckets[bucket] = {}
-            per_stage["net.step"] = per_stage.get("net.step", 0.0) + elapsed
-            self.cycles_profiled += 1
-            return result
-
-        return timed
+    def _count_cycle(self, cycle: int) -> None:
+        self.cycles_profiled += 1
 
     # -- reporting ---------------------------------------------------------
     def _exclusive(self) -> Dict[Tuple[int, str], float]:

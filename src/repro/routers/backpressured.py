@@ -256,7 +256,8 @@ class BackpressuredRouter(BaseRouter):
         else:
             self.energy.buffer_write(self.node)
         if self.obs is not None:
-            self.obs.on_arrive(self.node, flit, in_port, True, cycle)
+            for sink in self.obs:
+                sink.on_arrive(self.node, flit, in_port, True, cycle)
 
     def _accept_credit(
         self, out_port: Direction, credit: CreditMessage, cycle: int

@@ -189,7 +189,8 @@ class BackpressurelessRouter(BaseRouter):
         self._latched.append(flit)
         self.energy.latch(self.node)
         if self.obs is not None:
-            self.obs.on_arrive(self.node, flit, in_port, False, cycle)
+            for sink in self.obs:
+                sink.on_arrive(self.node, flit, in_port, False, cycle)
 
     # -- per-cycle operation ----------------------------------------------------
     def step(self, cycle: int) -> None:

@@ -20,8 +20,14 @@ Three cycle engines drive that protocol (see docs/PERFORMANCE.md):
   preallocated numpy buffers and each pipeline stage advances as a
   vectorized pass over all routers at once.  Networks the batch passes
   do not model (currently every design except plain backpressureless,
-  plus any run with fault/observability/protection hooks) fall back
-  transparently to the active-set engine — bit-identical either way.
+  plus any network with a subscriber) fall back transparently to the
+  active-set engine — bit-identical either way.
+
+Extensions (fault injector, protection layer, sanitizer, probes, trace
+recorder, observability hub, profiler) attach through one entry point,
+:meth:`Network.subscribe`, over the fixed set of event sites in
+:data:`SITES`; see "Attaching an observer or a fault source" in
+docs/EXTENDING.md.
 
 Typical use::
 
@@ -38,7 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core.afc_router import AfcRouter
 from .energy.model import (
@@ -62,6 +68,28 @@ from .routers.backpressureless import (
     PriorityDeflectionRouter,
 )
 from .routers.dropping import DroppingRouter
+
+
+#: Event sites an extension can subscribe to -> (slot attribute, the
+#: objects whose slot :meth:`Network.subscribe` writes).  Each slot
+#: holds the site's ordered subscriber tuple, ``None`` while empty, so
+#: an unobserved site costs one ``is None`` test.
+SITES: Dict[str, Tuple[str, Callable[["Network"], Sequence]]] = {
+    # callback(cycle), before the deliver phase of every cycle.
+    "cycle_start": ("_cycle_start", lambda net: (net,)),
+    # callback(cycle), after the step phase of the cycle just completed.
+    "cycle_end": ("_cycle_end", lambda net: (net,)),
+    # callback(packet), for every packet a client offers at any NI.
+    "offer": ("on_offer", lambda net: net.interfaces),
+    # callback(done), for every reassembled packet, before the client.
+    "complete": ("on_complete", lambda net: net.interfaces),
+    # accept(ni, flit, cycle) -> bool at the ejection port; the first
+    # False discards the flit (it still counts for conservation).
+    "guard": ("guard", lambda net: net.interfaces),
+    # Flit-lifecycle sink object (on_inject / on_arrive / on_dispatch /
+    # on_eject / on_buffer / on_complete / on_mode_switch / on_fault).
+    "flit": ("obs", lambda net: net.interfaces + net.routers),
+}
 
 
 def _make_router(
@@ -157,15 +185,11 @@ class Network:
         #: Flits that vanished at a dropping router (their packet is
         #: resent in full); part of the conservation ledger.
         self.flits_discarded = 0
-        #: Optional per-cycle hook run before the deliver phase, called
-        #: with the cycle number (repro.faults.FaultInjector).  One
-        #: ``is None`` check per cycle when absent.
-        self.pre_step_hook: Optional[Callable[[int], None]] = None
-        #: Optional per-cycle hook run after the step phase, called with
-        #: the cycle number that just completed
-        #: (repro.analysis.probes.TimeSeriesProbe).  One ``is None``
-        #: check per cycle when absent.
-        self.post_step_hook: Optional[Callable[[int], None]] = None
+        #: site -> ordered subscriber tuple (None while empty); the
+        #: single source of truth behind every fanned-out slot.
+        self._subscribers: Dict[str, Optional[tuple]] = dict.fromkeys(SITES)
+        self._cycle_start: Optional[tuple] = None
+        self._cycle_end: Optional[tuple] = None
         for router in self.routers:
             if isinstance(router, DroppingRouter):
                 router.drop_notify = self._packet_dropped
@@ -200,14 +224,7 @@ class Network:
         self._current_node = -1
         self._static_cache: Optional[StaticEnergyCache] = None
         if self.engine == "active":
-            if isinstance(self.energy, OrionEnergyMeter):
-                self._static_cache = StaticEnergyCache(
-                    self.energy, self.routers
-                )
-            for node, ni in enumerate(self.interfaces):
-                ni.on_activity = (
-                    lambda _node=node: self._notify_activity(_node)
-                )
+            self._wire_active_set()
 
     # -- client access ------------------------------------------------------
     def interface(self, node: int) -> NetworkInterface:
@@ -215,6 +232,55 @@ class Network:
 
     def router(self, node: int) -> BaseRouter:
         return self.routers[node]
+
+    # -- extension points ---------------------------------------------------
+    def subscribe(self, site: str, callback) -> None:
+        """Add ``callback`` to the event site ``site`` (a key of
+        :data:`SITES`, which gives each site's call signature).
+
+        Subscribers of one site run in subscription order, every time
+        the site fires; nothing else orders them.  An extension that
+        mutates simulation state at ``cycle_start`` (the fault
+        injector) therefore runs before or after a checker (the
+        sanitizer) depending on who subscribed first.  Both orders are
+        legal and tested (tests/test_subscriptions.py): what the
+        injector does at a cycle boundary either preserves the
+        sanitizer's invariants or breaks them whichever runs first.
+
+        A network running on the vector engine is pushed back to the
+        scalar active-set engine here (materialize, then fall back with
+        the site as the reason): the batch passes call no subscriber.
+        """
+        subscribers = self.subscribers(site)
+        if self._vector_engine is not None:
+            self._activate_fallback(f"subscribers attached at {site}")
+        self._fan_out(site, subscribers + (callback,))
+
+    def unsubscribe(self, site: str, callback) -> None:
+        """Remove one subscription of ``callback`` from ``site``; a
+        callback that is not subscribed is ignored, so detach paths are
+        idempotent and never disturb another extension."""
+        subscribers = list(self.subscribers(site))
+        if callback in subscribers:
+            subscribers.remove(callback)
+            self._fan_out(site, tuple(subscribers))
+
+    def _fan_out(self, site: str, subscribers: tuple) -> None:
+        slot, holders = SITES[site]
+        value = subscribers or None  # empty sites read as None
+        self._subscribers[site] = value
+        for holder in holders(self):
+            setattr(holder, slot, value)
+
+    def subscribers(self, site: str) -> tuple:
+        """The subscribers of ``site`` in call order (empty if none)."""
+        return self._subscribers[site] or ()
+
+    @property
+    def subscribed(self) -> Tuple[str, ...]:
+        """The sites that have a subscriber; empty when nothing is
+        attached to this network."""
+        return tuple(s for s, subs in self._subscribers.items() if subs)
 
     # -- retransmission (dropping flow control only) -----------------------------
     def _packet_dropped(self, flit: Flit, at_cycle: int) -> None:
@@ -258,14 +324,16 @@ class Network:
         if self.engine == "vector":
             self._step_vector()
             return
-        if self.pre_step_hook is not None:
-            self.pre_step_hook(self.cycle)
+        if self._cycle_start is not None:
+            for callback in self._cycle_start:
+                callback(self.cycle)
         if self.engine == "active":
             self._step_fast()
         else:
             self._step_naive()
-        if self.post_step_hook is not None:
-            self.post_step_hook(self.cycle - 1)
+        if self._cycle_end is not None:
+            for callback in self._cycle_end:
+                callback(self.cycle - 1)
 
     def _step_naive(self) -> None:
         """Reference loop: every router delivers and steps every cycle."""
@@ -283,12 +351,11 @@ class Network:
         """Vector-engine dispatch: adopt lazily, fall back transparently.
 
         The batch engine only models plain backpressureless meshes with
-        no external hooks (see repro.engine.vector); everything else —
-        other designs, fault injectors, sanitizers, observability sinks,
-        protection layers — runs on the scalar active-set engine, whose
-        results are bit-identical.  Hooks attached *after* adoption are
-        detected at the next cycle boundary and the engine materializes
-        its buffers back into the scalar objects before falling back.
+        no subscribers (see repro.engine.vector); everything else runs
+        on the scalar active-set engine, whose results are
+        bit-identical.  A subscriber arriving *after* adoption never
+        reaches this method: :meth:`subscribe` itself pushes the engine
+        out.
         """
         engine = self._vector_engine
         if engine is None:
@@ -301,30 +368,27 @@ class Network:
                 return
             engine = build_vector_engine(self)
             self._vector_engine = engine
-        else:
-            reason = engine.hooks_dirty()
-            if reason is not None:
-                engine.materialize()
-                self._vector_engine = None
-                self._activate_fallback(reason)
-                self.step()
-                return
         engine.step_cycle()
 
     def _activate_fallback(self, reason: str) -> None:
-        """Switch this network to the active-set scalar engine."""
+        """Switch this network to the active-set scalar engine, first
+        writing a live vector engine's buffers back into the scalar
+        objects."""
+        if self._vector_engine is not None:
+            self._vector_engine.materialize()
+            self._vector_engine = None
         self.engine = "active"
         self.vector_fallback_reason = reason
-        if (
-            isinstance(self.energy, OrionEnergyMeter)
-            and self._static_cache is None
-        ):
+        self._wire_active_set()
+
+    def _wire_active_set(self) -> None:
+        """Engine-internal wiring of the active-set loop (not an
+        extension point): the static-energy cache and the NIs'
+        ``on_activity`` wake notifications."""
+        if isinstance(self.energy, OrionEnergyMeter):
             self._static_cache = StaticEnergyCache(self.energy, self.routers)
         for node, ni in enumerate(self.interfaces):
-            if ni.on_activity is None:
-                ni.on_activity = (
-                    lambda _node=node: self._notify_activity(_node)
-                )
+            ni.on_activity = lambda _node=node: self._notify_activity(_node)
 
     def _step_fast(self) -> None:
         """Active-set loop: deliver/step only the awake routers.

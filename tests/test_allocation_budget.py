@@ -28,8 +28,8 @@ import pytest
 from repro.analysis.sanitizer import Sanitizer
 from repro.faults import FaultInjector, FaultSchedule
 from repro.network.config import Design, NetworkConfig
-from repro.obs.hub import Observability
-from repro.simulation import Network
+from repro.obs.hub import Observability, ObservabilityOptions
+from repro.simulation import SITES, Network
 from repro.traffic.synthetic import uniform_random_traffic
 
 WARMUP_CYCLES = 300
@@ -49,6 +49,7 @@ def _trace_steady_state(
     with_injector: bool = False,
     with_detached_sanitizer: bool = False,
     with_detached_observability: bool = False,
+    with_every_site_unsubscribed: bool = False,
     engine: str = "active",
 ):
     net = Network(
@@ -58,20 +59,36 @@ def _trace_steady_state(
         FaultInjector(net, FaultSchedule.empty())
     if with_detached_sanitizer:
         # Attach-then-detach must leave the zero-overhead fast path:
-        # pre_step_hook back to None, nothing retained per cycle.
+        # no subscriber left, nothing retained per cycle.
         Sanitizer(net).attach().detach()
-        assert net.pre_step_hook is None
+        assert not net.subscribed
     if with_detached_observability:
-        # Same contract for the observability hub: after detach every
-        # ``obs`` hook is None again and no wrapper shadows a method.
+        # Same contract for the observability hub: after detach no
+        # subscriber is left and no wrapper shadows a method.
         observer = Observability(
-            net, trace=True, metrics=True, profile=True
+            net,
+            ObservabilityOptions(trace=True, metrics=True, profile=True),
         )
         observer.attach()
         observer.detach()
-        assert all(r.obs is None for r in net.routers)
-        assert all(ni.obs is None for ni in net.interfaces)
+        assert not net.subscribed
         assert "step" not in vars(net)
+    if with_every_site_unsubscribed:
+        # Two subscribers at every site, removed again: every fanned-out
+        # slot must be back to ``None``, not an empty tuple.
+        first, second = (lambda *args: True), (lambda *args: True)
+        for site in SITES:
+            net.subscribe(site, first)
+            net.subscribe(site, second)
+        assert net.subscribed == tuple(SITES)
+        for site in SITES:
+            net.unsubscribe(site, first)
+            net.unsubscribe(site, second)
+        assert not net.subscribed
+        assert net._cycle_start is None and net._cycle_end is None
+        for ni in net.interfaces:
+            assert ni.on_offer is ni.guard is ni.on_complete is ni.obs is None
+        assert all(r.obs is None for r in net.routers)
     source = uniform_random_traffic(
         net, RATE, seed=7, source_queue_limit=32
     )
@@ -167,9 +184,9 @@ def test_disabled_faults_hot_path_within_same_budget(design):
 )
 def test_detached_sanitizer_hot_path_within_same_budget(design):
     """A sanitizer that was attached and detached again must leave the
-    per-cycle path exactly as it found it: ``pre_step_hook`` is None, so
-    the engine's ``if hook is not None`` guard is the only trace and the
-    run fits the *same* allocation budgets as a bare network."""
+    per-cycle path exactly as it found it: ``cycle_start`` has no
+    subscriber, so the engine's ``is not None`` guard is the only trace
+    and the run fits the *same* allocation budgets as a bare network."""
     retained_per_cycle, transient = _trace_steady_state(
         design, with_detached_sanitizer=True
     )
@@ -187,13 +204,36 @@ def test_detached_sanitizer_hot_path_within_same_budget(design):
 
 @pytest.mark.parametrize(
     "design",
+    [Design.BACKPRESSURED, Design.BACKPRESSURELESS, Design.AFC],
+    ids=lambda d: d.value,
+)
+def test_subscribed_then_unsubscribed_steps_within_same_budget(design):
+    """A network that had subscribers at every event site and lost them
+    all again steps within the *same* budgets as one never touched:
+    ``unsubscribe`` restores ``None`` in every slot, so no site is left
+    iterating an empty tuple or holding a stale subscriber."""
+    retained_per_cycle, transient = _trace_steady_state(
+        design, with_every_site_unsubscribed=True
+    )
+    assert retained_per_cycle < RETAINED_BUDGET_PER_CYCLE, (
+        f"{design.value}+unsubscribed: retained {retained_per_cycle:.0f} "
+        f"B/cycle exceeds the {RETAINED_BUDGET_PER_CYCLE} B/cycle budget"
+    )
+    assert transient < TRANSIENT_BUDGET, (
+        f"{design.value}+unsubscribed: transient high-water "
+        f"{transient:.0f} B exceeds the {TRANSIENT_BUDGET} B budget"
+    )
+
+
+@pytest.mark.parametrize(
+    "design",
     [Design.BACKPRESSURED, Design.AFC],
     ids=lambda d: d.value,
 )
 def test_detached_observability_hot_path_within_same_budget(design):
     """Observability attached and detached again (trace + metrics +
-    profiler) must leave the per-cycle path exactly as it found it: all
-    ``obs`` hooks back to None, wrapped stage methods restored to the
+    profiler) must leave the per-cycle path exactly as it found it: no
+    subscriber left, wrapped stage methods restored to the
     class originals, and the run fitting the *same* allocation budgets
     as a never-observed network."""
     retained_per_cycle, transient = _trace_steady_state(

@@ -144,7 +144,7 @@ def run_uniform(design, engine, options=None, cycles=500, rate=0.35):
 
 def test_disabled_observability_leaves_every_hook_unset():
     net = Network(NetworkConfig(), Design.AFC, seed=0)
-    assert net.post_step_hook is None
+    assert not net.subscribed
     for router in net.routers:
         assert router.obs is None
     for ni in net.interfaces:
@@ -178,12 +178,10 @@ def test_full_observability_is_pure(design, engine):
 
 def test_detach_restores_class_methods_and_hooks():
     net, observer = run_uniform(Design.AFC, "active", FULL_OPTIONS)
+    assert not net.subscribed
     for router in net.routers:
-        assert router.obs is None
         assert "step" not in vars(router)
         assert "deliver" not in vars(router)
-    for ni in net.interfaces:
-        assert ni.obs is None
     assert "step" not in vars(net)
     # Collected data stays readable after detach.
     assert observer.tracer.summary()["recorded"] == observer.tracer.recorded
@@ -221,7 +219,7 @@ def test_fault_injector_publishes_metrics():
     schedule = spec.schedule(net.mesh, start=0, horizon=1_500)
     FaultInjector(net, schedule, protection=ProtectionConfig())
     source = uniform_random_traffic(net, 0.2, seed=9, source_queue_limit=300)
-    observer = Observability(net, metrics=True).attach()
+    observer = Observability(net, ObservabilityOptions(metrics=True)).attach()
     source.run(1_500)
     observer.detach()
     counters = observer.registry.to_dict()["counters"]
@@ -273,7 +271,9 @@ def traced_hotspot_run():
     source = OpenLoopSource(
         net, 0.40, pattern=pattern, seed=5, source_queue_limit=64
     )
-    observer = Observability(net, trace=True, trace_capacity=1 << 17)
+    observer = Observability(
+        net, ObservabilityOptions(trace=True, trace_capacity=1 << 17)
+    )
     with observer:
         source.run(2_000)
     return observer.tracer

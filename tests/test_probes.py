@@ -5,7 +5,7 @@
 here against stub channels with hand-picked counts — uniform load must
 read as perfectly balanced (imbalance 0) and a hotspot as skewed —
 independent of any simulation.  The probe's hook-driven mode
-(``attach``/``detach`` over ``Network.post_step_hook``) and its JSON
+(``attach``/``detach`` over the network's ``cycle_end`` site) and its JSON
 export round out the CLI wiring.
 """
 
@@ -74,17 +74,23 @@ class TestProbeHookMode:
             net, 0.2, seed=1, source_queue_limit=100
         )
         with probe:
-            assert net.post_step_hook is not None
+            assert net.subscribed == ("cycle_end",)
             source.run(300)
-        assert net.post_step_hook is None
+        assert not net.subscribed
         assert len(probe) >= 6
         assert len(probe.series["throughput"]) == len(probe.cycles)
 
-    def test_attach_refuses_an_occupied_hook(self):
+    def test_second_hook_coexists(self):
         net = Network(NetworkConfig(), Design.AFC, seed=0)
-        net.post_step_hook = lambda cycle: None
-        with pytest.raises(ValueError):
-            TimeSeriesProbe(net, every=50).attach()
+        seen = []
+        net.subscribe("cycle_end", seen.append)
+        probe = TimeSeriesProbe(net, every=50)
+        probe.add("throughput", lambda n: n.stats.throughput)
+        with probe:
+            net.run(100)
+        assert seen == list(range(100))
+        assert len(probe) == 2
+        assert net.subscribers("cycle_end") == (seen.append,)
 
     def test_to_dict_is_json_ready(self):
         net = Network(NetworkConfig(), Design.AFC, seed=0)

@@ -49,7 +49,7 @@ def test_clean_run_every_design_every_engine(design, engine):
         source.run(400)
     assert sanitizer.checks_run == 401  # one per cycle + the exit check
     assert sanitizer.violations_found == 0
-    assert net.pre_step_hook is None
+    assert not net.subscribed
     if engine == "vector":
         # The sanitizer's per-cycle hook makes the network ineligible
         # for the batch passes; the recorded fallback is the contract.
@@ -238,11 +238,11 @@ def test_lazy_vc_misfiled_flit_caught():
 def test_attach_detach_restores_hook():
     net, _ = build(Design.AFC, 0.3)
     sanitizer = Sanitizer(net)
-    assert net.pre_step_hook is None
+    assert not net.subscribed
     sanitizer.attach()
-    assert net.pre_step_hook is not None
+    assert net.subscribed == ("cycle_start",)
     sanitizer.detach()
-    assert net.pre_step_hook is None
+    assert not net.subscribed
     sanitizer.detach()  # idempotent
 
 
@@ -257,18 +257,19 @@ def test_double_attach_rejected():
 
 
 def test_chains_behind_fault_injector():
-    """The injector refuses to chain, so it installs first and the
-    sanitizer wraps its hook; detach restores the injector's hook."""
+    """The sanitizer subscribes behind the injector; detach removes
+    only its own subscription."""
     net, source = build(Design.BACKPRESSURED, 0.3)
     injector = FaultInjector(net, FaultSchedule.empty())
-    injector_hook = net.pre_step_hook
-    assert injector_hook is not None
+    injector_hooks = net.subscribers("cycle_start")
+    assert injector_hooks == (injector.on_cycle,)
     sanitizer = Sanitizer(net).attach()
-    assert net.pre_step_hook is not injector_hook
+    assert net.subscribers("cycle_start")[:1] == injector_hooks
+    assert len(net.subscribers("cycle_start")) == 2
     source.run(50)
     assert sanitizer.checks_run > 0
     sanitizer.detach()
-    assert net.pre_step_hook is injector_hook
+    assert net.subscribers("cycle_start") == injector_hooks
 
 
 def test_every_n_thins_checks():

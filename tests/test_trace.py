@@ -90,11 +90,17 @@ class TestRecorder:
         src.run(100)
         assert len(recorder.trace) == count
 
-    def test_double_attach_rejected(self):
+    def test_two_recorders_coexist(self):
         net = make_network(Design.BACKPRESSURED)
-        TraceRecorder(net)
-        with pytest.raises(RuntimeError, match="observer"):
-            TraceRecorder(net)
+        first = TraceRecorder(net)
+        second = TraceRecorder(net)
+        src = uniform_random_traffic(net, 0.3, seed=2)
+        src.run(100)
+        first.detach()
+        src.run(100)
+        assert 0 < len(first.trace) < len(second.trace)
+        assert second.trace.records[: len(first.trace)] == first.trace.records
+        assert len(second.trace) == src.offered_packets
 
 
 class TestReplay:
