@@ -1,0 +1,130 @@
+#!/usr/bin/env python
+"""Python function calls per flit hop: a noise-free cost gate.
+
+Wall-clock gates on shared runners need a wide floor (CI's
+``BENCH_MIN_RATIO`` is 0.6) and cannot see a 20 % loss.  The number of
+python-level function calls a fixed-seed run makes is exact, repeats on
+any machine, and moves whenever per-flit or per-cycle work is added to
+the routers — so it is archived per design and load and checked with a
+tight bound::
+
+    PYTHONPATH=src python scripts/call_budget.py           # rewrite archive
+    PYTHONPATH=src python scripts/call_budget.py --check   # CI gate (+5 %)
+
+Each row runs one design on an 8x8 mesh for 300 open-loop cycles under
+``sys.setprofile`` and divides the ``call`` events (python functions
+and generator resumptions; C functions are not counted) by the flit
+hops the run dispatched.  ``--reference FILE`` embeds the rows of an
+archive written by this script elsewhere (e.g. at the parent commit)
+for side-by-side reading; ``--check`` never looks at them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+ARCHIVE = REPO_ROOT / "benchmarks" / "results" / "CALL_BUDGET.json"
+
+DESIGNS = ("backpressured", "backpressureless", "afc")
+RATES = (0.05, 0.6)
+WIDTH = 8
+CYCLES = 300
+SEED = 11
+#: ``--check`` fails when a row exceeds its archived value by more.
+TOLERANCE = 0.05
+
+
+def measure(design_name: str, rate: float) -> Dict[str, object]:
+    from repro import Design, Network, NetworkConfig
+    from repro.network.flit import reset_packet_ids
+    from repro.traffic.synthetic import uniform_random_traffic
+
+    reset_packet_ids()
+    net = Network(
+        NetworkConfig(width=WIDTH, height=WIDTH), Design(design_name), seed=SEED
+    )
+    source = uniform_random_traffic(
+        net, rate, seed=SEED, source_queue_limit=500
+    )
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        source.run(CYCLES)
+    finally:
+        sys.setprofile(None)
+    hops = net.stats.dispatched_flit_hops
+    return {
+        "design": design_name,
+        "rate": rate,
+        "calls": calls,
+        "flit_hops": hops,
+        "calls_per_flit_hop": round(calls / hops, 3),
+    }
+
+
+def measure_all() -> List[Dict[str, object]]:
+    return [measure(design, rate) for design in DESIGNS for rate in RATES]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare against the archive instead of rewriting it")
+    parser.add_argument("--out", type=Path, default=ARCHIVE,
+                        help="archive to write (default: %(default)s)")
+    parser.add_argument("--reference", type=Path,
+                        help="archive whose rows are embedded for comparison")
+    args = parser.parse_args(argv)
+    rows = measure_all()
+    for row in rows:
+        print(
+            f"{row['design']:>17} @ {row['rate']:<4}  "
+            f"{row['calls_per_flit_hop']:8.3f} calls/hop  "
+            f"({row['calls']} calls, {row['flit_hops']} hops)"
+        )
+    if args.check:
+        archived = {
+            (row["design"], row["rate"]): row["calls_per_flit_hop"]
+            for row in json.loads(ARCHIVE.read_text())["rows"]
+        }
+        over = [
+            f"{row['design']} @ {row['rate']}: {row['calls_per_flit_hop']} "
+            f"calls/hop, archived {archived[row['design'], row['rate']]}"
+            for row in rows
+            if row["calls_per_flit_hop"]
+            > archived[row["design"], row["rate"]] * (1.0 + TOLERANCE)
+        ]
+        for line in over:
+            print(f"OVER BUDGET (+{TOLERANCE:.0%}): {line}")
+        return 1 if over else 0
+    document = {
+        "mesh": f"{WIDTH}x{WIDTH}",
+        "cycles": CYCLES,
+        "seed": SEED,
+        "tolerance": TOLERANCE,
+        "rows": rows,
+    }
+    if args.reference is not None:
+        document["reference"] = json.loads(args.reference.read_text())["rows"]
+    elif args.out.exists():
+        previous = json.loads(args.out.read_text())
+        if "reference" in previous:
+            document["reference"] = previous["reference"]
+    args.out.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,6 +27,11 @@ Checked invariants (see docs/ANALYSIS.md for the paper references):
   capacity, running counts consistent, flits filed under their own
   vnet; neighbour credit state internally consistent (``total_free``,
   ``ok`` mask, untracked == all-free).
+* **Occupancy mirrors** — the counters the low-load fast paths read
+  instead of their containers equal a recount: the baseline's per-port
+  VC occupancy mask, buffered count and count of VCs still awaiting a
+  route or downstream VC, AFC's router-wide
+  :class:`~repro.core.lazy_vc.BufferBank` total.
 * **EWMA bounds and hysteresis ordering** — the contention estimate
   stays within [0, max per-cycle load] and thresholds satisfy
   ``low < high``; the mode FSM is legal (in TRANSITION iff a completion
@@ -63,6 +68,7 @@ from typing import List, Optional
 from ..core.mode_controller import Mode
 from ..network.flit import VNETS
 from ..network.link import CreditMessage, ModeNotification
+from ..network.topology import Direction
 
 __all__ = ["InvariantViolation", "Sanitizer"]
 
@@ -225,6 +231,7 @@ class Sanitizer:
         self._check_latch_empty(cycle, node, router)
         where = f"node {node}"
         # Lazy-VC (one-flit VC bank) legality.
+        bank_total = 0
         for direction, port in router._input_ports.items():
             total = 0
             for vnet in VNETS:
@@ -254,6 +261,14 @@ class Sanitizer:
                     f"actual {total}",
                     node=node,
                 )
+            bank_total += total
+        if bank_total != router._bank.flits:
+            self._fail(
+                cycle, where,
+                f"router-wide buffered count drifted: bank "
+                f"{router._bank.flits}, actual {bank_total}",
+                node=node,
+            )
         # Neighbour credit state internal consistency.
         for direction, state in router._neighbors.items():
             total_free = sum(state.credits.values())
@@ -415,10 +430,19 @@ class Sanitizer:
     def _check_baseline_router(self, cycle: int, node: int, router) -> None:
         where = f"node {node}"
         total = 0
+        unallocated = 0
         for direction, port in router._input_ports.items():
+            occupied = 0
             for idx, vc in enumerate(port.vcs):
                 queue_len = len(vc.queue)
                 total += queue_len
+                if queue_len:
+                    occupied |= 1 << idx
+                    if vc.out_port is None or (
+                        vc.out_port is not Direction.LOCAL
+                        and vc.out_vc is None
+                    ):
+                        unallocated += 1
                 if queue_len > vc.depth:
                     self._fail(
                         cycle, where,
@@ -443,11 +467,25 @@ class Sanitizer:
                                 f"{direction.name} vc {idx}",
                                 node=node,
                             )
+            if occupied != port.occupied:
+                self._fail(
+                    cycle, where,
+                    f"VC occupancy mask drifted on port {direction.name}: "
+                    f"mask {port.occupied:#b}, actual {occupied:#b}",
+                    node=node,
+                )
         if total != router._buffered:
             self._fail(
                 cycle, where,
                 f"buffered-flit count drifted: counter "
                 f"{router._buffered}, actual {total}",
+                node=node,
+            )
+        if unallocated != router._unallocated:
+            self._fail(
+                cycle, where,
+                f"count of VCs awaiting a route or downstream VC drifted: "
+                f"counter {router._unallocated}, actual {unallocated}",
                 node=node,
             )
 

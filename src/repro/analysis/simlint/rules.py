@@ -277,7 +277,9 @@ DEFAULT_HOT_PATH_CLASSES: Mapping[str, FrozenSet[str]] = {
     "network/reassembly.py": frozenset(
         {"_PendingPacket", "ReassemblyBuffer"}
     ),
-    "core/lazy_vc.py": frozenset({"LazyInputPort", "NeighborCreditState"}),
+    "core/lazy_vc.py": frozenset(
+        {"BufferBank", "LazyInputPort", "NeighborCreditState"}
+    ),
     "core/mode_controller.py": frozenset({"ModeController"}),
     "routers/backpressured.py": frozenset(
         {

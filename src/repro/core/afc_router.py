@@ -41,18 +41,25 @@ from typing import Dict, List, Optional, Tuple
 from ..network.config import Design, NetworkConfig
 from ..network.energy_hooks import EnergyMeter
 from ..network.flit import Flit, VirtualNetwork, VNETS
-from ..network.link import CreditMessage, ModeNotice, ModeNotification
+from ..network.link import (
+    CreditMessage,
+    ModeNotice,
+    ModeNotification,
+    credit_message,
+)
 from ..network.router_base import BaseRouter
 from ..network.stats import StatsCollector
 from ..network.topology import Direction, Mesh
 from ..routers.backpressureless import allocate_deflection_ports
-from .lazy_vc import LazyInputPort, NeighborCreditState
+from .lazy_vc import BufferBank, LazyInputPort, NeighborCreditState
 from .mode_controller import Mode, ModeController
 from .thresholds import thresholds_for
 
 
 class AfcRouter(BaseRouter):
     """Adaptive flow-control router (and its always-backpressured twin)."""
+
+    gating_can_flip = True  # gated exactly while deflecting and empty
 
     def __init__(
         self,
@@ -80,8 +87,15 @@ class AfcRouter(BaseRouter):
             ),
         )
         self._input_ports: Dict[Direction, LazyInputPort] = {}
+        #: Flits buffered across all input ports; every port moves it
+        #: together with its own count (see :class:`BufferBank`).
+        self._bank = BufferBank()
+        #: Interned per-vnet credit and occupancy-debit messages.
+        self._credit_msgs = tuple(credit_message(vnet) for vnet in VNETS)
+        self._debit_msgs = tuple(
+            credit_message(vnet, debit=True) for vnet in VNETS
+        )
         self._neighbors: Dict[Direction, NeighborCreditState] = {}
-        self._port_list: tuple = ()
         self._neighbor_list: tuple = ()
         self._latched: List[Tuple[Flit, Direction]] = []
         #: Entry events this cycle (network arrivals + injections); the
@@ -119,7 +133,9 @@ class AfcRouter(BaseRouter):
         if self._finalized:
             return
         for direction in list(self.in_channels) + [Direction.LOCAL]:
-            self._input_ports[direction] = LazyInputPort(self.config.afc_vcs)
+            self._input_ports[direction] = LazyInputPort(
+                self.config.afc_vcs, self._bank
+            )
         for direction in self.out_channels:
             state = NeighborCreditState(self.config.afc_vcs)
             if self.design is Design.AFC_ALWAYS_BACKPRESSURED:
@@ -132,7 +148,6 @@ class AfcRouter(BaseRouter):
         self._cache_tables()
         #: Frozen iteration snapshots for the hot paths; the dicts stay
         #: the source of truth for keyed lookups.
-        self._port_list = tuple(self._input_ports.values())
         self._neighbor_list = tuple(self._neighbors.values())
         self._iport_items = tuple(self._input_ports.items())
         self._bp_requests = {direction: [] for direction in self._neighbors}
@@ -157,7 +172,9 @@ class AfcRouter(BaseRouter):
     def deliver(self, cycle: int) -> None:
         # Mode completion must precede arrival classification: a flit
         # delivered at the first backpressured cycle is buffered.
-        self._mode.maybe_complete_forward(cycle)
+        controller = self._mode
+        if controller.mode is Mode.TRANSITION:
+            controller.maybe_complete_forward(cycle)
         super().deliver(cycle)
 
     def _accept_flit(self, flit: Flit, in_port: Direction, cycle: int) -> None:
@@ -193,15 +210,17 @@ class AfcRouter(BaseRouter):
     def step(self, cycle: int) -> None:
         if not self._finalized:
             self.finalize()
-        self._mode.maybe_complete_forward(cycle)
-        if self._mode.mode.deflecting:
-            dispatched = self._deflection_step(cycle)
-        else:
+        controller = self._mode
+        if controller.mode is Mode.TRANSITION:
+            controller.maybe_complete_forward(cycle)
+        if controller.mode is Mode.BACKPRESSURED:
             dispatched = self._backpressured_step(cycle)
-        self._mode.record_load(self._entries_this_cycle + dispatched)
+        else:
+            dispatched = self._deflection_step(cycle)
+        controller.record_load(self._entries_this_cycle + dispatched)
         self._entries_this_cycle = 0
         self._adapt(cycle)
-        self._mode.tick_residency(self.stats.mode(self.node))
+        controller.tick_residency(self.stats.mode_stats[self.node])
 
     # -- activity reporting (active-set cycle engine) --------------------------
     def is_quiescent(self) -> bool:
@@ -212,10 +231,12 @@ class AfcRouter(BaseRouter):
         # pressure cannot become pending here: _adapt ran at the end of
         # the last step, and any later neighbour state change arrives
         # via backflow, which the engine refuses to sleep through.
+        ni = self.ni
         return (
             self._mode.mode is not Mode.TRANSITION
-            and self.resident_flits() == 0
-            and (self.ni is None or not self.ni.has_pending)
+            and not self._bank.flits
+            and not self._latched
+            and (ni is None or not ni._queued)
             and self._mode.idle_forward_safe()
         )
 
@@ -227,25 +248,23 @@ class AfcRouter(BaseRouter):
 
     # -- adaptation policy -------------------------------------------------------
     def _adapt(self, cycle: int) -> None:
-        if not self._mode.adaptive:
+        controller = self._mode
+        if not controller.adaptive:
             return
-        if self._mode.mode is Mode.BACKPRESSURELESS:
-            if self._gossip_pressure():
-                self._begin_forward(cycle, gossip=True)
-            elif self._mode.wants_forward():
+        mode = controller.mode
+        if mode is Mode.BACKPRESSURELESS:
+            # Gossip (Section III-D): a tracked, i.e. backpressured,
+            # neighbour's free buffers fell below the threshold X.
+            threshold = self.config.gossip_threshold
+            for nb in self._neighbor_list:
+                if nb.tracking and nb._total_free < threshold:
+                    self._begin_forward(cycle, gossip=True)
+                    return
+            if controller.ewma > controller.thresholds.high:
                 self._begin_forward(cycle, gossip=False)
-        elif self._mode.mode is Mode.BACKPRESSURED:
-            if self._mode.wants_reverse(self.buffered_flits() == 0):
+        elif mode is Mode.BACKPRESSURED:
+            if controller.wants_reverse(not self._bank.flits):
                 self._begin_reverse(cycle)
-
-    def _gossip_pressure(self) -> bool:
-        """True when a tracked (backpressured) neighbour's free buffers
-        fell below the gossip threshold X (Section III-D)."""
-        threshold = self.config.gossip_threshold
-        for nb in self._neighbor_list:
-            if nb.tracking and nb.total_free < threshold:
-                return True
-        return False
 
     def _begin_forward(self, cycle: int, gossip: bool) -> None:
         self._mode.begin_forward(cycle)
@@ -280,15 +299,60 @@ class AfcRouter(BaseRouter):
 
     # -- backpressureless datapath --------------------------------------------------
     def _deflection_step(self, cycle: int) -> int:
-        if not self._latched and (self.ni is None or not self.ni.has_pending):
-            return 0  # idle: the full path below would do exactly nothing
         resident = self._latched
+        ni = self.ni
+        if not resident and (ni is None or not ni._queued):
+            return 0  # idle: the full path below would do exactly nothing
         self._latched = []
         if len(resident) > len(self._net_ports):
             raise RuntimeError(
                 f"deflection invariant violated at node {self.node}"
             )
         dispatched = 0
+
+        # At most one resident flit: the ejection and service-order
+        # shuffles of the general path would each see <= 1 element and
+        # draw nothing, so the flit ejects, or takes its first credit-
+        # allowed productive port, with the RNG untouched.  No such
+        # port (every productive one masked) leaves ``assignment``
+        # unset and the general path below decides, from the same state.
+        assignment: Optional[Dict[Direction, Flit]] = None
+        if not resident:
+            assignment = {}
+        elif len(resident) == 1:
+            flit = resident[0][0]
+            if flit.dst == self.node:
+                self.stats.record_switch_traversal()
+                self._eject(flit, cycle)
+                dispatched = 1
+                assignment = {}
+            else:
+                ok_rows = self._ok_rows
+                vnet = flit.vnet
+                for port in self._prod_row[flit.dst]:
+                    if ok_rows[port][vnet]:
+                        assignment = {port: flit}
+                        break
+        if assignment is None:
+            assignment, dispatched = self._deflect_general(resident, cycle)
+
+        # Injection into a leftover free+allowed port, then dispatch.
+        if ni is not None and ni._queued:
+            self._deflection_inject(assignment, cycle)
+        for out_port, flit in assignment.items():
+            self._neighbors[out_port].on_send(flit.vnet)
+            self.energy.arbiter(self.node)
+            self.stats.record_switch_traversal()
+            self._dispatch(flit, out_port, cycle)
+            dispatched += 1
+        return dispatched
+
+    def _deflect_general(
+        self, resident: List[Tuple[Flit, Direction]], cycle: int
+    ) -> Tuple[Dict[Direction, Flit], int]:
+        """Ejection, credit-masked allocation and emergency buffering
+        for any number of resident flits; returns the port assignment
+        and the number of flits ejected."""
         flits = [flit for flit, _ in resident]
 
         # 1. Ejection.
@@ -299,7 +363,6 @@ class AfcRouter(BaseRouter):
             self.stats.record_switch_traversal()
             self._eject(flit, cycle)
             ejected.add(id(flit))
-            dispatched += 1
         if ejected:
             remaining = [f for f in flits if id(f) not in ejected]
         else:
@@ -321,18 +384,7 @@ class AfcRouter(BaseRouter):
         if unplaced:
             in_port_of = {id(flit): port for flit, port in resident}
             self._emergency_buffer(unplaced, in_port_of, cycle)
-
-        # 4. Injection into a leftover free+allowed port.
-        self._deflection_inject(assignment, cycle)
-
-        # 5. Dispatch.
-        for out_port, flit in assignment.items():
-            self._neighbors[out_port].on_send(flit.vnet)
-            self.energy.arbiter(self.node)
-            self.stats.record_switch_traversal()
-            self._dispatch(flit, out_port, cycle)
-            dispatched += 1
-        return dispatched
+        return assignment, len(ejected)
 
     def _port_allowed(self, flit: Flit, port: Direction) -> bool:
         """Credit mask toward mixed-mode neighbours (pure within one
@@ -358,7 +410,7 @@ class AfcRouter(BaseRouter):
                 # snapshot) already went out: reconcile the upstream
                 # credit counter with a debit.
                 self.in_channels[in_port].send_credit(
-                    CreditMessage(vnet=flit.vnet, debit=True), cycle
+                    self._debit_msgs[flit.vnet], cycle
                 )
                 self.energy.credit(self.node)
         if not already_switching:
@@ -369,28 +421,38 @@ class AfcRouter(BaseRouter):
     def _deflection_inject(
         self, assignment: Dict[Direction, Flit], cycle: int
     ) -> None:
-        if self.ni is None or not self.ni.has_pending:
-            return
-        free = [p for p in self._net_ports if p not in assignment]
-        if not free:
-            return
+        """Inject one flit into a port the resident flits left free:
+        the first free, credit-allowed productive port of the first
+        eligible vnet's head flit, else a random free allowed port (a
+        deflection).  Caller checked that the NI has flits queued."""
+        net_ports = self._net_ports
+        if len(assignment) >= len(net_ports):
+            return  # every output port is taken
+        ni = self.ni
+        queues = ni._queues
+        ok_rows = self._ok_rows
         vnets = VNETS
         for offset in range(len(vnets)):
             vnet = vnets[(self._inject_rr + offset) % len(vnets)]
-            if self.ni.peek(vnet) is None:
+            queue = queues[vnet]
+            if not queue:
                 continue
-            allowed = [
-                p for p in free if self._neighbors[p].can_send(vnet)
-            ]
-            if not allowed:
-                continue
-            flit = self.ni.pop(vnet, cycle)
             chosen: Optional[Direction] = None
-            for port in self._prod_row[flit.dst]:
-                if port in allowed:
+            for port in self._prod_row[queue[0].dst]:
+                if port not in assignment and ok_rows[port][vnet]:
                     chosen = port
                     break
-            if chosen is None:
+            if chosen is not None:
+                flit = ni.pop(vnet, cycle)
+            else:
+                allowed = [
+                    p
+                    for p in net_ports
+                    if p not in assignment and ok_rows[p][vnet]
+                ]
+                if not allowed:
+                    continue
+                flit = ni.pop(vnet, cycle)
                 chosen = self.rng.choice(allowed)
                 flit.deflections += 1
             assignment[chosen] = flit
@@ -400,11 +462,11 @@ class AfcRouter(BaseRouter):
 
     # -- backpressured (lazy VC) datapath ----------------------------------------------
     def _backpressured_step(self, cycle: int) -> int:
-        if self.buffered_flits() == 0 and (
-            self.ni is None or not self.ni.has_pending
-        ):
+        ni = self.ni
+        if ni is not None and ni._queued:
+            self._backpressured_inject(cycle)
+        elif not self._bank.flits:
             return 0  # idle: nothing to inject, route, or arbitrate
-        self._backpressured_inject(cycle)
         # Switch allocation.  Each input port nominates one buffered
         # flit whose output is usable this cycle: because every flit has
         # its own one-flit VC, *any* buffered flit may be served —
@@ -454,6 +516,7 @@ class AfcRouter(BaseRouter):
         input_ports = self._input_ports
         neighbors = self._neighbors
         in_channels = self.in_channels
+        credit_msgs = self._credit_msgs
         energy = self.energy
         buffer_read = energy.buffer_read
         credit_energy = energy.credit
@@ -479,7 +542,7 @@ class AfcRouter(BaseRouter):
                     self._dispatch(flit, out_port, cycle)
                 if in_dir is not local:
                     in_channels[in_dir].send_credit(
-                        CreditMessage(vnet=flit.vnet), cycle
+                        credit_msgs[flit.vnet], cycle
                     )
                     credit_energy(node)
             reqs.clear()
@@ -488,8 +551,6 @@ class AfcRouter(BaseRouter):
 
     def _backpressured_inject(self, cycle: int) -> None:
         ni = self.ni
-        if ni is None or not ni.has_pending:
-            return
         local = self._input_ports[Direction.LOCAL]
         vnets = VNETS
         n = len(vnets)
@@ -528,23 +589,16 @@ class AfcRouter(BaseRouter):
 
     # -- introspection --------------------------------------------------------
     def buffered_flits(self) -> int:
-        if not self._finalized:
-            return 0
-        # Plain loop over the frozen port tuple reading the ports' O(1)
-        # occupancy counters: this runs several times per awake cycle
-        # (energy gating, quiescence checks, reverse-switch guard).
-        total = 0
-        for port in self._port_list:
-            total += port._count  # LazyInputPort's O(1) occupancy counter
-        return total
+        return self._bank.flits
 
     def resident_flits(self) -> int:
-        return self.buffered_flits() + len(self._latched)
+        return self._bank.flits + len(self._latched)
 
     @property
     def buffers_power_gated(self) -> bool:
         """Coarse-grained power gating: the whole buffer bank is gated
         whenever the router deflects and holds no buffered flits."""
-        return self._mode.mode is Mode.BACKPRESSURELESS and (
-            self.buffered_flits() == 0
+        return (
+            self._mode.mode is Mode.BACKPRESSURELESS
+            and not self._bank.flits
         )

@@ -26,6 +26,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..network.flit import Flit, VirtualNetwork
 
 
+class BufferBank:
+    """Flits buffered across all input ports of one router.
+
+    Every :class:`LazyInputPort` of a router shares one bank and moves
+    ``flits`` together with its own count, so the router reads its total
+    occupancy (quiescence, power gating, the reverse-switch guard — all
+    polled every awake cycle) without visiting its ports.
+    """
+
+    __slots__ = ("flits",)
+
+    def __init__(self) -> None:
+        self.flits = 0
+
+
 class LazyInputPort:
     """A bank of one-flit VCs, partitioned by virtual network.
 
@@ -37,9 +52,14 @@ class LazyInputPort:
     correct, which is the point of lazy allocation.
     """
 
-    __slots__ = ("capacity", "_by_vnet", "_count", "sa_rr")
+    __slots__ = ("capacity", "_by_vnet", "_count", "_bank", "sa_rr")
 
-    def __init__(self, vcs: Sequence[int]) -> None:
+    def __init__(
+        self, vcs: Sequence[int], bank: Optional[BufferBank] = None
+    ) -> None:
+        #: Router-wide occupancy this port contributes to (its own when
+        #: the port stands alone).
+        self._bank = bank if bank is not None else BufferBank()
         self.capacity: Dict[VirtualNetwork, int] = {
             vnet: count for vnet, count in zip(VirtualNetwork, vcs)
         }
@@ -85,6 +105,7 @@ class LazyInputPort:
             )
         flits.append(flit)
         self._count += 1
+        self._bank.flits += 1
 
     def flits(self) -> List[Flit]:
         """All buffered flits (oldest first within each vnet)."""
@@ -101,6 +122,7 @@ class LazyInputPort:
         """Free the slot occupied by ``flit`` (it won arbitration)."""
         self._by_vnet[flit.vnet].remove(flit)
         self._count -= 1
+        self._bank.flits -= 1
 
 
 class NeighborCreditState:

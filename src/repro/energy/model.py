@@ -247,7 +247,10 @@ class StaticEnergyCache:
         leak = params.buffer_leak_pj_per_bit_cycle
         gated_scale = 1.0 - params.power_gating_effectiveness
         self._routers = list(routers)
-        #: router index -> index into _vals, or -1 for leakless routers.
+        #: router index -> index into _vals for the routers whose gating
+        #: can flip (``gating_can_flip``); -1 for leakless routers and
+        #: for those whose contribution is fixed for the whole run,
+        #: which :meth:`tick` therefore never polls.
         self._slot = [-1] * len(self._routers)
         #: per-slot (ungated, gated) contribution; indexed by the bool.
         self._pairs: List[Tuple[float, float]] = []
@@ -258,7 +261,8 @@ class StaticEnergyCache:
             bits = router.buffer_capacity_flits * meter.physical_bits
             if bits:
                 base = bits * leak
-                self._slot[i] = len(self._vals)
+                if router.gating_can_flip:
+                    self._slot[i] = len(self._vals)
                 self._pairs.append((base, base * gated_scale))
                 gated = bool(router.buffers_power_gated)
                 self._gated.append(gated)
@@ -273,11 +277,12 @@ class StaticEnergyCache:
         ran this cycle (the only ones whose gating state can have
         flipped)."""
         dirty = False
+        slots = self._slot
         for i in stepped:
-            slot = self._slot[i]
+            slot = slots[i]
             if slot < 0:
                 continue
-            gated = bool(self._routers[i].buffers_power_gated)
+            gated = self._routers[i].buffers_power_gated
             if gated != self._gated[slot]:
                 self._gated[slot] = gated
                 self._vals[slot] = self._pairs[slot][gated]

@@ -170,7 +170,9 @@ class NetworkConfig:
     #: single-flit ejection port would saturate every design at the
     #: endpoint rather than in the fabric under study).
     eject_bandwidth: int = 2
-    #: Flits per cycle the local injection port can source.
+    #: Flits per cycle the local injection port can source.  Every
+    #: router injects exactly one flit per cycle; any other value is
+    #: rejected rather than silently simulated as 1.
     inject_bandwidth: int = 1
 
     # -- AFC adaptation ------------------------------------------------------
@@ -198,6 +200,23 @@ class NetworkConfig:
             raise ValueError("EWMA alpha must be in (0, 1)")
         if min(self.baseline_vcs) < 1 or min(self.afc_vcs) < 1:
             raise ValueError("every virtual network needs at least one VC")
+        for name in ("baseline_vc_depth", "afc_vc_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1 flit")
+        if self.inject_bandwidth != 1:
+            raise ValueError(
+                "inject_bandwidth other than 1 is not modelled "
+                f"(got {self.inject_bandwidth})"
+            )
+        if self.eject_bandwidth < 1:
+            raise ValueError(
+                "eject_bandwidth must be >= 1 flit per cycle, or no "
+                f"design can ever drain (got {self.eject_bandwidth})"
+            )
+        if self.load_window < 1:
+            raise ValueError(
+                f"load_window must be >= 1 cycle (got {self.load_window})"
+            )
 
     # -- derived quantities ----------------------------------------------
     @property

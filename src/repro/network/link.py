@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Deque, Generic, List, Optional, Tuple, TypeVar, Union
 
 from .flit import Flit, VirtualNetwork
@@ -148,6 +149,25 @@ class CreditMessage:
     #: buffers a flit the upstream had dispatched before credit
     #: accounting began (see repro.core.afc_router).
     debit: bool = False
+
+
+@lru_cache(maxsize=None)
+def credit_message(
+    vnet: VirtualNetwork,
+    vc: int = -1,
+    frees_vc: bool = False,
+    debit: bool = False,
+) -> CreditMessage:
+    """The one shared :class:`CreditMessage` with these field values.
+
+    A credit is frozen and carries no identity — receivers read its
+    fields and drop it, nothing compares credits by ``is`` — so every
+    sender can push the same instance instead of building one per freed
+    flit.  The cache is bounded by the field space (virtual networks x
+    VCs per port x two flags); routers copy the instances they can send
+    into per-port tables at wiring time and index those per flit.
+    """
+    return CreditMessage(vnet, vc, frees_vc, debit)
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,6 +38,9 @@ class BaseRouter(ABC):
     """Common wiring, delivery loop and bookkeeping for all routers."""
 
     design: Design
+    #: True for routers whose :attr:`buffers_power_gated` can change
+    #: during a run; the static-energy cache polls only those.
+    gating_can_flip = False
 
     def __init__(
         self,
@@ -72,8 +75,6 @@ class BaseRouter(ABC):
         self._xy_row: Tuple[Direction, ...] = ()
         self._prod_row: Tuple[Tuple[Direction, ...], ...] = ()
         self._fallback_row: Tuple[Tuple[Direction, ...], ...] = ()
-        self._in_list: Optional[Tuple[Tuple[Direction, Channel], ...]] = None
-        self._out_list: Optional[Tuple[Tuple[Direction, Channel], ...]] = None
         #: ``(direction, deque)`` drain views straight into the delay
         #: lines (the deque objects are stable for a channel's lifetime),
         #: so the per-cycle emptiness probe costs one index instead of
@@ -105,15 +106,13 @@ class BaseRouter(ABC):
         """Freeze the wired port list and grab this node's routing-table
         rows so per-flit routing is a plain tuple index."""
         self._net_ports = list(self.out_channels.keys())
-        self._in_list = tuple(self.in_channels.items())
-        self._out_list = tuple(self.out_channels.items())
         self._in_drain = tuple(
             (direction, channel._flits._items)
-            for direction, channel in self._in_list
+            for direction, channel in self.in_channels.items()
         )
         self._out_drain = tuple(
             (direction, channel._backflow._items)
-            for direction, channel in self._out_list
+            for direction, channel in self.out_channels.items()
         )
         tables = routing_tables(self.mesh)
         self._xy_row = tables.xy[self.node]
@@ -128,21 +127,16 @@ class BaseRouter(ABC):
         call; the emptiness peek reaches into the delay lines directly
         because this runs once per channel per cycle.
         """
-        in_drain = (
-            self._in_drain
-            if self._in_drain is not None
-            else tuple(
+        in_drain = self._in_drain
+        out_drain = self._out_drain
+        if in_drain is None or out_drain is None:  # not finalized yet
+            in_drain = tuple(
                 (d, ch._flits._items) for d, ch in self.in_channels.items()
             )
-        )
-        out_drain = (
-            self._out_drain
-            if self._out_drain is not None
-            else tuple(
+            out_drain = tuple(
                 (d, ch._backflow._items)
                 for d, ch in self.out_channels.items()
             )
-        )
         accept_flit = self._accept_flit
         for direction, items in in_drain:
             if items and items[0][0] <= cycle:
@@ -191,9 +185,8 @@ class BaseRouter(ABC):
         be empty before putting a router to sleep; subclasses with extra
         per-cycle state (e.g. AFC's mode controller) must override.
         """
-        return self.resident_flits() == 0 and (
-            self.ni is None or not self.ni.has_pending
-        )
+        ni = self.ni
+        return self.resident_flits() == 0 and (ni is None or not ni._queued)
 
     def catch_up(self, cycles: int) -> None:
         """Replay ``cycles`` skipped idle cycles of bookkeeping.

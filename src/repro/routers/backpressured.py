@@ -35,7 +35,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from ..network.config import Design, NetworkConfig
 from ..network.energy_hooks import EnergyMeter
 from ..network.flit import Flit, VirtualNetwork, VNETS
-from ..network.link import CreditMessage
+from ..network.link import CreditMessage, credit_message
 from ..network.router_base import BaseRouter
 from ..network.stats import StatsCollector
 from ..network.topology import Direction, Mesh
@@ -131,7 +131,7 @@ class _OutputPortState:
 class _InputPort:
     """All VCs of one input port, plus its SA round-robin pointer."""
 
-    __slots__ = ("vcs", "ranges", "sa_rr", "sa_scan")
+    __slots__ = ("vcs", "ranges", "sa_rr", "occupied", "credits")
 
     def __init__(self, vcs: Sequence[int], depth: int) -> None:
         self.vcs: List[VirtualChannelBuffer] = []
@@ -142,11 +142,19 @@ class _InputPort:
             )
         self.ranges = vc_ranges(vcs)
         self.sa_rr = 0
-        #: ``sa_scan[start]`` is the VC visiting order of the switch
-        #: allocator's round-robin scan from pointer ``start``.
-        n = len(self.vcs)
-        self.sa_scan: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple((start + i) % n for i in range(n)) for start in range(n)
+        #: Bit ``i`` is set exactly while ``vcs[i].queue`` is non-empty.
+        #: Route/VC allocation and switch allocation walk the set bits,
+        #: so an empty port costs one test and a port holding one flit
+        #: one VC visit, whatever the VC count.
+        self.occupied = 0
+        #: ``credits[vnet][vc][is_tail]``: the interned credit this port
+        #: returns upstream when a flit leaves VC ``vc``.
+        self.credits = tuple(
+            tuple(
+                (credit_message(vnet, vc, False), credit_message(vnet, vc, True))
+                for vc in range(len(self.vcs))
+            )
+            for vnet in VirtualNetwork
         )
 
     def occupancy(self) -> int:
@@ -185,6 +193,11 @@ class BackpressuredRouter(BaseRouter):
         #: Running buffered-flit count (occupancy is polled every cycle
         #: by the activity scheduler and invariant checks).
         self._buffered = 0
+        #: Occupied VCs whose packet still waits for a route or a
+        #: downstream VC (a head flit adds one, routing it to the local
+        #: port or allocating its VC removes it): while zero — every
+        #: cycle of a packet's body — route/VC allocation is skipped.
+        self._unallocated = 0
         #: Realistic buffer bypass (Wang et al. [1]): a flit that
         #: arrives at an empty VC and leaves in the same cycle skips
         #: both the buffer write and read energies.  Timing is
@@ -231,7 +244,8 @@ class BackpressuredRouter(BaseRouter):
                 f"flit arrived at node {self.node} without a VC assignment"
             )
         vc = port.vcs[flit.vc]
-        if len(vc.queue) >= vc.depth:
+        queue = vc.queue
+        if len(queue) >= vc.depth:
             raise RuntimeError(
                 f"VC overflow at node {self.node} port {in_port.name} "
                 f"vc {flit.vc}: credit protocol violated"
@@ -243,14 +257,17 @@ class BackpressuredRouter(BaseRouter):
                     f"owner {vc.owner_pid}, new packet {flit.pid}"
                 )
             vc.owner_pid = flit.pid
+            self._unallocated += 1
         elif vc.owner_pid != flit.pid:
             raise RuntimeError(
                 f"body flit of packet {flit.pid} entered VC owned by "
                 f"{vc.owner_pid} at node {self.node}"
             )
-        was_empty = not vc.queue
-        vc.queue.append(flit)
+        was_empty = not queue
+        queue.append(flit)
         self._buffered += 1
+        if was_empty:
+            port.occupied |= 1 << flit.vc
         if self._realistic_bypass and was_empty:
             self._bypass_pending.add(flit)
         else:
@@ -275,12 +292,13 @@ class BackpressuredRouter(BaseRouter):
     def step(self, cycle: int) -> None:
         if not self._finalized:
             self.finalize()
-        if self._buffered == 0 and (
-            self.ni is None or not self.ni.has_pending
-        ):
+        ni = self.ni
+        if ni is not None and ni._queued:
+            self._inject(cycle)
+        elif self._buffered == 0:
             return  # idle: nothing to inject, route, or arbitrate
-        self._inject(cycle)
-        self._route_and_allocate_vcs()
+        if self._unallocated:
+            self._route_and_allocate_vcs()
         self._switch_allocation(cycle)
         if self._bypass_pending:
             # Bypass candidates that failed to cut through this cycle
@@ -293,8 +311,6 @@ class BackpressuredRouter(BaseRouter):
     # discipline applies to the injection port like any other).
     def _inject(self, cycle: int) -> None:
         ni = self.ni
-        if ni is None or not ni.has_pending:
-            return
         local = self._input_ports[Direction.LOCAL]
         vnets = VNETS
         queues = ni._queues
@@ -311,13 +327,16 @@ class BackpressuredRouter(BaseRouter):
             vc = local.vcs[vc_idx]
             if len(vc.queue) >= vc.depth:
                 continue  # VC full; retry next cycle
-            flit = self.ni.pop(vnet, cycle)
+            flit = ni.pop(vnet, cycle)
             flit.vc = vc_idx
             if flit.is_head:
                 vc.owner_pid = flit.pid
+                self._unallocated += 1
             was_empty = not vc.queue
             vc.queue.append(flit)
             self._buffered += 1
+            if was_empty:
+                local.occupied |= 1 << vc_idx
             if self._realistic_bypass and was_empty:
                 self._bypass_pending.add(flit)
             else:
@@ -325,7 +344,7 @@ class BackpressuredRouter(BaseRouter):
             if flit.is_tail:
                 self._stream_vc[vnet] = None
             self._inject_rr = (self._inject_rr + offset + 1) % len(vnets)
-            return  # inject_bandwidth = 1 flit/cycle
+            return  # one flit per cycle (config.inject_bandwidth == 1)
 
     def _find_free_local_vc(self, vnet: VirtualNetwork) -> Optional[int]:
         local = self._input_ports[Direction.LOCAL]
@@ -334,25 +353,32 @@ class BackpressuredRouter(BaseRouter):
                 return idx
         return None
 
-    # Routing (lookahead-equivalent) + 0-cycle VC allocation.
+    # Routing (lookahead-equivalent) + 0-cycle VC allocation, over the
+    # occupied VCs of each port in VC-index order.
     def _route_and_allocate_vcs(self) -> None:
         xy_row = self._xy_row
         out_state = self._out_state
         local = Direction.LOCAL
         for port in self._iport_list:
-            for vc in port.vcs:
-                if not vc.queue:
-                    continue
-                head = vc.queue[0]
+            occupied = port.occupied
+            vcs = port.vcs
+            while occupied:
+                low = occupied & -occupied
+                occupied ^= low
+                vc = vcs[low.bit_length() - 1]
                 out_port = vc.out_port
                 if out_port is None:
+                    head = vc.queue[0]
                     assert head.is_head, "body flit reached an unrouted VC"
                     out_port = vc.out_port = xy_row[head.dst]
+                    if out_port is local:
+                        self._unallocated -= 1  # ejection needs no VC
                 if out_port is local or vc.out_vc is not None:
                     continue
-                allocated = out_state[out_port].allocate_vc(head.vnet)
+                allocated = out_state[out_port].allocate_vc(vc.queue[0].vnet)
                 if allocated is not None:
                     vc.out_vc = allocated
+                    self._unallocated -= 1
                     self.energy.arbiter(self.node)
 
     # Separable (input-first) switch allocation, one iteration.  Each
@@ -367,14 +393,34 @@ class BackpressuredRouter(BaseRouter):
         arbiter = self.energy.arbiter
         node = self.node
         for in_dir, port in self._iport_items:
+            occupied = port.occupied
+            if not occupied:
+                continue
             vcs = port.vcs
+            n = len(vcs)
             sa_rr = port.sa_rr
+            # Rotate the occupancy mask so that bit 0 is the VC under
+            # the round-robin pointer: ascending bit order is then the
+            # round-robin visiting order over the occupied VCs.  (One
+            # occupied VC is visited first wherever the pointer is.)
+            if occupied & (occupied - 1):
+                rotated = (occupied >> sa_rr) | (
+                    (occupied & ((1 << sa_rr) - 1)) << (n - sa_rr)
+                )
+            else:
+                rotated = occupied
+                sa_rr = 0
             chosen = -1
             out_port = local
-            for idx in port.sa_scan[sa_rr]:
+            while rotated:
+                low = rotated & -rotated
+                rotated ^= low
+                idx = low.bit_length() - 1 + sa_rr
+                if idx >= n:
+                    idx -= n
                 vc = vcs[idx]
                 out_port = vc.out_port
-                if not vc.queue or out_port is None:
+                if out_port is None:
                     continue
                 if out_port is local:
                     chosen = idx
@@ -387,7 +433,6 @@ class BackpressuredRouter(BaseRouter):
                     break
             if chosen < 0:
                 continue
-            n = len(vcs)
             port.sa_rr = chosen + 1 if chosen + 1 < n else 0
             reqs = requests[out_port]
             if not reqs:
@@ -438,9 +483,12 @@ class BackpressuredRouter(BaseRouter):
         out_port: Direction,
         cycle: int,
     ) -> None:
-        vc = self._input_ports[in_dir].vcs[vc_idx]
+        port = self._input_ports[in_dir]
+        vc = port.vcs[vc_idx]
         flit = vc.queue.popleft()
         self._buffered -= 1
+        if not vc.queue:
+            port.occupied ^= 1 << vc_idx
         if self._realistic_bypass and flit in self._bypass_pending:
             self._bypass_pending.discard(flit)  # cut-through: no write/read
         else:
@@ -459,10 +507,7 @@ class BackpressuredRouter(BaseRouter):
             self._dispatch(flit, out_port, cycle)
         if in_dir is not Direction.LOCAL:
             self.in_channels[in_dir].send_credit(
-                CreditMessage(
-                    vnet=flit.vnet, vc=vc_idx, frees_vc=flit.is_tail
-                ),
-                cycle,
+                port.credits[flit.vnet][vc_idx][flit.is_tail], cycle
             )
             self.energy.credit(self.node)
         if flit.is_tail:

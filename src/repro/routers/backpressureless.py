@@ -196,33 +196,56 @@ class BackpressurelessRouter(BaseRouter):
     def step(self, cycle: int) -> None:
         if self._net_ports is None:
             self._cache_tables()
-        if not self._latched and (self.ni is None or not self.ni.has_pending):
-            return  # idle: the full path below would do exactly nothing
         resident = self._latched
+        ni = self.ni
+        if not resident and (ni is None or not ni._queued):
+            return  # idle: the full path below would do exactly nothing
         self._latched = []
         if len(resident) > len(self._net_ports):
             raise RuntimeError(
                 f"deflection invariant violated at node {self.node}: "
                 f"{len(resident)} flits, {len(self._net_ports)} ports"
             )
-        remaining = self._eject_arrivals(resident, cycle)
-        assignment, unplaced = allocate_deflection_ports(
-            self.mesh,
-            self.node,
-            self.rng,
-            remaining,
-            self._net_ports,
-            port_allowed=_always_allowed,
-            sort_key=self._sort_key,
-            prod_row=self._prod_row,
-            fallback_row=self._fallback_row,
-        )
-        if unplaced:
-            raise RuntimeError(
-                f"deflection router failed to place {len(unplaced)} flits "
-                f"at node {self.node}"
+        # At most one resident flit and no service order to honour: the
+        # ejection and allocation shuffles of the general path would
+        # each see <= 1 element and draw nothing, and no port is masked,
+        # so the flit ejects, or takes its first productive port, with
+        # the RNG untouched.  Anything else leaves ``assignment`` unset
+        # and takes the general path, from the same state.
+        assignment: Optional[Dict[Direction, Flit]] = None
+        if self._sort_key is None:
+            if not resident:
+                assignment = {}
+            elif len(resident) == 1:
+                flit = resident[0]
+                if flit.dst == self.node:
+                    self.stats.record_switch_traversal()
+                    self._eject(flit, cycle)
+                    assignment = {}
+                else:
+                    productive = self._prod_row[flit.dst]
+                    if productive:
+                        assignment = {productive[0]: flit}
+        if assignment is None:
+            remaining = self._eject_arrivals(resident, cycle)
+            assignment, unplaced = allocate_deflection_ports(
+                self.mesh,
+                self.node,
+                self.rng,
+                remaining,
+                self._net_ports,
+                port_allowed=_always_allowed,
+                sort_key=self._sort_key,
+                prod_row=self._prod_row,
+                fallback_row=self._fallback_row,
             )
-        self._inject(assignment, cycle)
+            if unplaced:
+                raise RuntimeError(
+                    f"deflection router failed to place {len(unplaced)} "
+                    f"flits at node {self.node}"
+                )
+        if ni is not None and ni._queued:
+            self._inject(assignment, cycle)
         for out_port, flit in assignment.items():
             self.energy.arbiter(self.node)
             self.stats.record_switch_traversal()
@@ -251,24 +274,26 @@ class BackpressurelessRouter(BaseRouter):
     def _inject(
         self, assignment: Dict[Direction, Flit], cycle: int
     ) -> None:
-        """Inject one flit if an output port remains free."""
-        if self.ni is None or not self.ni.has_pending:
-            return
-        free = [p for p in self.network_ports if p not in assignment]
-        if not free:
-            return
+        """Inject one flit if an output port remains free (caller
+        checked that the NI has flits queued)."""
+        net_ports = self._net_ports
+        if len(assignment) >= len(net_ports):
+            return  # every output port is taken
+        ni = self.ni
+        queues = ni._queues
         vnets = VNETS
         for offset in range(len(vnets)):
             vnet = vnets[(self._inject_rr + offset) % len(vnets)]
-            if self.ni.peek(vnet) is None:
+            if not queues[vnet]:
                 continue
-            flit = self.ni.pop(vnet, cycle)
+            flit = ni.pop(vnet, cycle)
             chosen: Optional[Direction] = None
             for port in self._prod_row[flit.dst]:
-                if port in free:
+                if port not in assignment:
                     chosen = port
                     break
             if chosen is None:
+                free = [p for p in net_ports if p not in assignment]
                 chosen = self.rng.choice(free)
                 flit.deflections += 1
             assignment[chosen] = flit

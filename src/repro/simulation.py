@@ -44,6 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from bisect import insort
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core.afc_router import AfcRouter
@@ -205,11 +206,24 @@ class Network:
 
         # -- active-set engine state (see _step_fast) -----------------------
         n = self.mesh.num_nodes
-        self._num_nodes = n
         #: True for routers currently skipped by the cycle loop.  Every
         #: router starts awake so client code may poke state before the
         #: engine has ever observed the router quiescent.
         self._asleep: List[bool] = [False] * n
+        #: The awake routers in node order (exactly the nodes whose
+        #: ``_asleep`` flag is clear), so a cycle visits them without
+        #: scanning the flags: ``_wake`` inserts, ``_sleep`` removes.
+        self._awake: List[int] = list(range(n))
+        #: Per node, the delay-line deques that feed the router: the
+        #: deques of its drain views (flit pipes of its input channels,
+        #: backflow pipes of its output channels).  A router may sleep
+        #: only while all of them are empty.
+        self._pipes: List[tuple] = [
+            tuple(
+                items for _direction, items in r._in_drain + r._out_drain
+            )
+            for r in self.routers
+        ]
         #: Last cycle whose bookkeeping has been applied (only
         #: meaningful while the router is asleep).
         self._slept_through: List[int] = [0] * n
@@ -414,11 +428,9 @@ class Network:
         # buffer is persistent: at saturation every router is awake and
         # a fresh n-element list per cycle is measurable churn.
         todo = self._todo
-        todo.clear()
-        for n in range(self._num_nodes):
-            if not asleep[n]:
-                routers[n].deliver(cycle)
-                todo.append(n)
+        todo[:] = self._awake
+        for n in todo:
+            routers[n].deliver(cycle)
         stepped = self._stepped
         stepped.clear()
         self._in_step_phase = True
@@ -435,40 +447,24 @@ class Network:
         else:
             self.energy.static_cycle(routers)
         self.stats.tick()
+        # A pipe holding anything keeps its router awake whatever the
+        # router thinks, and it is the cheaper test: ask it first.
+        pipes = self._pipes
         for n in stepped:
             if not asleep[n]:
-                router = routers[n]
-                if router.is_quiescent() and self._pipes_empty(router):
-                    self._sleep(n, cycle)
+                for items in pipes[n]:
+                    if items:
+                        break
+                else:
+                    if routers[n].is_quiescent():
+                        self._sleep(n, cycle)
         self.cycle += 1
 
     # -- active-set maintenance ------------------------------------------------
-    @staticmethod
-    def _pipes_empty(router: BaseRouter) -> bool:
-        """No flit is in flight toward the router and no backflow
-        (credit / mode notice) is in flight toward it either.
-
-        Reads the routers' frozen channel snapshots and the delay
-        lines' deques directly: this runs for every stepped router
-        every cycle, and dict views / property hops showed up in
-        saturation profiles.
-        """
-        in_list = router._in_list
-        out_list = router._out_list
-        if in_list is None or out_list is None:
-            in_list = tuple(router.in_channels.items())
-            out_list = tuple(router.out_channels.items())
-        for _direction, channel in in_list:
-            if channel._flits._items:
-                return False
-        for _direction, channel in out_list:
-            if channel._backflow._items:
-                return False
-        return True
-
     def _sleep(self, node: int, cycle: int) -> None:
         """Demote a quiescent router after its step at ``cycle``."""
         self._asleep[node] = True
+        self._awake.remove(node)
         self._slept_through[node] = cycle
         router = self.routers[node]
         hook = lambda ready, _node=node: self._schedule_wake(_node, ready)
@@ -484,6 +480,7 @@ class Network:
         """Promote a router so it participates in ``wake_cycle``,
         replaying the bookkeeping of the cycles it slept through."""
         self._asleep[node] = False
+        insort(self._awake, node)
         router = self.routers[node]
         for channel in router.in_channels.values():
             channel.wake_flit = None

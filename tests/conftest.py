@@ -7,7 +7,15 @@ from typing import List, Optional
 
 import pytest
 
-from repro import Design, Network, NetworkConfig, Packet, VirtualNetwork
+from repro import (
+    Design,
+    Direction,
+    Network,
+    NetworkConfig,
+    Packet,
+    VirtualNetwork,
+)
+from repro.network.energy_hooks import EnergyMeter
 from repro.network.flit import reset_packet_ids
 
 
@@ -92,3 +100,79 @@ def single_packet_network(
     )
     net.interface(src).offer(packet)
     return net, packet
+
+
+class RecordingMeter(EnergyMeter):
+    """Energy meter that logs the name of every event it is sent, so a
+    test can pin the *order* in which a router reports them (float
+    accumulation order is part of bit-identity)."""
+
+    def __init__(self) -> None:
+        self.events: List[str] = []
+
+    def buffer_write(self, node, flits=1):
+        self.events.append("buffer_write")
+
+    def buffer_read(self, node, flits=1):
+        self.events.append("buffer_read")
+
+    def crossbar(self, node, flits=1):
+        self.events.append("crossbar")
+
+    def arbiter(self, node, requests=1):
+        self.events.append("arbiter")
+
+    def link(self, node, flits=1):
+        self.events.append("link")
+
+    def latch(self, node, flits=1):
+        self.events.append("latch")
+
+    def credit(self, node, messages=1):
+        self.events.append("credit")
+
+
+def ports_used(router) -> list:
+    """Output ports of ``router`` with a flit on their wire, sorted."""
+    return sorted(
+        port
+        for port, channel in router.out_channels.items()
+        if channel.flits_in_flight
+    )
+
+
+def rng_twin(rng: random.Random) -> random.Random:
+    """An independent generator in exactly ``rng``'s current state."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def assert_occupancy_mirrors(net: Network) -> None:
+    """Every counter a router fast path reads instead of its container
+    equals a recount, and the engine's awake list equals its flags."""
+    for router in net.routers:
+        ports = getattr(router, "_input_ports", {})
+        if hasattr(router, "_bank"):  # AFC: router-wide lazy-VC total
+            per_port = [len(port.flits()) for port in ports.values()]
+            assert [p._count for p in ports.values()] == per_port
+            assert router._bank.flits == sum(per_port)
+        elif hasattr(router, "_buffered"):  # baseline: per-port VC mask
+            total = unallocated = 0
+            for port in ports.values():
+                mask = 0
+                for idx, vc in enumerate(port.vcs):
+                    total += len(vc.queue)
+                    if vc.queue:
+                        mask |= 1 << idx
+                        if vc.out_port is None or (
+                            vc.out_port is not Direction.LOCAL
+                            and vc.out_vc is None
+                        ):
+                            unallocated += 1
+                assert port.occupied == mask
+            assert router._buffered == total
+            assert router._unallocated == unallocated
+    assert net._awake == [
+        node for node, asleep in enumerate(net._asleep) if not asleep
+    ]

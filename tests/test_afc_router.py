@@ -7,7 +7,15 @@ from repro.core.afc_router import AfcRouter
 from repro.network.link import CreditMessage, ModeNotice, ModeNotification
 from repro.traffic.synthetic import uniform_random_traffic
 
-from conftest import make_network, offer_random_burst, single_packet_network
+from conftest import (
+    RecordingMeter,
+    assert_occupancy_mirrors,
+    make_network,
+    offer_random_burst,
+    ports_used,
+    rng_twin,
+    single_packet_network,
+)
 
 
 def flit_to(dst, src=0, vnet=VirtualNetwork.CONTROL_REQ):
@@ -315,3 +323,145 @@ class TestAdaptiveEndToEnd:
         router._mode.mode = Mode.BACKPRESSURELESS
         router._input_ports[Direction.EAST].insert(flit_to(dst=0, src=5))
         assert not router.buffers_power_gated
+
+
+class TestSingleFlitPath:
+    """With at most one latched flit the deflection datapath skips the
+    allocator: the general path's shuffles would see <= 1 element and
+    draw nothing, so the RNG stream, the chosen port and the event
+    order must be the general path's.  A flit whose productive ports
+    are all credit-masked is not the fast path's business."""
+
+    def _router(self, node=4):
+        net = make_network(Design.AFC)
+        router = net.router(node)
+        router.energy = meter = RecordingMeter()
+        return net, router, meter, rng_twin(router.rng)
+
+    def test_lone_flit_takes_first_productive_port_without_a_draw(self):
+        net, router, meter, before = self._router()
+        flit = flit_to(dst=8, src=3)  # productive: EAST, then SOUTH
+        router._accept_flit(flit, Direction.WEST, cycle=0)
+        router.step(cycle=0)
+        assert ports_used(router) == [Direction.EAST]
+        assert flit.deflections == 0
+        assert router.rng.getstate() == before.getstate()
+        assert meter.events == ["latch", "arbiter", "crossbar", "link"]
+        assert router._mode._window[-1] == 2  # one entry + one exit
+
+    def test_lone_flit_at_destination_ejects_without_a_draw(self):
+        net, router, meter, before = self._router()
+        router._accept_flit(flit_to(dst=4, src=3), Direction.WEST, cycle=0)
+        router.step(cycle=0)
+        assert ports_used(router) == []
+        assert net.interface(4).flits_ejected_total == 1
+        assert router.rng.getstate() == before.getstate()
+        assert meter.events == ["latch", "crossbar"]
+        assert router._mode._window[-1] == 2
+
+    def test_masked_first_choice_falls_to_the_next_productive_port(self):
+        net, router, meter, before = self._router()
+        east = router._neighbors[Direction.EAST]
+        east.start_tracking((east.capacity[VirtualNetwork.CONTROL_REQ], 0, 0))
+        flit = flit_to(dst=8, src=3)
+        router._accept_flit(flit, Direction.WEST, cycle=0)
+        router.step(cycle=0)
+        assert ports_used(router) == [Direction.SOUTH]
+        assert flit.deflections == 0
+        assert router.rng.getstate() == before.getstate()
+
+    def test_all_productive_ports_masked_takes_the_general_path(self):
+        net, router, meter, before = self._router(node=3)  # west edge
+        east = router._neighbors[Direction.EAST]
+        east.start_tracking((east.capacity[VirtualNetwork.CONTROL_REQ], 0, 0))
+        flit = flit_to(dst=5, src=0)  # EAST is its only productive port
+        router._accept_flit(flit, Direction.WEST, cycle=0)
+        router.step(cycle=0)
+        # The general path: no shuffle draw for one flit, then one
+        # ``choice`` among the free, allowed non-productive ports.
+        deflected_to = before.choice(list(router._fallback_row[5]))
+        assert ports_used(router) == [deflected_to]
+        assert flit.deflections == 1
+        assert router.rng.getstate() == before.getstate()
+        assert router.mode is Mode.BACKPRESSURELESS  # nothing buffered
+
+    def test_same_cycle_injection_takes_a_leftover_port(self):
+        net, router, meter, before = self._router()
+        router._accept_flit(flit_to(dst=5, src=3), Direction.WEST, cycle=0)
+        net.interface(4).offer(
+            Packet(
+                src=4, dst=5, vnet=VirtualNetwork.CONTROL_REQ, num_flits=1,
+                created_at=0,
+            )
+        )
+        router.step(cycle=0)
+        # Both want EAST; the resident flit has it, the injected one is
+        # deflected with one draw and dispatched second.
+        leftover = before.choice(
+            [Direction.WEST, Direction.NORTH, Direction.SOUTH]
+        )
+        assert ports_used(router) == sorted([Direction.EAST, leftover])
+        assert router.rng.getstate() == before.getstate()
+        assert meter.events == ["latch"] + ["arbiter", "crossbar", "link"] * 2
+        assert router._mode._window[-1] == 4  # two entries + two exits
+
+    def test_injection_alone_is_credit_masked(self):
+        net, router, meter, before = self._router(node=3)
+        east = router._neighbors[Direction.EAST]
+        east.start_tracking((east.capacity[VirtualNetwork.CONTROL_REQ], 0, 0))
+        net.interface(3).offer(
+            Packet(
+                src=3, dst=5, vnet=VirtualNetwork.CONTROL_REQ, num_flits=1,
+                created_at=0,
+            )
+        )
+        router.step(cycle=0)
+        deflected_to = before.choice(
+            [p for p in router._net_ports if p is not Direction.EAST]
+        )
+        assert ports_used(router) == [deflected_to]
+        assert router.rng.getstate() == before.getstate()
+
+
+class TestBufferedCountMirror:
+    """``AfcRouter._bank`` (behind ``buffered_flits``, quiescence and
+    power gating) must equal a recount of the ports wherever flits
+    enter or leave the buffers."""
+
+    def test_after_emergency_buffering(self):
+        net = make_network(Design.AFC)
+        router = net.router(0)
+        for state in router._neighbors.values():
+            state.start_tracking(
+                tuple(state.capacity[vnet] for vnet in VirtualNetwork)
+            )
+        router._accept_flit(flit_to(dst=8, src=1), Direction.EAST, cycle=0)
+        router.step(cycle=0)
+        assert router.buffered_flits() == 1
+        assert not router.buffers_power_gated
+        assert not router.is_quiescent()
+        assert_occupancy_mirrors(net)
+
+    def test_every_cycle_across_forward_switches_mid_drain(self):
+        net = make_network(Design.AFC)
+        net.subscribe("cycle_end", lambda cycle: assert_occupancy_mirrors(net))
+        offer_random_burst(net, 150)
+        net.drain(max_cycles=30_000)
+        modes = net.stats.mode_stats.values()
+        assert sum(m.forward_switches for m in modes) > 0
+        assert all(r.buffered_flits() == 0 for r in net.routers)
+
+    def test_survives_credit_loss_and_resynthesis(self):
+        from repro.faults import FaultInjector, FaultSpec
+
+        net = make_network(Design.AFC_ALWAYS_BACKPRESSURED, seed=11)
+        spec = FaultSpec(seed=4, credit_loss_rate=12.0, credit_loss_burst=4)
+        injector = FaultInjector(
+            net, spec.schedule(net.mesh, start=0, horizon=1500)
+        )
+        net.subscribe("cycle_end", lambda cycle: assert_occupancy_mirrors(net))
+        uniform_random_traffic(
+            net, 0.3, seed=5, source_queue_limit=500
+        ).run(1500)
+        injector.drain(max_cycles=100_000)
+        assert net.stats.credits_lost > 0 and net.stats.credit_resyncs > 0

@@ -249,3 +249,33 @@ def test_detached_observability_hot_path_within_same_budget(design):
         f"exceeds the {TRANSIENT_BUDGET} B budget — the observability-off "
         "path has added per-cycle churn"
     )
+
+
+@pytest.mark.parametrize(
+    "design",
+    [Design.BACKPRESSURED, Design.AFC_ALWAYS_BACKPRESSURED],
+    ids=lambda d: d.value,
+)
+def test_low_load_steady_state_builds_no_credit_message(design, monkeypatch):
+    """Credits are interned (``repro.network.link.credit_message``):
+    once the handful of distinct messages exists, a cycle returns
+    credits without constructing a single ``CreditMessage`` — at rate
+    0.05, where a credit used to be built for every flit hop."""
+    from repro.network import link
+
+    built = []
+    real_init = link.CreditMessage.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(link.CreditMessage, "__init__", counting_init)
+    net = Network(NetworkConfig(width=8, height=8), design, seed=1)
+    source = uniform_random_traffic(net, 0.05, seed=7)
+    source.run(WARMUP_CYCLES)
+    credit_pj = net.energy.totals.credit
+    built.clear()
+    source.run(MEASURE_CYCLES)
+    assert net.energy.totals.credit > credit_pj  # credits did flow
+    assert built == []

@@ -5,7 +5,12 @@ import pytest
 from repro import Design, Direction, Packet, VirtualNetwork
 from repro.routers.backpressured import vc_ranges
 
-from conftest import make_network, offer_random_burst, single_packet_network
+from conftest import (
+    assert_occupancy_mirrors,
+    make_network,
+    offer_random_burst,
+    single_packet_network,
+)
 
 
 class TestVcRanges:
@@ -179,3 +184,152 @@ class TestEndToEnd:
                 (net.stats.avg_packet_latency, net.cycle)
             )
         assert results[0] == results[1]
+
+
+class TestPortOccupancy:
+    """Route/VC allocation and switch allocation walk each port's
+    occupancy mask instead of all its VCs: the mask must mirror the
+    queues, and the walk must visit occupied VCs in the order the
+    all-VC scan did."""
+
+    def _local_flit(self, vc):
+        """A one-flit packet for node 0 itself, bound to input VC ``vc``."""
+        packet = Packet(
+            src=1, dst=0, vnet=VirtualNetwork.CONTROL_REQ, num_flits=1,
+            created_at=0,
+        )
+        flit = next(packet.flits())
+        flit.vc = vc
+        return flit
+
+    def test_mask_follows_the_queues(self):
+        net = make_network(Design.BACKPRESSURED)
+        router = net.router(0)
+        port = router._input_ports[Direction.EAST]
+        assert port.occupied == 0
+        router._accept_flit(self._local_flit(3), Direction.EAST, cycle=0)
+        assert port.occupied == 0b1000
+        router._accept_flit(self._local_flit(0), Direction.EAST, cycle=0)
+        assert port.occupied == 0b1001
+        assert_occupancy_mirrors(net)
+        router.step(cycle=0)  # one VC per input port per cycle
+        router.step(cycle=1)
+        assert port.occupied == 0
+        assert router.buffered_flits() == 0
+        assert_occupancy_mirrors(net)
+
+    @pytest.mark.parametrize(
+        "pointer, first, second",
+        [(0, 1, 5), (1, 1, 5), (2, 5, 1), (5, 5, 1), (6, 1, 5), (7, 1, 5)],
+    )
+    def test_round_robin_order_over_occupied_vcs(self, pointer, first, second):
+        net = make_network(Design.BACKPRESSURED)
+        router = net.router(0)
+        port = router._input_ports[Direction.EAST]
+        for vc in (1, 5):
+            router._accept_flit(self._local_flit(vc), Direction.EAST, cycle=0)
+        port.sa_rr = pointer
+        router.step(cycle=0)
+        assert not port.vcs[first].queue and port.vcs[second].queue
+        assert port.sa_rr == (first + 1) % len(port.vcs)
+        router.step(cycle=1)
+        assert port.occupied == 0
+
+    def test_blocked_vc_is_passed_over(self):
+        """An occupied VC whose downstream VC has no credit does not
+        end the port's scan: the next occupied VC in round-robin order
+        is nominated instead."""
+        net = make_network(Design.BACKPRESSURED)
+        router = net.router(1)  # top edge: EAST, WEST and SOUTH wired
+        port = router._input_ports[Direction.WEST]
+        onward = Packet(
+            src=0, dst=2, vnet=VirtualNetwork.CONTROL_REQ, num_flits=1,
+            created_at=0,
+        )
+        here = Packet(
+            src=0, dst=1, vnet=VirtualNetwork.CONTROL_REQ, num_flits=1,
+            created_at=0,
+        )
+        for vc, packet in enumerate((onward, here)):
+            flit = next(packet.flits())
+            flit.vc = vc
+            router._accept_flit(flit, Direction.WEST, cycle=0)
+        for state in router._out_state[Direction.EAST].vc_states:
+            state.credits = 0
+        router.step(cycle=0)
+        assert port.occupied == 0b01  # VC 0 still waits for a credit
+        assert net.interface(1).flits_ejected_total == 1
+        assert port.sa_rr == 2
+
+    def test_route_phase_runs_only_while_a_vc_awaits_allocation(self):
+        net, _ = single_packet_network(
+            Design.BACKPRESSURED, src=0, dst=2, num_flits=18,
+            vnet=VirtualNetwork.DATA,
+        )
+        router = net.router(1)  # the packet's middle hop
+        calls = []
+        real = router._route_and_allocate_vcs
+        router._route_and_allocate_vcs = lambda: calls.append(net.cycle) or real()
+        net.subscribe("cycle_end", lambda cycle: assert_occupancy_mirrors(net))
+        net.drain()
+        assert net.stats.packets_completed == 1
+        assert len(calls) == 1  # the head flit's cycle; 17 body cycles skip it
+
+    def test_failed_vc_allocation_stays_pending(self):
+        net, _ = single_packet_network(
+            Design.BACKPRESSURED, src=0, dst=2, num_flits=1
+        )
+        router = net.router(0)
+        states = router._out_state[Direction.EAST].vc_states
+        for state in states:
+            state.busy = True  # no downstream VC to allocate
+        router.step(cycle=0)
+        assert router._unallocated == 1 and router.buffered_flits() == 1
+        states[0].busy = False
+        router.step(cycle=1)
+        assert router._unallocated == 0 and router.buffered_flits() == 0
+
+    def test_credits_are_interned(self):
+        from repro.network.link import credit_message
+
+        net, _ = single_packet_network(
+            Design.BACKPRESSURED, src=0, dst=2, num_flits=3
+        )
+        seen = []
+        for _ in range(12):
+            net.step()
+            backflow = net.router(1).in_channels[Direction.WEST]._backflow
+            seen.extend(item for _, item in backflow._items)
+        credits = {id(c): c for c in seen}.values()
+        assert {(c.vc, c.frees_vc) for c in credits} == {(0, False), (0, True)}
+        for credit in credits:
+            assert credit is credit_message(
+                VirtualNetwork.CONTROL_REQ, credit.vc, credit.frees_vc
+            )
+
+    @pytest.mark.parametrize(
+        "design",
+        [Design.BACKPRESSURED, Design.BACKPRESSURED_BYPASS],
+        ids=lambda d: d.value,
+    )
+    def test_mirrors_hold_every_cycle_under_load(self, design):
+        net = make_network(design)
+        net.subscribe("cycle_end", lambda cycle: assert_occupancy_mirrors(net))
+        offer_random_burst(net, 150)
+        net.drain(max_cycles=20_000)
+
+    def test_mirrors_survive_credit_loss_and_resynthesis(self):
+        from repro.faults import FaultInjector, FaultSpec
+        from repro.traffic.synthetic import uniform_random_traffic
+
+        net = make_network(Design.BACKPRESSURED, seed=11)
+        spec = FaultSpec(seed=4, credit_loss_rate=12.0, credit_loss_burst=4)
+        injector = FaultInjector(
+            net, spec.schedule(net.mesh, start=0, horizon=1500)
+        )
+        net.subscribe("cycle_end", lambda cycle: assert_occupancy_mirrors(net))
+        uniform_random_traffic(
+            net, 0.3, seed=5, source_queue_limit=500
+        ).run(1500)
+        injector.drain(max_cycles=100_000)
+        assert net.stats.credits_lost > 0 and net.stats.credit_resyncs > 0

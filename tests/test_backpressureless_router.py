@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro import Design, Direction, Mesh, Packet, VirtualNetwork
 from repro.routers.backpressureless import allocate_deflection_ports
 
-from conftest import make_network, offer_random_burst, single_packet_network
+from conftest import (
+    RecordingMeter,
+    make_network,
+    offer_random_burst,
+    ports_used,
+    rng_twin,
+    single_packet_network,
+)
 
 
 def flits_to(dsts, src=0):
@@ -206,3 +213,110 @@ class TestDeflectionBehavior:
             router._accept_flit(flit, Direction.EAST, cycle=0)
         with pytest.raises(RuntimeError, match="invariant"):
             router.step(cycle=0)
+
+
+class TestSingleFlitPath:
+    """With at most one resident flit the randomized router skips the
+    allocator.  The general path would shuffle lists of <= 1 element
+    (no draw) and hand the flit its first productive port, so the
+    outcome, the RNG stream and the event order must all be those of
+    the general path — which the priority variant, whose sort of <= 1
+    element is equally a no-op, still takes for the same input."""
+
+    def _step_with(self, design, dsts, inject_to=None):
+        net = make_network(design)
+        router = net.router(4)  # centre: EAST/WEST/NORTH/SOUTH
+        router.energy = meter = RecordingMeter()
+        before = rng_twin(router.rng)
+        for flit in flits_to(dsts, src=3):
+            router._accept_flit(flit, Direction.WEST, cycle=0)
+        if inject_to is not None:
+            net.interface(4).offer(
+                Packet(
+                    src=4, dst=inject_to, vnet=VirtualNetwork.CONTROL_REQ,
+                    num_flits=1, created_at=0,
+                )
+            )
+        router.step(cycle=0)
+        return net, router, meter, before
+
+    def test_lone_flit_takes_first_productive_port_without_a_draw(self):
+        net, router, meter, before = self._step_with(
+            Design.BACKPRESSURELESS, [8]  # productive: EAST, then SOUTH
+        )
+        assert ports_used(router) == [Direction.EAST]
+        assert net.stats.deflections == 0
+        assert router.rng.getstate() == before.getstate()
+        assert meter.events == ["latch", "arbiter", "crossbar", "link"]
+
+    def test_lone_flit_at_destination_ejects_without_a_draw(self):
+        net, router, meter, before = self._step_with(
+            Design.BACKPRESSURELESS, [4]
+        )
+        assert ports_used(router) == []
+        assert net.interface(4).flits_ejected_total == 1
+        assert net.stats.dispatched_flit_hops == 1
+        assert router.rng.getstate() == before.getstate()
+        assert meter.events == ["latch", "crossbar"]
+
+    def test_same_cycle_injection_takes_a_leftover_port(self):
+        # Resident and injected flit both want EAST (their only
+        # productive port): the injected one is deflected onto a random
+        # free port, one draw, and dispatched second.
+        net, router, meter, before = self._step_with(
+            Design.BACKPRESSURELESS, [5], inject_to=5
+        )
+        leftover = before.choice(
+            [Direction.WEST, Direction.NORTH, Direction.SOUTH]
+        )
+        assert ports_used(router) == sorted([Direction.EAST, leftover])
+        assert router.rng.getstate() == before.getstate()
+        assert meter.events == ["latch"] + ["arbiter", "crossbar", "link"] * 2
+        assert net.interface(4).source_queue_flits == 0
+
+    @pytest.mark.parametrize(
+        "dsts, inject_to",
+        [([8], None), ([4], None), ([5], 5), ([8], 5), ([4], 0), ([], 2)],
+    )
+    def test_matches_the_general_path(self, dsts, inject_to):
+        fast = self._step_with(Design.BACKPRESSURELESS, dsts, inject_to)
+        general = self._step_with(
+            Design.BACKPRESSURELESS_PRIORITY, dsts, inject_to
+        )
+        assert ports_used(fast[1]) == ports_used(general[1])
+        assert fast[1].rng.getstate() == general[1].rng.getstate()
+        assert fast[2].events == general[2].events
+        assert (
+            fast[0].stats.dispatched_flit_hops
+            == general[0].stats.dispatched_flit_hops
+        )
+
+    def test_priority_variant_never_takes_the_shortcut(self, monkeypatch):
+        from repro.routers import backpressureless
+
+        calls = []
+        real = backpressureless.allocate_deflection_ports
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("sort_key"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            backpressureless, "allocate_deflection_ports", counting
+        )
+        self._step_with(Design.BACKPRESSURELESS, [8])
+        assert calls == []
+        self._step_with(Design.BACKPRESSURELESS_PRIORITY, [8])
+        assert calls == [backpressureless.age_key]
+
+    def test_two_flits_take_the_general_path(self):
+        net, router, meter, before = self._step_with(
+            Design.BACKPRESSURELESS, [5, 5]  # contend for EAST
+        )
+        order = [0, 1]
+        before.shuffle(order)  # the service-order draw
+        loser_port = before.choice(
+            [Direction.WEST, Direction.NORTH, Direction.SOUTH]
+        )
+        assert ports_used(router) == sorted([Direction.EAST, loser_port])
+        assert router.rng.getstate() == before.getstate()

@@ -140,3 +140,42 @@ class TestDefaults:
         cfg = NetworkConfig().scaled(8, 8)
         assert cfg.mesh.num_nodes == 64
         assert cfg.link_latency == NetworkConfig().link_latency
+
+
+class TestKnobValidation:
+    """Knobs no router honours, or that break every router, are
+    rejected at construction with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("inject_bandwidth", 2),  # every design injects 1 flit/cycle
+            ("inject_bandwidth", 0),
+            ("eject_bandwidth", 0),  # nothing would ever drain
+            ("load_window", 0),  # ZeroDivisionError in the load average
+            ("baseline_vc_depth", 0),
+            ("afc_vc_depth", 0),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(**{field: value})
+
+    def test_legal_edge_values_accepted(self):
+        cfg = NetworkConfig(
+            eject_bandwidth=1, load_window=1, baseline_vc_depth=1
+        )
+        assert cfg.inject_bandwidth == 1
+
+    def test_field_set_unchanged(self):
+        """Service job keys hash the config's fields: validation must
+        not add or remove any."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(NetworkConfig)] == [
+            "width", "height", "link_latency", "router_stages",
+            "data_bits", "control_packet_flits", "data_packet_flits",
+            "baseline_vcs", "baseline_vc_depth", "afc_vcs", "afc_vc_depth",
+            "eject_bandwidth", "inject_bandwidth", "load_window",
+            "ewma_alpha", "gossip_threshold", "thresholds",
+        ]

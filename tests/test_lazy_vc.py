@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Packet, VirtualNetwork
-from repro.core.lazy_vc import LazyInputPort, NeighborCreditState
+from repro.core.lazy_vc import BufferBank, LazyInputPort, NeighborCreditState
 
 
 def flit(vnet=VirtualNetwork.DATA):
@@ -83,6 +83,52 @@ class TestLazyInputPort:
         for vnet in VirtualNetwork:
             assert 0 <= port.occupied(vnet) <= port.capacity[vnet]
         assert port.total_flits == len(inserted)
+
+
+class TestBufferBank:
+    """The router-wide count moves with every port's own count."""
+
+    def test_ports_of_one_router_share_the_bank(self):
+        bank = BufferBank()
+        east, west = LazyInputPort(LAYOUT, bank), LazyInputPort(LAYOUT, bank)
+        a, b, c = flit(), flit(VirtualNetwork.CONTROL_REQ), flit()
+        east.insert(a)
+        east.insert(b)
+        west.insert(c)
+        assert bank.flits == 3 == east.total_flits + west.total_flits
+        east.remove(a)
+        west.remove(c)
+        assert bank.flits == 1 == east.total_flits + west.total_flits
+
+    def test_standalone_port_counts_into_its_own_bank(self):
+        first, second = LazyInputPort(LAYOUT), LazyInputPort(LAYOUT)
+        first.insert(flit())
+        assert first._bank.flits == 1 and second._bank.flits == 0
+
+    def test_overflow_leaves_the_bank_untouched(self):
+        bank = BufferBank()
+        port = LazyInputPort((1, 1, 1), bank)
+        port.insert(flit())
+        with pytest.raises(RuntimeError, match="overflow"):
+            port.insert(flit())
+        assert bank.flits == 1 == port.total_flits
+
+    @given(st.lists(st.booleans(), max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_bank_equals_recount_under_any_sequence(self, ops):
+        bank = BufferBank()
+        ports = [LazyInputPort(LAYOUT, bank) for _ in range(3)]
+        held = []
+        for i, insert in enumerate(ops):
+            port = ports[i % 3]
+            if insert and port.free_slots(VirtualNetwork.DATA):
+                f = flit()
+                port.insert(f)
+                held.append((port, f))
+            elif held:
+                port, f = held.pop(0)
+                port.remove(f)
+            assert bank.flits == sum(len(p.flits()) for p in ports)
 
 
 class TestNeighborCreditState:

@@ -4,7 +4,12 @@ import pytest
 
 from repro import Design, Network, NetworkConfig, Packet, VirtualNetwork
 
-from conftest import DATAPATH_DESIGNS, make_network, offer_random_burst
+from conftest import (
+    DATAPATH_DESIGNS,
+    assert_occupancy_mirrors,
+    make_network,
+    offer_random_burst,
+)
 
 
 class TestConstruction:
@@ -161,3 +166,54 @@ class TestMeasurementWindows:
         net.interface(0).offer(p)
         net.drain()
         assert seen == [(3, p.pid)]
+
+
+class TestAwakeList:
+    """The active-set loop walks ``Network._awake`` instead of scanning
+    the ``_asleep`` flags; the list must equal the clear flags after
+    every cycle, including wakes raised from inside the step phase."""
+
+    @pytest.mark.parametrize("design", DATAPATH_DESIGNS, ids=lambda d: d.value)
+    def test_matches_flags_with_mid_phase_wakes(self, design):
+        def build(engine):
+            replies = iter(range(40))
+
+            def reply(node, done):
+                # A completion at ``node`` makes it answer one sleeping
+                # node the step loop has passed and one it has not.
+                if next(replies, None) is None:
+                    return
+                for dst in (0, net.mesh.num_nodes - 1):
+                    if dst != node:
+                        net.interface(node).offer(
+                            Packet(
+                                src=node, dst=dst,
+                                vnet=VirtualNetwork.CONTROL_RESP,
+                                num_flits=2, created_at=net.cycle,
+                            )
+                        )
+
+            net = Network(
+                NetworkConfig(width=4, height=4), design, seed=3,
+                on_packet=reply, engine=engine,
+            )
+            return net
+
+        outcomes = []
+        for engine in ("active", "naive"):
+            net = build(engine)
+            if engine == "active":
+                net.subscribe(
+                    "cycle_end", lambda cycle: assert_occupancy_mirrors(net)
+                )
+            offer_random_burst(net, 12, seed=5)
+            net.drain(max_cycles=20_000)
+            net.run(50)  # everyone back to sleep
+            outcomes.append(
+                (net.cycle, net.stats.packets_completed, net.stats.hops_sum,
+                 vars(net.energy.totals).copy())
+            )
+            if engine == "active":
+                assert net._awake == []
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] > 12  # replies really were generated

@@ -36,6 +36,8 @@ from repro.network.routing import routing_tables
 from repro.network.topology import Direction, Mesh
 from repro.traffic.synthetic import uniform_random_traffic
 
+from conftest import assert_occupancy_mirrors
+
 CONFIG = NetworkConfig(width=4, height=4)
 
 
@@ -177,6 +179,9 @@ def test_mid_run_hook_attach_materializes():
             assert net.engine == "vector"
             assert net._vector_engine is not None
         sanitizer = Sanitizer(net).attach()
+        # The scalar engine takes over state it did not build: its awake
+        # list must agree with its flags from the first cycle on.
+        net.subscribe("cycle_end", lambda cycle: assert_occupancy_mirrors(net))
         source.run(300)
         net.drain(max_cycles=20_000)
         sanitizer.check_now()
