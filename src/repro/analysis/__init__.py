@@ -11,7 +11,9 @@
 * :mod:`repro.analysis.simlint` — static determinism/hygiene lint over
   the simulator sources (``repro lint``);
 * :mod:`repro.analysis.sanitizer` — opt-in per-cycle NoC invariant
-  checker (``repro run --sanitize``).
+  checker (``repro run --sanitize``);
+* :mod:`repro.analysis.fingerprint` — the one definition of "the same
+  run" (golden grid, determinism suites).
 """
 
 from .analytic import (

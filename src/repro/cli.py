@@ -892,15 +892,11 @@ def _cmd_dash(args: argparse.Namespace) -> int:
         drain_out = json.loads(Path(args.drain_json).read_text())
         counters = drain_out.get("counters")
         telemetry_summary = drain_out.get("telemetry_summary")
-    regression = None
-    if args.regression_json is not None:
-        regression = json.loads(Path(args.regression_json).read_text())
     html_text = build_dashboard(
         store_path=args.store,
         bench_dir=args.bench_dir,
         counters=counters,
         telemetry_summary=telemetry_summary,
-        regression=regression,
         title=args.title,
     )
     out = Path(args.out)
@@ -1438,7 +1434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dash",
         help=(
             "generate a self-contained HTML dashboard (no external "
-            "assets) from the result store and benchmark archives"
+            "assets) from the result store and the duty-cycle table"
         ),
     )
     dash.add_argument(
@@ -1452,8 +1448,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "benchmarks/results directory holding BENCH_*.json and "
-            "mode_duty_cycle.txt (omit to skip the benchmark panels)"
+            "benchmarks/results directory holding mode_duty_cycle.txt "
+            "(omit to skip the duty-cycle panel)"
         ),
     )
     dash.add_argument(
@@ -1463,15 +1459,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "a 'repro serve --drain' output JSON; its counters and "
             "telemetry summary become the service panel"
-        ),
-    )
-    dash.add_argument(
-        "--regression-json",
-        default=None,
-        metavar="FILE",
-        help=(
-            "a 'check_bench_regression.py --json' report; its verdict "
-            "is inlined as the pass/fail banner"
         ),
     )
     dash.add_argument(

@@ -374,7 +374,6 @@ class AfcRouter(BaseRouter):
             self.node,
             self.rng,
             remaining,
-            self._net_ports,
             port_allowed=self._deflect_mask,
             prod_row=self._prod_row,
             fallback_row=self._fallback_row,

@@ -147,8 +147,11 @@ class BatchedMT19937:
     def maintain(self) -> None:
         """Once-per-cycle batched rollover of every row that crossed
         its 624-word block boundary; keeps the per-draw path twist-free
-        (a cycle never consumes anywhere near a full block per row)."""
-        rows = np.nonzero(self.mti >= _N)[0]
+        (a cycle never consumes anywhere near a full block per row).
+        A row sitting exactly *on* the boundary is left alone, as
+        CPython twists only on the next draw: its exported state stays
+        equal to the scalar generator's, not merely stream-equivalent."""
+        rows = np.nonzero(self.mti > _N)[0]
         if rows.size:
             self._commit(rows)
 
@@ -158,7 +161,7 @@ class BatchedMT19937:
         rows not listed are untouched; ``idx`` must not repeat a row)."""
         pos = self.mti[idx]
         if pos.max() >= _TQ:  # pragma: no cover - needs maintain() skipped
-            self._commit(np.nonzero(self.mti >= _N)[0])
+            self._commit(np.nonzero(self.mti > _N)[0])
             pos = self.mti[idx]
         y = self._tqp[idx, pos]
         self.mti[idx] = pos + 1
@@ -202,7 +205,7 @@ class BatchedMT19937:
             if pos.max() > _TQ - _W:
                 # A rejection streak burned through the whole queued
                 # block mid-cycle; roll the affected rows over now.
-                self._commit(np.nonzero(mti >= _N)[0])
+                self._commit(np.nonzero(mti > _N)[0])
                 pos = mti[rows]
             words = self._tqw[rows, pos]
             if per_row:
@@ -257,7 +260,7 @@ class BatchedMT19937:
     def getstate(self, row: int) -> Tuple:
         """A ``random.Random.setstate``-compatible tuple for one row."""
         pos = int(self.mti[row])
-        if pos < _N:
+        if pos <= _N:
             words = tuple(int(w) for w in self.mt[row])
         else:
             words = tuple(int(w) for w in self.nxt[row])

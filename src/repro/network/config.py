@@ -200,9 +200,19 @@ class NetworkConfig:
             raise ValueError("EWMA alpha must be in (0, 1)")
         if min(self.baseline_vcs) < 1 or min(self.afc_vcs) < 1:
             raise ValueError("every virtual network needs at least one VC")
-        for name in ("baseline_vc_depth", "afc_vc_depth"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1 flit")
+        if self.baseline_vc_depth < 1:
+            raise ValueError("baseline_vc_depth must be >= 1 flit")
+        if self.afc_vc_depth != 1:
+            raise ValueError(
+                "afc_vc_depth other than 1 is not modelled: lazy VC "
+                "allocation holds one flit per VC, only the leakage "
+                f"bill would change (got {self.afc_vc_depth})"
+            )
+        if self.router_stages != 2:
+            raise ValueError(
+                "router_stages other than 2 is not modelled: every "
+                f"router is a two-stage pipeline (got {self.router_stages})"
+            )
         if self.inject_bandwidth != 1:
             raise ValueError(
                 "inject_bandwidth other than 1 is not modelled "

@@ -11,10 +11,7 @@ is archivable as a CI artifact and opens identically on a plane:
 * the **drain counters / telemetry summary** from a ``repro serve
   --drain`` output JSON (cache hits, sheds, retries, worker crashes);
 * the AFC **mode duty-cycle** table (``bench_mode_duty_cycle``
-  output) rendered as a residency heatmap;
-* the archived **BENCH_*.json** benchmark trajectory with the
-  ``check_bench_regression.py`` verdict inlined as a pass/fail
-  banner.
+  output) rendered as a residency heatmap.
 
 Every section renders only when its data exists — a dashboard over a
 bare store is just the (empty) jobs table.
@@ -109,7 +106,6 @@ def collect_payload(
     bench_dir=None,
     counters: Optional[dict] = None,
     telemetry_summary: Optional[dict] = None,
-    regression: Optional[dict] = None,
 ) -> dict:
     """Gather every available data source into the embedded payload."""
     payload: dict = {"version": 1, "jobs": []}
@@ -125,28 +121,12 @@ def collect_payload(
         payload["counters"] = dict(counters)
     if telemetry_summary:
         payload["telemetry_summary"] = dict(telemetry_summary)
-    if regression:
-        payload["regression"] = regression
     if bench_dir is not None:
-        bench_dir = Path(bench_dir)
-        duty = bench_dir / "mode_duty_cycle.txt"
+        duty = Path(bench_dir) / "mode_duty_cycle.txt"
         if duty.exists():
             payload["duty_cycle"] = _parse_duty_cycle(
                 duty.read_text(encoding="utf-8")
             )
-        bench: dict = {}
-        for name in ("BENCH_simulator", "BENCH_observability"):
-            path = bench_dir / f"{name}.json"
-            if not path.exists():
-                continue
-            try:
-                bench[name] = json.loads(
-                    path.read_text(encoding="utf-8")
-                )
-            except json.JSONDecodeError:
-                continue
-        if bench:
-            payload["bench"] = bench
     return payload
 
 
@@ -169,9 +149,6 @@ td.l,th.l{text-align:left}
 .bar{display:inline-block;height:9px;background:#4c8dd6;vertical-align:middle;
  border-radius:2px}
 .bar.p95{background:#e8a33d}.bar.p99{background:#d35f5f}
-.badge{display:inline-block;padding:2px 10px;border-radius:10px;font-size:12px;
- font-weight:600;color:#fff}
-.badge.ok{background:#2da44e}.badge.fail{background:#cf222e}
 .cell{min-width:54px}
 .counters span{display:inline-block;margin:2px 14px 2px 0;font-size:13px}
 .counters b{font-size:16px}
@@ -337,81 +314,6 @@ function empty(s, msg){ s.appendChild(el('div', {'class':'empty', text: msg})); 
   });
   s.appendChild(tbl);
 })();
-
-/* ---- benchmark trajectory + regression verdict ---- */
-(function(){
-  if (!P.bench && !P.regression) return;
-  var s = section('Benchmarks');
-  if (P.regression){
-    var bf = P.regression.behaviour_failures || [];
-    var pf = P.regression.perf_failures || [];
-    var clean = !bf.length && !pf.length;
-    s.appendChild(el('p', {}, [
-      el('span', {'class': 'badge ' + (clean ? 'ok' : 'fail'),
-        text: clean ? 'regression gate: PASS' : 'regression gate: FAIL'}),
-      document.createTextNode(clean
-        ? '  behaviour exact, throughput above floor ' +
-          (P.regression.min_ratio != null ? P.regression.min_ratio : '')
-        : '  ' + bf.concat(pf).join(' | ')),
-    ]));
-    var rows = P.regression.rows || [];
-    if (rows.length){
-      var tbl = el('table', {}, [el('tr', {}, ['scenario','engine',
-        'baseline c/s','fresh c/s','ratio','behaviour'].map(function(h,i){
-          return el('th', i < 2 ? {'class':'l', text:h} : {text:h}); }))]);
-      rows.forEach(function(r){
-        tbl.appendChild(el('tr', {}, [
-          el('td', {'class':'l', text: r.scenario}),
-          el('td', {'class':'l', text: r.engine}),
-          el('td', {text: fmt(r.baseline_cps)}),
-          el('td', {text: fmt(r.fresh_cps)}),
-          el('td', {text: fmt(r.ratio) + 'x'}),
-          el('td', {text: r.behaviour_ok ? 'exact' : 'CHANGED'}),
-        ]));
-      });
-      s.appendChild(tbl);
-    }
-  }
-  var sim = P.bench && P.bench.BENCH_simulator;
-  if (sim && sim.measurements){
-    var labels = Object.keys(sim.measurements);
-    var label = labels.indexOf('current') >= 0 ? 'current' : labels[0];
-    var m = sim.measurements[label] || {};
-    var tbl2 = el('table', {}, [el('tr', {}, [el('th', {'class':'l',
-      text:'scenario (' + label + ')'}), el('th', {text:'engine'}),
-      el('th', {text:'cycles/sec'}), el('th', {text:''})])]);
-    var max = 1;
-    Object.keys(m).forEach(function(sc){
-      Object.keys(m[sc]).forEach(function(en){
-        max = Math.max(max, m[sc][en].cycles_per_sec || 0); });
-    });
-    Object.keys(m).sort().forEach(function(sc){
-      Object.keys(m[sc]).sort().forEach(function(en){
-        var v = m[sc][en].cycles_per_sec;
-        if (typeof v !== 'number') return;
-        var bar = el('span', {'class':'bar',
-          'style':'width:' + Math.max(2, Math.round(180 * v / max)) + 'px'});
-        tbl2.appendChild(el('tr', {}, [
-          el('td', {'class':'l', text: sc}),
-          el('td', {text: en}),
-          el('td', {text: fmt(v)}),
-          el('td', {'class':'l'}, [bar]),
-        ]));
-      });
-    });
-    s.appendChild(tbl2);
-  }
-  var obs = P.bench && P.bench.BENCH_observability;
-  if (obs){
-    var line = 'observability overhead: ' +
-      fmt(obs.overhead_ratio) + 'x (budget ' + fmt(obs.max_overhead_ratio) + 'x)';
-    if (typeof obs.streaming_ratio === 'number')
-      line += ', streaming ' + fmt(obs.streaming_ratio) + 'x';
-    line += obs.bit_identical_when_observed
-      ? ' — bit-identical under observation' : ' — BIT-IDENTITY BROKEN';
-    s.appendChild(el('p', {text: line}));
-  }
-})();
 """
 
 
@@ -430,8 +332,6 @@ def render_dashboard(
     sub = f"{jobs} job(s) in store"
     if payload.get("counters"):
         sub += " · drain counters attached"
-    if payload.get("regression"):
-        sub += " · regression verdict attached"
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
@@ -449,7 +349,6 @@ def build_dashboard(
     bench_dir=None,
     counters: Optional[dict] = None,
     telemetry_summary: Optional[dict] = None,
-    regression: Optional[dict] = None,
     title: str = "repro dashboard",
 ) -> str:
     """Collect + render in one call (what ``repro dash`` invokes)."""
@@ -463,6 +362,5 @@ def build_dashboard(
         bench_dir=bench_dir,
         counters=counters,
         telemetry_summary=telemetry_summary,
-        regression=regression,
     )
     return render_dashboard(payload, title=title)

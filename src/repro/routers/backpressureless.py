@@ -57,13 +57,12 @@ def allocate_deflection_ports(
     node: int,
     rng: random.Random,
     flits: List[Flit],
-    ports: List[Direction],
     port_allowed: Callable[[Flit, Direction], bool],
     sort_key: Optional[Callable[[Flit], object]] = None,
     prod_row: Optional[Sequence[Tuple[Direction, ...]]] = None,
     fallback_row: Optional[Sequence[Tuple[Direction, ...]]] = None,
 ) -> Tuple[Dict[Direction, Flit], List[Flit]]:
-    """Deflection port allocation.
+    """Deflection port allocation over the node's network ports.
 
     Serves ``flits`` in a random permutation (Chaos-style, the paper's
     preferred priority-free variant) or, when ``sort_key`` is given, in
@@ -75,25 +74,14 @@ def allocate_deflection_ports(
     at all.
 
     With ``port_allowed`` always true (the pure deflection router) and
-    ``len(flits) <= len(ports)``, the unplaced list is provably empty —
-    masking ports (AFC's credit tracking toward backpressured
-    neighbours) is the only way a flit can be left over.
+    no more flits than the node has network ports, the unplaced list is
+    provably empty — masking ports (AFC's credit tracking toward
+    backpressured neighbours) is the only way a flit can be left over.
 
-    ``prod_row``, when given, is this node's precomputed
-    productive-ports row (``routing_tables(mesh).productive[node]``);
-    passing it skips the per-flit table lookup on the hot path.
-
-    ``fallback_row`` additionally asserts the *full-port contract*:
-    ``ports`` is the node's complete network-port set (in wiring
-    order), so every productive port is known to be a member and the
-    deflection candidates are exactly the precomputed non-productive
-    ports (``routing_tables(mesh).fallback[node]``) filtered by
-    occupancy and the mask.  This is bit-identical to the generic path
-    — a productive port that is free and allowed is always taken by
-    the preferred loop first, so the generic ``free`` list can never
-    contain one — but skips the per-flit membership scans and list
-    rebuild.  Callers passing a port *subset* (tests, partial masks
-    with non-standard orders) must leave it ``None``.
+    ``prod_row`` / ``fallback_row`` are this node's rows of
+    ``routing_tables(mesh).productive`` / ``.fallback`` (the productive
+    ports and, in wiring order, the remaining ones, per destination);
+    routers pass their cached rows to skip the lookup on the hot path.
     """
     order = list(flits)
     if sort_key is None:
@@ -102,46 +90,20 @@ def allocate_deflection_ports(
         order.sort(key=sort_key)
     if prod_row is None:
         prod_row = routing_tables(mesh).productive[node]
+    if fallback_row is None:
+        fallback_row = routing_tables(mesh).fallback[node]
     assignment: Dict[Direction, Flit] = {}
     unplaced: List[Flit] = []
-    if fallback_row is not None:
-        for flit in order:
-            chosen: Optional[Direction] = None
-            for port in prod_row[flit.dst]:
-                if port not in assignment and port_allowed(flit, port):
-                    chosen = port
-                    break
-            if chosen is None:
-                free = [
-                    p
-                    for p in fallback_row[flit.dst]
-                    if p not in assignment and port_allowed(flit, p)
-                ]
-                if free:
-                    chosen = rng.choice(free)
-                    flit.deflections += 1
-            if chosen is None:
-                unplaced.append(flit)
-            else:
-                # Direction-keyed dict: iteration order is insertion
-                # order, fully determined by the seeded stream.
-                assignment[chosen] = flit  # simlint: disable=rng-tainted-hash-key
-        return assignment, unplaced
     for flit in order:
-        preferred = prod_row[flit.dst]
-        chosen = None
-        for port in preferred:
-            if (
-                port in ports
-                and port not in assignment
-                and port_allowed(flit, port)
-            ):
+        chosen: Optional[Direction] = None
+        for port in prod_row[flit.dst]:
+            if port not in assignment and port_allowed(flit, port):
                 chosen = port
                 break
         if chosen is None:
             free = [
                 p
-                for p in ports
+                for p in fallback_row[flit.dst]
                 if p not in assignment and port_allowed(flit, p)
             ]
             if free:
@@ -150,7 +112,8 @@ def allocate_deflection_ports(
         if chosen is None:
             unplaced.append(flit)
         else:
-            # Same Direction-keyed insertion-order argument as above.
+            # Direction-keyed dict: iteration order is insertion
+            # order, fully determined by the seeded stream.
             assignment[chosen] = flit  # simlint: disable=rng-tainted-hash-key
     return assignment, unplaced
 
@@ -233,7 +196,6 @@ class BackpressurelessRouter(BaseRouter):
                 self.node,
                 self.rng,
                 remaining,
-                self._net_ports,
                 port_allowed=_always_allowed,
                 sort_key=self._sort_key,
                 prod_row=self._prod_row,

@@ -35,17 +35,11 @@ def flits_to(dsts, src=0):
 
 class TestAllocateDeflectionPorts:
     MESH = Mesh(3, 3)
-    PORTS_CENTER = [
-        Direction.EAST,
-        Direction.WEST,
-        Direction.NORTH,
-        Direction.SOUTH,
-    ]
 
     def test_assigns_distinct_ports(self):
         flits = flits_to([5, 5, 5], src=3)  # node 4's neighbours vary
         assignment, unplaced = allocate_deflection_ports(
-            self.MESH, 4, random.Random(0), flits, self.PORTS_CENTER,
+            self.MESH, 4, random.Random(0), flits,
             port_allowed=lambda f, p: True,
         )
         assert not unplaced
@@ -54,7 +48,7 @@ class TestAllocateDeflectionPorts:
     def test_uncontended_flit_gets_productive_port(self):
         flits = flits_to([5], src=3)  # at node 4, 5 is EAST
         assignment, _ = allocate_deflection_ports(
-            self.MESH, 4, random.Random(0), flits, self.PORTS_CENTER,
+            self.MESH, 4, random.Random(0), flits,
             port_allowed=lambda f, p: True,
         )
         assert assignment == {Direction.EAST: flits[0]}
@@ -63,7 +57,7 @@ class TestAllocateDeflectionPorts:
     def test_contention_deflects_loser(self):
         flits = flits_to([5, 5], src=3)  # both want EAST at node 4
         assignment, _ = allocate_deflection_ports(
-            self.MESH, 4, random.Random(0), flits, self.PORTS_CENTER,
+            self.MESH, 4, random.Random(0), flits,
             port_allowed=lambda f, p: True,
         )
         assert Direction.EAST in assignment
@@ -73,7 +67,7 @@ class TestAllocateDeflectionPorts:
     def test_full_mask_leaves_flit_unplaced(self):
         flits = flits_to([5], src=3)
         assignment, unplaced = allocate_deflection_ports(
-            self.MESH, 4, random.Random(0), flits, self.PORTS_CENTER,
+            self.MESH, 4, random.Random(0), flits,
             port_allowed=lambda f, p: False,
         )
         assert assignment == {}
@@ -86,7 +80,7 @@ class TestAllocateDeflectionPorts:
             dsts = [d if d != 4 else 5 for d in dsts]
             flits = flits_to(dsts, src=0)
             _, unplaced = allocate_deflection_ports(
-                self.MESH, 4, rng, flits, self.PORTS_CENTER,
+                self.MESH, 4, rng, flits,
                 port_allowed=lambda f, p: True,
             )
             assert not unplaced
@@ -109,7 +103,7 @@ class TestAllocateDeflectionPorts:
                 dsts.append(d)
         flits = flits_to(dsts, src=node if node != 0 else 1)
         assignment, unplaced = allocate_deflection_ports(
-            mesh, node, rng, flits, ports,
+            mesh, node, rng, flits,
             port_allowed=lambda f, p: True,
         )
         assert not unplaced

@@ -155,6 +155,11 @@ class TestKnobValidation:
             ("load_window", 0),  # ZeroDivisionError in the load average
             ("baseline_vc_depth", 0),
             ("afc_vc_depth", 0),
+            # Read by the leakage bill only: LazyInputPort holds one
+            # flit per VC whatever this says.
+            ("afc_vc_depth", 2),
+            ("router_stages", 1),  # read by no line of the simulator
+            ("router_stages", 3),
         ],
     )
     def test_rejected_with_the_field_named(self, field, value):

@@ -3,8 +3,9 @@
 Two families of guarantees, both *bit-exact* (no tolerances anywhere):
 
 * the active-set cycle engine (``engine="active"``, the default) must
-  produce byte-for-byte the same statistics, mode history and energy
-  ledger as the naive step-everything loop (``engine="naive"``) for
+  finish with the same :func:`repro.analysis.fingerprint.fingerprint`
+  row (counters, energy by ``float.hex``, mode statistics, every RNG
+  stream's end state) as the naive loop (``engine="naive"``) for
   every design, including the dropping design's retransmit path and
   AFC's self-timed reverse switches out of deep idle;
 * the process-parallel experiment harness (``jobs > 1``) must merge
@@ -18,6 +19,7 @@ still owes (or is owed) a flit would show up here immediately.
 import pytest
 
 from repro import Design, Network, NetworkConfig
+from repro.analysis.fingerprint import fingerprint
 from repro.analysis.sanitizer import Sanitizer
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.sweep import SweepGrid, run_open_loop_sweep
@@ -26,31 +28,14 @@ from repro.traffic.synthetic import uniform_random_traffic
 from repro.traffic.workloads import WORKLOADS
 
 
-def full_state(net: Network) -> dict:
-    """Every externally observable accumulator of a finished run."""
-    stats = {
-        key: value
-        for key, value in vars(net.stats).items()
-        if key != "mode_stats"
-    }
-    return {
-        "cycle": net.cycle,
-        "stats": stats,
-        "mode_stats": {
-            node: vars(entry).copy()
-            for node, entry in net.stats.mode_stats.items()
-        },
-        "energy": vars(net.energy.totals).copy(),
-    }
-
-
 def run_scenario(
     design: Design,
     engine: str,
     rate: float,
     cycles: int,
     conservation_stride: int = 0,
-) -> dict:
+):
+    """Run to a drain; return ``(net, fingerprint row)``."""
     reset_packet_ids()
     net = Network(NetworkConfig(), design, seed=11, engine=engine)
     source = uniform_random_traffic(
@@ -64,7 +49,7 @@ def run_scenario(
         source.run(cycles)
     net.drain(max_cycles=20_000)
     net.check_flit_conservation()
-    return full_state(net)
+    return net, fingerprint(net, source)
 
 
 @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
@@ -72,8 +57,8 @@ def run_scenario(
 def test_engines_bit_identical(design, rate):
     """Active-set engine == naive loop, for every design, both in the
     mostly-asleep regime (low load) and the mostly-awake one."""
-    naive = run_scenario(design, "naive", rate, 600)
-    active = run_scenario(design, "active", rate, 600)
+    _, naive = run_scenario(design, "naive", rate, 600)
+    _, active = run_scenario(design, "active", rate, 600)
     assert active == naive
 
 
@@ -88,10 +73,10 @@ def test_engines_bit_identical_at_saturation(design):
     rows (all productive ports taken), AFC's credit-masked allocation
     and emergency buffering, and the persistent switch-allocation
     request lists under full contention."""
-    naive = run_scenario(design, "naive", 0.7, 400)
-    active = run_scenario(design, "active", 0.7, 400)
+    net, naive = run_scenario(design, "naive", 0.7, 400)
+    _, active = run_scenario(design, "active", 0.7, 400)
     assert active == naive
-    assert naive["stats"]["flits_ejected"] > 0
+    assert net.stats.flits_ejected > 0
 
 
 def test_engines_bit_identical_at_saturation_8x8():
@@ -113,7 +98,7 @@ def test_engines_bit_identical_at_saturation_8x8():
         source.run(300)
         net.drain(max_cycles=40_000)
         net.check_flit_conservation()
-        states[engine] = full_state(net)
+        states[engine] = fingerprint(net, source)
     assert states["active"] == states["naive"]
 
 
@@ -127,11 +112,11 @@ def test_conservation_under_quiescence_skipping(design):
     every 7 cycles, mid-protocol, including the dropping design's
     NACK/retransmit circuit (which re-enters the network through a
     sleeping source's interface)."""
-    state = run_scenario(
+    net, _ = run_scenario(
         design, "active", 0.35, 700, conservation_stride=7
     )
     if design is Design.BACKPRESSURELESS_DROPPING:
-        assert state["stats"]["flits_dropped"] > 0, (
+        assert net.stats.flits_dropped > 0, (
             "scenario too gentle: the retransmit path was never taken"
         )
 
@@ -141,11 +126,11 @@ def test_afc_self_wake_reverse_switch():
     cycle its decayed EWMA crosses the reverse threshold (no neighbour
     event arrives to wake it).  The long drain after a saturating burst
     is where a lazy engine would sleep through the switch."""
-    naive = run_scenario(Design.AFC, "naive", 0.55, 900)
-    active = run_scenario(Design.AFC, "active", 0.55, 900)
+    net, naive = run_scenario(Design.AFC, "naive", 0.55, 900)
+    _, active = run_scenario(Design.AFC, "active", 0.55, 900)
     assert active == naive
     reverse = sum(
-        entry["reverse_switches"] for entry in naive["mode_stats"].values()
+        entry.reverse_switches for entry in net.stats.mode_stats.values()
     )
     assert reverse > 0, "scenario too gentle: no reverse switch happened"
 
@@ -153,7 +138,7 @@ def test_afc_self_wake_reverse_switch():
 # -- invariant sanitizer is a pure observer -----------------------------------
 def _run_sanitized_scenario(
     design: Design, engine: str, rate: float, cycles: int, detach_first: bool
-) -> dict:
+) -> list:
     """Like :func:`run_scenario` but with a Sanitizer in the picture —
     either watching the whole run (``detach_first=False``) or attached
     and detached again before any cycle executes (``detach_first=True``,
@@ -170,7 +155,7 @@ def _run_sanitized_scenario(
     net.drain(max_cycles=20_000)
     sanitizer.detach()
     net.check_flit_conservation()
-    return full_state(net)
+    return fingerprint(net, source)
 
 
 @pytest.mark.parametrize("engine", ["naive", "active"])
@@ -183,7 +168,7 @@ def test_sanitizer_runs_are_bit_identical(design, engine):
     """Attached or detached, the sanitizer never perturbs a run: every
     externally observable accumulator matches the plain run exactly on
     both engines (it reads state, never writes it)."""
-    plain = run_scenario(design, engine, 0.35, 500)
+    _, plain = run_scenario(design, engine, 0.35, 500)
     detached = _run_sanitized_scenario(design, engine, 0.35, 500, True)
     watched = _run_sanitized_scenario(design, engine, 0.35, 500, False)
     assert detached == plain

@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro import Design, Network, NetworkConfig
+from repro.analysis.fingerprint import fingerprint
 from repro.faults import FaultInjector, FaultSpec, ProtectionConfig
 from repro.harness.experiment import ExperimentRunner
 from repro.network.flit import reset_packet_ids
@@ -111,23 +112,6 @@ def test_registry_roundtrip_and_merge():
 # -- purity: off == never attached, on == bit-identical --------------------
 
 
-def full_state(net: Network) -> dict:
-    stats = {
-        key: value
-        for key, value in vars(net.stats).items()
-        if key != "mode_stats"
-    }
-    return {
-        "cycle": net.cycle,
-        "stats": stats,
-        "mode_stats": {
-            node: vars(entry).copy()
-            for node, entry in net.stats.mode_stats.items()
-        },
-        "energy": vars(net.energy.totals).copy(),
-    }
-
-
 def run_uniform(design, engine, options=None, cycles=500, rate=0.35):
     reset_packet_ids()
     net = Network(NetworkConfig(), design, seed=11, engine=engine)
@@ -139,7 +123,7 @@ def run_uniform(design, engine, options=None, cycles=500, rate=0.35):
     net.drain(max_cycles=20_000)
     if observer is not None:
         observer.detach()
-    return net, observer
+    return net, observer, source
 
 
 def test_disabled_observability_leaves_every_hook_unset():
@@ -161,9 +145,9 @@ def test_full_observability_is_pure(design, engine):
     """Trace + metrics + profiler attached changes no simulation
     outcome, on either engine — the stats, mode history and energy
     ledger stay bit-identical to an unobserved run."""
-    plain, _ = run_uniform(design, engine)
-    observed, observer = run_uniform(design, engine, FULL_OPTIONS)
-    assert full_state(observed) == full_state(plain)
+    plain, _, plain_source = run_uniform(design, engine)
+    observed, observer, source = run_uniform(design, engine, FULL_OPTIONS)
+    assert fingerprint(observed, source) == fingerprint(plain, plain_source)
     # And the observer actually saw the traffic.
     assert observer.tracer.recorded > 0
     assert observer.profiler.cycles_profiled > 0
@@ -177,7 +161,7 @@ def test_full_observability_is_pure(design, engine):
 
 
 def test_detach_restores_class_methods_and_hooks():
-    net, observer = run_uniform(Design.AFC, "active", FULL_OPTIONS)
+    net, observer, _ = run_uniform(Design.AFC, "active", FULL_OPTIONS)
     assert not net.subscribed
     for router in net.routers:
         assert "step" not in vars(router)
@@ -191,7 +175,7 @@ def test_detach_restores_class_methods_and_hooks():
 def test_metrics_cross_check_against_stats():
     """Registry totals agree with the always-on StatsCollector for the
     quantities both track (whole-run window, no measurement reset)."""
-    _net, observer = run_uniform(Design.AFC, "active", FULL_OPTIONS)
+    _net, observer, _ = run_uniform(Design.AFC, "active", FULL_OPTIONS)
     stats = _net.stats
     flat = observer.registry.to_dict()
     counters = flat["counters"]

@@ -18,6 +18,7 @@ import itertools
 import pytest
 
 from repro import Design, Network, NetworkConfig
+from repro.analysis.fingerprint import fingerprint
 from repro.analysis.probes import TimeSeriesProbe
 from repro.analysis.sanitizer import Sanitizer
 from repro.faults import (
@@ -37,23 +38,6 @@ SMOKE_SPEC = FaultSpec(
     seed=1, link_flap_rate=4.0, bit_error_rate=2.0, credit_loss_rate=2.0
 )
 CYCLES = 500
-
-
-def fingerprint(net: Network) -> dict:
-    """Every externally observable accumulator of a finished run."""
-    return {
-        "cycle": net.cycle,
-        "stats": {
-            key: value
-            for key, value in vars(net.stats).items()
-            if key != "mode_stats"
-        },
-        "mode_stats": {
-            node: vars(entry).copy()
-            for node, entry in net.stats.mode_stats.items()
-        },
-        "energy": vars(net.energy.totals).copy(),
-    }
 
 
 def control_packet(net: Network, src: int, dst: int) -> Packet:
@@ -242,7 +226,7 @@ SCENARIOS = {
 def test_every_attach_and_detach_order_is_equivalent(scenario):
     design, schedule_for = SCENARIOS[scenario]
     plain_net, plain_source, _ = run_observed(design, schedule_for)
-    expected = fingerprint(plain_net)
+    expected = fingerprint(plain_net, plain_source)
     faulted = scenario.endswith("smoke")
     if faulted:
         assert plain_net.stats.fault_events > 0
@@ -254,7 +238,7 @@ def test_every_attach_and_detach_order_is_equivalent(scenario):
         net, source, built = run_observed(
             design, schedule_for, attach_order, detach_order
         )
-        assert fingerprint(net) == expected, label
+        assert fingerprint(net, source) == expected, label
         assert not net.subscribed, label
         assert built["sanitizer"].violations_found == 0, label
         assert built["sanitizer"].checks_run >= CYCLES, label
@@ -264,6 +248,10 @@ def test_every_attach_and_detach_order_is_equivalent(scenario):
         counters = built["hub"].registry.to_dict()["counters"]
         if faulted:
             stats = net.stats
+            assert stats.fault_events == plain_net.stats.fault_events, label
+            assert (
+                stats.flits_corrupted == plain_net.stats.flits_corrupted
+            ), label
             assert counters["noc_fault_events_total"] == stats.fault_events
             assert (
                 counters["noc_flits_corrupted_total"] == stats.flits_corrupted
@@ -287,7 +275,7 @@ def vector_run(engine, attach):
     attached = attach(net)
     source.run(300)
     net.drain(max_cycles=20_000)
-    return net, attached
+    return net, source, attached
 
 
 def test_offer_observer_for_one_node_mid_run_pushes_vector_engine_out():
@@ -302,9 +290,9 @@ def test_offer_observer_for_one_node_mid_run_pushes_vector_engine_out():
         )
         return seen
 
-    naive, naive_seen = vector_run("naive", attach)
-    net, seen = vector_run("vector", attach)
-    assert fingerprint(net) == fingerprint(naive)
+    naive, naive_source, naive_seen = vector_run("naive", attach)
+    net, source, seen = vector_run("vector", attach)
+    assert fingerprint(net, source) == fingerprint(naive, naive_source)
     assert len(seen) == len(naive_seen) > 0
     assert net.engine == "active" and net._vector_engine is None
     assert net.vector_fallback_reason == "subscribers attached at offer"
@@ -317,10 +305,10 @@ def test_profiler_on_adopted_vector_network_falls_back_and_sees_routers():
     def attach(net):
         return Observability(net, ObservabilityOptions(profile=True)).attach()
 
-    naive, _ = vector_run("naive", attach)
-    net, observer = vector_run("vector", attach)
+    naive, naive_source, _ = vector_run("naive", attach)
+    net, source, observer = vector_run("vector", attach)
     observer.detach()
-    assert fingerprint(net) == fingerprint(naive)
+    assert fingerprint(net, source) == fingerprint(naive, naive_source)
     assert net.vector_fallback_reason == "subscribers attached at cycle_end"
     profile = observer.payload()["profile"]
     assert profile["hottest_router"] in range(len(net.routers))
