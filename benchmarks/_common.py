@@ -4,12 +4,6 @@ Every benchmark regenerates one table or figure of the paper's
 evaluation (see DESIGN.md's per-experiment index).  Results are printed
 (run pytest with ``-s`` to watch live) and archived under
 ``benchmarks/results/`` so EXPERIMENTS.md can quote them.
-
-Benchmarks run each experiment exactly once per session
-(``benchmark.pedantic(..., rounds=1)``): the measurement of interest is
-the simulation's *output*, not the wall-clock of the simulator, though
-pytest-benchmark's timing is still a useful regression canary for
-simulator performance.
 """
 
 from __future__ import annotations
@@ -45,9 +39,3 @@ def report(name: str, text: str) -> None:
     print(text)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark and return its
-    result."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

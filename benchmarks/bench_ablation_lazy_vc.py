@@ -24,7 +24,7 @@ from repro.harness import format_table
 from repro.traffic.synthetic import uniform_random_traffic
 from repro.traffic.workloads import WORKLOADS
 
-from _common import report, run_once, standard_runner
+from _common import report, standard_runner
 
 LAYOUTS = ((4, 4, 8), (8, 8, 16), (8, 8, 32), (16, 16, 32))
 PROBE_RATE = 0.85
@@ -71,8 +71,8 @@ def _run_ablation():
     return out, out_closed
 
 
-def test_lazy_vc_ablation(benchmark):
-    saturation, closed = run_once(benchmark, _run_ablation)
+def test_lazy_vc_ablation():
+    saturation, closed = _run_ablation()
     base = saturation["baseline(64f, per-packet)"]
     rows = [
         [label, f"{thr:.3f}", f"{thr / base:.3f}"]

@@ -22,7 +22,7 @@ import pytest
 from repro import Design
 from repro.harness import ExperimentRunner, format_table
 
-from _common import report, run_once
+from _common import report
 
 SWEEP_RATES = (0.3, 0.5, 0.7, 0.85)
 DEFLECTION_DESIGNS = (
@@ -57,8 +57,8 @@ def _run_variants():
     return sweep, low_load
 
 
-def test_backpressureless_variants(benchmark):
-    sweep, low_load = run_once(benchmark, _run_variants)
+def test_backpressureless_variants():
+    sweep, low_load = _run_variants()
 
     rows = []
     for i, rate in enumerate(SWEEP_RATES):

@@ -20,7 +20,7 @@ from repro.faults import FaultSpec
 from repro.harness import format_table
 from repro.harness.experiment import ExperimentRunner
 
-from _common import report, run_once
+from _common import report
 
 DESIGNS = (Design.BACKPRESSURED, Design.BACKPRESSURELESS, Design.AFC)
 
@@ -67,8 +67,8 @@ def _run_permanent():
     return {design: runner.run_faulted(design, RATE, spec) for design in DESIGNS}
 
 
-def test_transient_fault_resilience(benchmark):
-    results = run_once(benchmark, _run_transient)
+def test_transient_fault_resilience():
+    results = _run_transient()
     rows = []
     for label, per_design in results.items():
         best = max(r.delivered_flit_rate for r in per_design.values())
@@ -116,8 +116,8 @@ def test_transient_fault_resilience(benchmark):
     )
 
 
-def test_permanent_damage_resilience(benchmark):
-    results = run_once(benchmark, _run_permanent)
+def test_permanent_damage_resilience():
+    results = _run_permanent()
     rows = []
     for design, r in results.items():
         rows.append(

@@ -20,7 +20,7 @@ from repro.harness import (
 )
 from repro.traffic.workloads import LOW_LOAD_WORKLOADS
 
-from _common import report, run_once, standard_runner
+from _common import report, standard_runner
 
 
 def _run_low_load():
@@ -34,8 +34,8 @@ def _run_low_load():
     return results
 
 
-def test_fig2_low_load(benchmark):
-    results = run_once(benchmark, _run_low_load)
+def test_fig2_low_load():
+    results = _run_low_load()
     perf = {
         wl: {d: r.performance for d, r in per_design.items()}
         for wl, per_design in results.items()

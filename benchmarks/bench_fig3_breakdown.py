@@ -18,7 +18,7 @@ from repro import Design
 from repro.harness import MAIN_DESIGNS, format_breakdown_table
 from repro.traffic.workloads import HIGH_LOAD_WORKLOADS, LOW_LOAD_WORKLOADS
 
-from _common import report, run_once, standard_runner
+from _common import report, standard_runner
 
 
 def _run_breakdowns():
@@ -38,8 +38,8 @@ def _run_breakdowns():
     return out
 
 
-def test_fig3_energy_breakdown(benchmark):
-    results = run_once(benchmark, _run_breakdowns)
+def test_fig3_energy_breakdown():
+    results = _run_breakdowns()
     tables = {}
     for group, label in (("low", "3(a)"), ("high", "3(b)")):
         breakdowns = {

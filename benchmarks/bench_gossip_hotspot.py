@@ -17,7 +17,7 @@ from repro.harness import format_table
 from repro.traffic.patterns import Hotspot
 from repro.traffic.synthetic import OpenLoopSource
 
-from _common import report, run_once
+from _common import report
 
 CASES = (
     ("mild hotspot", 0.6, 0.5),
@@ -51,8 +51,8 @@ def _run_hotspots():
     return out
 
 
-def test_gossip_under_hotspots(benchmark):
-    results = run_once(benchmark, _run_hotspots)
+def test_gossip_under_hotspots():
+    results = _run_hotspots()
     rows = [
         [
             label,

@@ -15,7 +15,7 @@ from repro import Design
 from repro.harness import format_table
 from repro.traffic.workloads import WORKLOADS
 
-from _common import report, run_once, standard_runner
+from _common import report, standard_runner
 
 
 def _run_duty_cycles():
@@ -28,8 +28,8 @@ def _run_duty_cycles():
     }
 
 
-def test_mode_duty_cycle(benchmark):
-    results = run_once(benchmark, _run_duty_cycles)
+def test_mode_duty_cycle():
+    results = _run_duty_cycles()
     rows = []
     for name, r in results.items():
         rows.append(

@@ -11,7 +11,7 @@ import pytest
 from repro import Design
 from repro.harness import ExperimentRunner, format_table
 
-from _common import report, run_once
+from _common import report
 
 RATES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DESIGNS = (Design.BACKPRESSURED, Design.BACKPRESSURELESS, Design.AFC)
@@ -34,8 +34,8 @@ def _saturation_throughput(points):
     return max(p.throughput for p in points)
 
 
-def test_openloop_latency_throughput(benchmark):
-    curves = run_once(benchmark, _run_sweep)
+def test_openloop_latency_throughput():
+    curves = _run_sweep()
     rows = []
     for i, rate in enumerate(RATES):
         row = [f"{rate:.1f}"]

@@ -92,10 +92,8 @@ def _run_sensitivity():
     return alpha_results, scale_results, gossip_results
 
 
-def test_design_choice_sensitivity(benchmark):
-    alphas, scales, gossip = benchmark.pedantic(
-        _run_sensitivity, rounds=1, iterations=1
-    )
+def test_design_choice_sensitivity():
+    alphas, scales, gossip = _run_sensitivity()
     rows = [
         [
             f"alpha={alpha}",

@@ -23,7 +23,7 @@ from repro.harness import format_table
 from repro.traffic.patterns import QuadrantLocal
 from repro.traffic.synthetic import OpenLoopSource
 
-from _common import report, run_once
+from _common import report
 
 HOT_RATE = 0.9
 COLD_RATE = 0.1
@@ -82,8 +82,8 @@ def _run_spatial():
     return results
 
 
-def test_spatial_variation(benchmark):
-    results = run_once(benchmark, _run_spatial)
+def test_spatial_variation():
+    results = _run_spatial()
     afc_energy = results[Design.AFC]["energy_per_flit"]
     rows = [
         [

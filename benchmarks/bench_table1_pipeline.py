@@ -14,7 +14,7 @@ import pytest
 from repro import Design, Network, NetworkConfig, Packet, VirtualNetwork
 from repro.harness import format_table
 
-from _common import report, run_once
+from _common import report
 
 DESIGNS = (
     Design.BACKPRESSURED,
@@ -49,8 +49,8 @@ def _run_pipeline_matrix():
     }
 
 
-def test_table1_pipeline_parity(benchmark):
-    matrix = run_once(benchmark, _run_pipeline_matrix)
+def test_table1_pipeline_parity():
+    matrix = _run_pipeline_matrix()
     rows = []
     for i, (src, dst, hops) in enumerate(HOPS_CASES):
         rows.append(

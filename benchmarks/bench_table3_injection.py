@@ -15,7 +15,7 @@ from repro import Design
 from repro.harness import format_table
 from repro.traffic.workloads import WORKLOADS
 
-from _common import report, run_once, standard_runner
+from _common import report, standard_runner
 
 
 def _run_injection_rates():
@@ -26,8 +26,8 @@ def _run_injection_rates():
     }
 
 
-def test_table3_injection_rates(benchmark):
-    results = run_once(benchmark, _run_injection_rates)
+def test_table3_injection_rates():
+    results = _run_injection_rates()
     rows = []
     for name, result in results.items():
         paper = WORKLOADS[name].paper_injection_rate

@@ -14,6 +14,10 @@
   checker (``repro run --sanitize``);
 * :mod:`repro.analysis.fingerprint` — the one definition of "the same
   run" (golden grid, determinism suites).
+
+``lint_paths`` / ``LintReport`` resolve lazily: the harness imports this
+package for the sanitizer, and a simulation process has no use for the
+linter.
 """
 
 from .analytic import (
@@ -30,7 +34,6 @@ from .histogram import Histogram, build_histogram, latency_histogram
 from .probes import ChannelUtilization, TimeSeriesProbe, channel_utilization
 from .report import simulation_report
 from .sanitizer import InvariantViolation, Sanitizer
-from .simlint import LintReport, lint_paths
 
 __all__ = [
     "ChannelUtilization",
@@ -53,3 +56,13 @@ __all__ = [
     "zero_load_flit_latency",
     "zero_load_packet_latency",
 ]
+
+
+def __getattr__(name: str):
+    if name not in ("LintReport", "lint_paths"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simlint
+
+    value = getattr(simlint, name)
+    globals()[name] = value
+    return value

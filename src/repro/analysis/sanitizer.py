@@ -292,12 +292,13 @@ class Sanitizer:
                         node=node,
                     )
                 if state.tracking:
-                    if state.ok[vnet] != (credits > 0):
+                    if state.ok[vnet] != (credits > state.reserve):
                         self._fail(
                             cycle, where,
                             f"ok-mask disagrees with credits toward "
                             f"{direction.name} vnet {vnet.name}: "
-                            f"ok={state.ok[vnet]}, credits={credits}",
+                            f"ok={state.ok[vnet]}, credits={credits}, "
+                            f"reserve={state.reserve}",
                             node=node,
                         )
                 elif credits != capacity or not state.ok[vnet]:

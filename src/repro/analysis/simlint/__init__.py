@@ -3,14 +3,11 @@ the simulator (layer 1 of the ``simcheck`` tooling; layer 2 is the
 runtime sanitizer in :mod:`repro.analysis.sanitizer`).
 
 v2 is a multi-pass suite.  ``lint_paths`` parses the whole tree
-**once** into a :class:`~.project.Project` (module symbol table, call
-graph, RNG-taint call summaries), then runs per file:
+**once** into a :class:`~.project.Project` (module symbol table), then
+runs per file:
 
 * the original per-file checkers (RNG/wallclock hygiene, set
   iteration, float equality, ``__slots__`` hygiene);
-* the **RNG taint** dataflow pass (:mod:`.taint`) — sampled values
-  flowing into hash-keyed containers, order-sensitive iteration, or
-  float equality;
 * the **async / fork-safety** pass (:mod:`.async_checks`) — blocking
   calls in coroutines, un-awaited coroutines, pre-fork event
   loops/locks, mutable module state in the service tree;
@@ -50,21 +47,13 @@ from .checkers import (
     collect_comment_directives,
 )
 from .project import Project
-from .rules import (
-    DEFAULT_CONFIG,
-    RULES,
-    RULES_BY_ID,
-    LintConfig,
-    Rule,
-)
+from .rules import RULES, RULES_BY_ID, Rule
 from .sarif import report_to_sarif
 
 __all__ = [
     "Baseline",
     "BaselineError",
-    "DEFAULT_CONFIG",
     "Directives",
-    "LintConfig",
     "LintReport",
     "Project",
     "Rule",
@@ -187,30 +176,26 @@ def _parse_tree(
     return Project.from_sources(sources), sources
 
 
-def lint_file(
-    path: "Path | str", config: LintConfig = DEFAULT_CONFIG
-) -> List[Violation]:
+def lint_file(path: "Path | str") -> List[Violation]:
     """Lint a single file; returns its unsuppressed violations.
 
-    Single-file convenience: cross-file context (imported async
-    defs, call summaries from other modules) is limited to this file.
+    Single-file convenience: cross-file context (imported async defs)
+    is limited to this file.
     """
     path = Path(path)
     source = path.read_text(encoding="utf-8")
-    return check_source(source, str(path), path.as_posix(), config)
+    return check_source(source, str(path), path.as_posix())
 
 
 def lint_paths(
     paths: Sequence["Path | str"],
-    config: LintConfig = DEFAULT_CONFIG,
     baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint files and directories (recursively) into one report.
 
-    Parses the whole tree once, builds the project symbol table and
-    call summaries, then runs every pass per file.  When ``baseline``
-    is given, findings it accepts are subtracted
-    (:meth:`LintReport.apply_baseline`).
+    Parses the whole tree once, builds the project symbol table, then
+    runs every pass per file.  When ``baseline`` is given, findings it
+    accepts are subtracted (:meth:`LintReport.apply_baseline`).
     """
     report = LintReport()
     project, sources = _parse_tree([Path(p) for p in paths], report)
@@ -220,7 +205,6 @@ def lint_paths(
                 source,
                 path,
                 posix_path,
-                config,
                 project=project,
                 warnings=report.warnings,
             )

@@ -26,7 +26,7 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from .checkers import Violation
-from .rules import LintConfig
+from .rules import rule_applies
 
 __all__ = ["check_async"]
 
@@ -115,10 +115,9 @@ def _is_mutable_literal(node: ast.AST) -> bool:
 
 
 class _AsyncChecker:
-    def __init__(self, module, project, config: LintConfig) -> None:
+    def __init__(self, module, project) -> None:
         self.module = module
         self.project = project
-        self.config = config
         self.violations: List[Violation] = []
         #: Names bound by ``from time import sleep``-style imports that
         #: are blocking.
@@ -130,7 +129,7 @@ class _AsyncChecker:
                 self.blocking_names.add(imported.local_name)
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
-        if not self.config.rule_applies(rule, self.module.posix_path):
+        if not rule_applies(rule, self.module.posix_path):
             return
         self.violations.append(
             Violation(
@@ -351,6 +350,6 @@ class _AsyncChecker:
         return self.violations
 
 
-def check_async(module, project, config: LintConfig) -> List[Violation]:
+def check_async(module, project) -> List[Violation]:
     """Run the async / fork-safety pass over one module."""
-    return _AsyncChecker(module, project, config).run()
+    return _AsyncChecker(module, project).run()

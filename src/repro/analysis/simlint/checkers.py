@@ -20,7 +20,7 @@ import tokenize
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .rules import ALL_RULE_IDS, LintConfig
+from .rules import ALL_RULE_IDS, registered_hot_path, rule_applies
 
 #: Matches the three directive forms: per-line ``disable=<id>,<id>``,
 #: file-level ``disable-file=<id>`` (first comment block only) and the
@@ -272,12 +272,10 @@ class _FileChecker(ast.NodeVisitor):
         path: str,
         posix_path: str,
         tree: ast.Module,
-        config: LintConfig,
         hot_path_lines: FrozenSet[int],
     ) -> None:
         self.path = path
         self.posix_path = posix_path
-        self.config = config
         self.hot_path_lines = hot_path_lines
         self.violations: List[Violation] = []
         self._random_aliases: Set[str] = set()
@@ -298,7 +296,7 @@ class _FileChecker(ast.NodeVisitor):
     def _report(
         self, rule: str, node: ast.AST, message: str
     ) -> None:
-        if not self.config.rule_applies(rule, self.posix_path):
+        if not rule_applies(rule, self.posix_path):
             return
         self.violations.append(
             Violation(
@@ -698,7 +696,7 @@ class _FileChecker(ast.NodeVisitor):
         return False
 
     def _is_hot_path(self, node: ast.ClassDef) -> bool:
-        if node.name in self.config.registered_hot_path(self.posix_path):
+        if node.name in registered_hot_path(self.posix_path):
             return True
         lines = {node.lineno}
         lines.update(dec.lineno for dec in node.decorator_list)
@@ -773,7 +771,6 @@ def check_source(
     source: str,
     path: str,
     posix_path: str,
-    config: LintConfig,
     project: "object | None" = None,
     warnings: "List[str] | None" = None,
 ) -> List[Violation]:
@@ -781,21 +778,19 @@ def check_source(
     sorted by (line, col, rule).
 
     ``project`` is an optional :class:`~.project.Project` giving the
-    cross-file passes (taint summaries, imported ``async def`` names)
-    their whole-tree context; without one, a single-file project is
-    built on the fly.  ``warnings`` collects rendered directive
-    warnings (unknown rule ids, misplaced ``disable-file``) when a
-    list is passed.
+    async pass (imported ``async def`` names) its whole-tree context;
+    without one, a single-file project is built on the fly.
+    ``warnings`` collects rendered directive warnings (unknown rule
+    ids, misplaced ``disable-file``) when a list is passed.
     """
     directives = collect_comment_directives(source)
 
-    # Project-wide passes (dataflow taint, async/fork-safety, numpy
-    # hot-path).  Imported lazily: these modules import Violation from
-    # here, so a top-level import would be circular.
+    # Project-wide passes (async/fork-safety, numpy hot-path).  Imported
+    # lazily: these modules import Violation from here, so a top-level
+    # import would be circular.
     from .async_checks import check_async
     from .numpy_checks import check_numpy
     from .project import Project
-    from .taint import check_taint
 
     if project is None:
         tree = ast.parse(source, filename=path)
@@ -805,17 +800,12 @@ def check_source(
         source, filename=path
     )
 
-    checker = _FileChecker(
-        path, posix_path, tree, config, directives.hot_path_lines
-    )
+    checker = _FileChecker(path, posix_path, tree, directives.hot_path_lines)
     checker.visit(tree)
     violations = list(checker.violations)
     if module is not None:
-        violations.extend(check_taint(module, project, config))
-        violations.extend(check_async(module, project, config))
-        violations.extend(
-            check_numpy(module, config, directives.hot_path_lines)
-        )
+        violations.extend(check_async(module, project))
+        violations.extend(check_numpy(module, directives.hot_path_lines))
 
     if warnings is not None:
         warnings.extend(

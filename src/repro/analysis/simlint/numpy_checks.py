@@ -25,7 +25,7 @@ import ast
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .checkers import Violation
-from .rules import LintConfig
+from .rules import registered_hot_path, rule_applies
 
 __all__ = ["check_numpy"]
 
@@ -117,13 +117,11 @@ class _NumpyChecker(ast.NodeVisitor):
         path: str,
         posix_path: str,
         tree: ast.Module,
-        config: LintConfig,
         hot_path_lines: FrozenSet[int],
     ) -> None:
         self.path = path
         self.posix_path = posix_path
         self.tree = tree
-        self.config = config
         self.hot_path_lines = hot_path_lines
         self.violations: List[Violation] = []
         self.np_aliases: Set[str] = set()
@@ -137,7 +135,7 @@ class _NumpyChecker(ast.NodeVisitor):
     # -- helpers --------------------------------------------------------
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
-        if not self.config.rule_applies(rule, self.posix_path):
+        if not rule_applies(rule, self.posix_path):
             return
         self.violations.append(
             Violation(
@@ -301,7 +299,7 @@ class _NumpyChecker(ast.NodeVisitor):
     # -- loops / classes -------------------------------------------------
 
     def _is_hot_class(self, node: ast.ClassDef) -> bool:
-        if node.name in self.config.registered_hot_path(self.posix_path):
+        if node.name in registered_hot_path(self.posix_path):
             return True
         lines = {node.lineno}
         lines.update(dec.lineno for dec in node.decorator_list)
@@ -361,13 +359,9 @@ class _NumpyChecker(ast.NodeVisitor):
         return self.violations
 
 
-def check_numpy(
-    module,
-    config: LintConfig,
-    hot_path_lines: FrozenSet[int],
-) -> List[Violation]:
+def check_numpy(module, hot_path_lines: FrozenSet[int]) -> List[Violation]:
     """Run the numpy hot-path pass over one module."""
     checker = _NumpyChecker(
-        module.path, module.posix_path, module.tree, config, hot_path_lines
+        module.path, module.posix_path, module.tree, hot_path_lines
     )
     return checker.run()

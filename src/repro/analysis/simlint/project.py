@@ -1,28 +1,19 @@
-"""The ``simlint`` project pass: whole-tree parse, symbol table,
-call graph, and cross-file summaries.
+"""The ``simlint`` project pass: whole-tree parse and the module
+symbol table.
 
 Where the original simlint linted one file at a time, the project
-pass parses every file **once** up front and derives the context the
-dataflow passes need:
-
-* a **module symbol table** — per module: top-level function /
-  class / ``async def`` names, plus the import map (which local name
-  binds which symbol of which project module);
-* a **call graph** — caller -> resolved project callees, used to
-  iterate the RNG-taint summaries to a fixpoint;
-* **RNG-taint call summaries** — for every project function, whether
-  its return value derives from a ``random.Random`` /
-  ``np.random.default_rng`` stream (and whether it is float-valued).
-  :mod:`.taint` consumes these so a sampled value laundered through a
-  helper (``def jitter(rng): return rng.random()``) is still tracked
-  at the call site.
+pass parses every file **once** up front and derives the cross-file
+context the async pass needs: per module, the top-level function /
+class / ``async def`` names plus the import map (which local name
+binds which symbol of which project module), so a call to a coroutine
+imported from a sibling module is still recognised as one.
 
 Import resolution is deliberately path-based and best-effort: a
 ``from .jobs import f`` resolves to the sibling ``jobs.py``; an
 absolute ``from repro.service.jobs import f`` resolves to any project
 module whose posix path ends in ``repro/service/jobs.py``.  Anything
-unresolved (stdlib, third-party, files outside the linted set) simply
-contributes no summary — the passes stay conservative.
+unresolved (stdlib, third-party, files outside the linted set) is
+simply unknown — the passes stay conservative.
 """
 
 from __future__ import annotations
@@ -93,17 +84,13 @@ class ModuleInfo:
 
 
 class Project:
-    """Parsed project tree plus the cross-file summary tables."""
+    """Parsed project tree plus the cross-file symbol table."""
 
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
         self.modules: List[ModuleInfo] = list(modules)
         self._by_posix: Dict[str, ModuleInfo] = {
             m.posix_path: m for m in self.modules
         }
-        #: (module posix path, function name) -> "float" | "any" for
-        #: functions whose return value is RNG-derived.
-        self.rng_summaries: Dict[Tuple[str, str], str] = {}
-        self._compute_rng_summaries()
 
     # -- construction --------------------------------------------------
 
@@ -173,43 +160,3 @@ class Project:
                 target.functions.get(original), ast.AsyncFunctionDef
             )
         return False
-
-    # -- RNG-taint call summaries ---------------------------------------
-
-    def rng_summary(
-        self, module: ModuleInfo, name: str
-    ) -> Optional[str]:
-        """Summary ("float" / "any") for a plain-name call in
-        ``module``, following project imports."""
-        local = self.rng_summaries.get((module.posix_path, name))
-        if local is not None:
-            return local
-        resolved = self.imported_symbol(module, name)
-        if resolved is not None:
-            target, original = resolved
-            return self.rng_summaries.get((target.posix_path, original))
-        return None
-
-    def _compute_rng_summaries(self) -> None:
-        """Fixpoint over the call graph: a function is RNG-returning
-        when any of its ``return`` expressions is tainted given the
-        summaries so far (intraprocedural analysis per iteration)."""
-        from .taint import function_return_taint
-
-        for _ in range(4):  # summary chains deeper than this are rare
-            changed = False
-            for module in self.modules:
-                for name, node in module.functions.items():
-                    if not isinstance(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        continue
-                    taint = function_return_taint(node, module, self)
-                    if taint is None:
-                        continue
-                    key = (module.posix_path, name)
-                    if self.rng_summaries.get(key) != taint:
-                        self.rng_summaries[key] = taint
-                        changed = True
-            if not changed:
-                break

@@ -1,4 +1,4 @@
-"""Rule registry and configuration for the ``simlint`` static pass.
+"""Rule registry and scope policy for the ``simlint`` static pass.
 
 Every rule has a stable kebab-case id (used in reports, in
 ``# simlint: disable=<id>`` / ``# simlint: disable-file=<id>``
@@ -8,19 +8,17 @@ where it applies:
 * ``all`` — every linted file.  Determinism hazards are never
   acceptable in simulation code, wherever they live.
 * ``network`` — router/network/core modules and ``simulation.py``
-  only (matched by path, see :attr:`LintConfig.network_path_markers`).
+  only (matched by path, see :data:`SCOPE_PATH_MARKERS`).
   Iteration-order hazards only corrupt results where per-cycle
   iteration order feeds the simulation, so harness/analysis code is
   exempt.
-* ``service`` — the asyncio experiment service
-  (:attr:`LintConfig.service_path_markers`): async/fork-safety rules
-  for code that runs coroutines in the server process and forks seed
-  workers.
-* ``engine`` — the vectorized batch engine
-  (:attr:`LintConfig.engine_path_markers`): numpy hot-path hygiene
-  and dtype bit-identity rules.
+* ``service`` — the asyncio experiment service (same table):
+  async/fork-safety rules for code that runs coroutines in the server
+  process and forks seed workers.
+* ``engine`` — the vectorized batch engine (same table): numpy
+  hot-path hygiene and dtype bit-identity rules.
 * ``hotpath`` — classes registered in the hot-path allowlist
-  (:attr:`LintConfig.hot_path_classes`) or marked in source with a
+  (:data:`HOT_PATH_CLASSES`) or marked in source with a
   ``# simlint: hot-path`` comment on their ``class`` line.
 
 The rule table in docs/ANALYSIS.md is *generated* from this registry
@@ -31,7 +29,7 @@ rule catches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 #: Scope names understood by the engine.
@@ -124,38 +122,6 @@ RULES: Tuple[Rule, ...] = (
         "`: float` annotation, or float-assigned name) — the "
         "EWMA/threshold comparisons in the mode controller must use "
         "orderings with hysteresis, never exact equality.",
-    ),
-    # -- project pass: RNG taint (dataflow) ----------------------------
-    Rule(
-        "rng-tainted-iteration",
-        SCOPE_NETWORK,
-        "iteration over a container keyed/filled by RNG-derived values",
-        "dataflow (project pass): a value derived from a "
-        "`random.Random` / `default_rng` stream lands in a set or dict "
-        "key whose container is then iterated — even a *seeded* stream "
-        "makes the iteration order depend on `PYTHONHASHSEED`, which "
-        "silently breaks cross-process bit-identity.",
-    ),
-    Rule(
-        "rng-tainted-float-eq",
-        SCOPE_ALL,
-        "RNG-derived float compared with == / !=",
-        "dataflow (project pass): a float drawn from an RNG stream "
-        "(`rng.random()`, `rng.uniform(...)`, `gen.normal(...)`, or a "
-        "project function summarised as returning one) is compared "
-        "with `==` / `!=` — exact equality on sampled floats is a "
-        "probability-zero branch that still occasionally fires and "
-        "then differs across platforms.",
-    ),
-    Rule(
-        "rng-tainted-hash-key",
-        SCOPE_NETWORK,
-        "RNG-derived value used as a dict key / set element",
-        "dataflow (project pass): an RNG-derived value is inserted "
-        "into a hash-keyed container (`s.add(x)`, `d[x] = ...`, set/"
-        "dict literals) in network scope — hash-order-dependent "
-        "storage of sampled values is the root cause the "
-        "`rng-tainted-iteration` sink then observes.",
     ),
     # -- async / fork-safety pass (service) ----------------------------
     Rule(
@@ -268,7 +234,7 @@ ALL_RULE_IDS: FrozenSet[str] = frozenset(RULES_BY_ID)
 #: (or ``@dataclass(slots=True)``).  Keyed by a posix path *suffix* of
 #: the defining module; additions to the hot path belong here (or mark
 #: the class in source with ``# simlint: hot-path``).
-DEFAULT_HOT_PATH_CLASSES: Mapping[str, FrozenSet[str]] = {
+HOT_PATH_CLASSES: Mapping[str, FrozenSet[str]] = {
     "network/flit.py": frozenset({"Flit", "Packet"}),
     "network/link.py": frozenset(
         {"DelayLine", "Channel", "CreditMessage", "ModeNotification"}
@@ -299,72 +265,29 @@ DEFAULT_HOT_PATH_CLASSES: Mapping[str, FrozenSet[str]] = {
 }
 
 
-#: Path fragments that put a file in the ``network`` scope.
-DEFAULT_NETWORK_PATH_MARKERS: Tuple[str, ...] = (
-    "/network/",
-    "/routers/",
-    "/core/",
-    "simulation.py",
-)
-
-#: Path fragments that put a file in the ``service`` scope.  The
-#: telemetry/dashboard modules live under ``obs/`` but carry the
-#: service's thread/fork/asyncio structure (the worker→service metrics
-#: relay), so the async/fork-safety passes cover them too.
-DEFAULT_SERVICE_PATH_MARKERS: Tuple[str, ...] = (
-    "/service/",
-    "/obs/telemetry",
-    "/obs/dashboard",
-)
-
-#: Path fragments that put a file in the ``engine`` scope.
-DEFAULT_ENGINE_PATH_MARKERS: Tuple[str, ...] = ("/engine/",)
+#: Path fragments that put a file in each path-matched scope; rules of
+#: any other scope apply to every file.
+SCOPE_PATH_MARKERS: Mapping[str, Tuple[str, ...]] = {
+    SCOPE_NETWORK: ("/network/", "/routers/", "/core/", "simulation.py"),
+    # The telemetry/dashboard modules live under ``obs/`` but carry the
+    # service's thread/fork/asyncio structure (the worker→service
+    # metrics relay), so the async/fork-safety passes cover them too.
+    SCOPE_SERVICE: ("/service/", "/obs/telemetry", "/obs/dashboard"),
+    SCOPE_ENGINE: ("/engine/",),
+}
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Tunable lint policy (scopes, allowlists, rule selection)."""
-
-    #: Rules to run (defaults to every registered rule).
-    enabled_rules: FrozenSet[str] = ALL_RULE_IDS
-    #: Posix-path fragments selecting the ``network`` scope.
-    network_path_markers: Tuple[str, ...] = DEFAULT_NETWORK_PATH_MARKERS
-    #: Posix-path fragments selecting the ``service`` scope.
-    service_path_markers: Tuple[str, ...] = DEFAULT_SERVICE_PATH_MARKERS
-    #: Posix-path fragments selecting the ``engine`` scope.
-    engine_path_markers: Tuple[str, ...] = DEFAULT_ENGINE_PATH_MARKERS
-    #: Hot-path class allowlist: posix path suffix -> class names.
-    hot_path_classes: Mapping[str, FrozenSet[str]] = field(
-        default_factory=lambda: dict(DEFAULT_HOT_PATH_CLASSES)
-    )
-
-    def _scope_markers(self, scope: str) -> Tuple[str, ...]:
-        if scope == SCOPE_NETWORK:
-            return self.network_path_markers
-        if scope == SCOPE_SERVICE:
-            return self.service_path_markers
-        if scope == SCOPE_ENGINE:
-            return self.engine_path_markers
-        return ()
-
-    def rule_applies(self, rule_id: str, posix_path: str) -> bool:
-        """True when ``rule_id`` is enabled and in scope for the file."""
-        if rule_id not in self.enabled_rules:
-            return False
-        rule = RULES_BY_ID[rule_id]
-        if rule.scope in (SCOPE_NETWORK, SCOPE_SERVICE, SCOPE_ENGINE):
-            return any(
-                marker in posix_path
-                for marker in self._scope_markers(rule.scope)
-            )
+def rule_applies(rule_id: str, posix_path: str) -> bool:
+    """True when ``rule_id`` is in scope for the file."""
+    markers = SCOPE_PATH_MARKERS.get(RULES_BY_ID[rule_id].scope)
+    if markers is None:
         return True
-
-    def registered_hot_path(self, posix_path: str) -> FrozenSet[str]:
-        """Class names the allowlist registers for ``posix_path``."""
-        for suffix, names in self.hot_path_classes.items():
-            if posix_path.endswith(suffix):
-                return names
-        return frozenset()
+    return any(marker in posix_path for marker in markers)
 
 
-DEFAULT_CONFIG = LintConfig()
+def registered_hot_path(posix_path: str) -> FrozenSet[str]:
+    """Class names the allowlist registers for ``posix_path``."""
+    for suffix, names in HOT_PATH_CLASSES.items():
+        if posix_path.endswith(suffix):
+            return names
+    return frozenset()

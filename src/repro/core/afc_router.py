@@ -27,10 +27,12 @@ cases of mixed-mode neighbours (Section III-D) are handled as follows:
   switch completes), the flit is emergency-buffered into this router's
   own input buffer and a forward switch begins immediately.  If the
   switch notification already went out, an occupancy *debit* message
-  reconciles the upstream credit counter; the buffered flit drains
-  normally once backpressured operation starts.  This is the simulator's
-  realisation of the paper's correctness guarantee that no flit is ever
-  dropped or stranded.
+  reconciles the upstream credit counter — which holds back a reserve
+  for exactly these writes until the last debit can have arrived
+  (:class:`~repro.core.lazy_vc.NeighborCreditState`); the buffered flit
+  drains normally once backpressured operation starts.  This is the
+  simulator's realisation of the paper's correctness guarantee that no
+  flit is ever dropped or stranded.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class AfcRouter(BaseRouter):
         if not design.is_afc_family:
             raise ValueError(f"{design} is not an AFC design")
         self.design = design
+        self._vcs = config.vcs_for(design)  # rejects unservable layouts
         adaptive = design is Design.AFC
         self._mode = ModeController(
             thresholds=thresholds_for(config, self.router_class),
@@ -97,6 +100,9 @@ class AfcRouter(BaseRouter):
         )
         self._neighbors: Dict[Direction, NeighborCreditState] = {}
         self._neighbor_list: tuple = ()
+        #: Neighbours still holding back credits after a START notice
+        #: (see :class:`NeighborCreditState`); empty almost always.
+        self._settling: List[NeighborCreditState] = []
         self._latched: List[Tuple[Flit, Direction]] = []
         #: Entry events this cycle (network arrivals + injections); the
         #: contention metric counts a flit "traversing through the
@@ -134,10 +140,10 @@ class AfcRouter(BaseRouter):
             return
         for direction in list(self.in_channels) + [Direction.LOCAL]:
             self._input_ports[direction] = LazyInputPort(
-                self.config.afc_vcs, self._bank
+                self._vcs, self._bank
             )
         for direction in self.out_channels:
-            state = NeighborCreditState(self.config.afc_vcs)
+            state = NeighborCreditState(self._vcs)
             if self.design is Design.AFC_ALWAYS_BACKPRESSURED:
                 # The whole network is pinned backpressured; credit
                 # accounting is on from cycle zero.
@@ -202,7 +208,12 @@ class AfcRouter(BaseRouter):
     ) -> None:
         state = self._neighbors[out_port]
         if notice.kind is ModeNotice.START_CREDITS:
-            state.start_tracking(notice.occupied)
+            # The neighbour deflects for 2L more cycles at most; one
+            # emergency write per such cycle may be unknown here.
+            state.start_tracking(
+                notice.occupied, cycle, 2 * self.config.link_latency
+            )
+            self._settling.append(state)
         else:
             state.stop_tracking()
 
@@ -210,6 +221,10 @@ class AfcRouter(BaseRouter):
     def step(self, cycle: int) -> None:
         if not self._finalized:
             self.finalize()
+        if self._settling:
+            self._settling = [
+                nb for nb in self._settling if not nb.settle(cycle)
+            ]
         controller = self._mode
         if controller.mode is Mode.TRANSITION:
             controller.maybe_complete_forward(cycle)

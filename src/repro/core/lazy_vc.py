@@ -133,9 +133,28 @@ class NeighborCreditState:
     snapshot) and off by STOP_CREDITS.  While tracking is off, the
     neighbour deflects everything and ``can_send`` is unconditionally
     true.
+
+    The snapshot is ``L`` cycles old on arrival and the neighbour keeps
+    deflecting for the rest of its ``2L + 1``-cycle transition window,
+    during which it may *emergency-buffer* flits this router dispatched
+    before tracking began — at most one per remaining window cycle, each
+    announced by an occupancy debit that takes another ``L`` cycles to
+    get here.  Until ``settled_at`` the counters therefore hold back a
+    ``reserve`` of one credit per emergency write that may still be
+    unknown here (``settled_at - cycle``, see :meth:`settle`): a vnet is
+    sendable only while ``credits > reserve``, so a slot the neighbour
+    is about to fill is never also promised to a flit from here.
     """
 
-    __slots__ = ("capacity", "tracking", "credits", "_total_free", "ok")
+    __slots__ = (
+        "capacity",
+        "tracking",
+        "credits",
+        "_total_free",
+        "ok",
+        "reserve",
+        "settled_at",
+    )
 
     def __init__(self, vcs: Sequence[int]) -> None:
         self.capacity: Dict[VirtualNetwork, int] = {
@@ -153,22 +172,47 @@ class NeighborCreditState:
         #: stable for the state's lifetime: routers cache it and index
         #: it directly in their allocation loops.
         self.ok: List[bool] = [True] * len(VirtualNetwork)
+        #: Credits held back per vnet, and the cycle the last of them is
+        #: released (both 0 outside the settling phase after a START).
+        self.reserve = 0
+        self.settled_at = 0
 
     # -- control line ------------------------------------------------------------
-    def start_tracking(self, occupied: Tuple[int, int, int]) -> None:
+    def start_tracking(
+        self, occupied: Tuple[int, int, int], cycle: int = 0, reserve: int = 0
+    ) -> None:
+        """Begin credit accounting from the neighbour's occupancy
+        snapshot, received at ``cycle``; ``reserve`` credits per vnet
+        are held back and released one per cycle (:meth:`settle`)."""
         self.tracking = True
+        self.reserve = reserve
+        self.settled_at = cycle + reserve
         for vnet, occ in zip(VirtualNetwork, occupied):
             self.credits[vnet] = self.capacity[vnet] - occ
             if self.credits[vnet] < 0:
                 raise RuntimeError("occupancy snapshot exceeds capacity")
-            self.ok[vnet] = self.credits[vnet] > 0
+            self.ok[vnet] = self.credits[vnet] > reserve
         self._total_free = sum(self.credits.values())
+
+    def settle(self, cycle: int) -> bool:
+        """Bring the reserve to its value at ``cycle`` (absolute, so a
+        router that slept through part of the phase catches up in one
+        call); returns True once nothing is held back any more."""
+        reserve = self.settled_at - cycle
+        if reserve < 0:
+            reserve = 0
+        self.reserve = reserve
+        ok = self.ok
+        for vnet, credits in self.credits.items():
+            ok[vnet] = credits > reserve
+        return reserve == 0
 
     def stop_tracking(self) -> None:
         """Neighbour went backpressureless: treat the port as free
         (the paper: 'the neighbors simply set the buffer occupancy of
         the switched router to empty')."""
         self.tracking = False
+        self.reserve = self.settled_at = 0
         self.credits = dict(self.capacity)
         self._total_free = sum(self.credits.values())
         ok = self.ok
@@ -187,7 +231,7 @@ class NeighborCreditState:
         left = self.credits[vnet] - 1
         self.credits[vnet] = left
         self._total_free -= 1
-        if left == 0:
+        if left <= self.reserve:
             self.ok[vnet] = False
 
     def on_credit(self, vnet: VirtualNetwork, debit: bool = False) -> None:
@@ -208,7 +252,7 @@ class NeighborCreditState:
             after = before + 1 if before < capacity else capacity
         self.credits[vnet] = after
         self._total_free += after - before
-        self.ok[vnet] = after > 0
+        self.ok[vnet] = after > self.reserve
 
     @property
     def total_free(self) -> int:

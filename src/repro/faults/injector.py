@@ -400,7 +400,7 @@ class FaultInjector:
                 if state.credits[vnet] != true_credits:
                     state._total_free += true_credits - state.credits[vnet]
                     state.credits[vnet] = true_credits
-                    state.ok[vnet] = true_credits > 0
+                    state.ok[vnet] = true_credits > state.reserve
                     repaired += 1
             if repaired:
                 self.stats.record_credit_resync(repaired)

@@ -14,7 +14,7 @@ Example::
         designs=[Design.BACKPRESSURED, Design.AFC],
         workloads=[WORKLOADS["ocean"], WORKLOADS["apache"]],
         configs={"L=2": NetworkConfig(), "L=4": NetworkConfig(
-            link_latency=4, gossip_threshold=8)},
+            link_latency=4, gossip_threshold=8, afc_vcs=(16, 16, 32))},
     )
     table = run_closed_loop_sweep(grid, seeds=2)
     print(table.render())

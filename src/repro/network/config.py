@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Tuple
 
+from .flit import VirtualNetwork
 from .topology import Mesh, RouterClass
 
 
@@ -198,8 +199,28 @@ class NetworkConfig:
             )
         if not 0.0 < self.ewma_alpha < 1.0:
             raise ValueError("EWMA alpha must be in (0, 1)")
+        if self.data_bits < 1:
+            raise ValueError(
+                f"data_bits must be >= 1 (got {self.data_bits}): flit "
+                "width scales every energy term, negative joules included"
+            )
+        for name in ("baseline_vcs", "afc_vcs"):
+            vcs = getattr(self, name)
+            if len(vcs) != len(VirtualNetwork):
+                raise ValueError(
+                    f"{name} needs one entry per virtual network "
+                    f"({len(VirtualNetwork)}: "
+                    f"{', '.join(v.name for v in VirtualNetwork)}), "
+                    f"got {len(vcs)}"
+                )
         if min(self.baseline_vcs) < 1 or min(self.afc_vcs) < 1:
             raise ValueError("every virtual network needs at least one VC")
+        missing = [c.name for c in RouterClass if c not in self.thresholds]
+        if missing:
+            raise ValueError(
+                "thresholds needs an entry for every RouterClass "
+                f"(missing {', '.join(missing)})"
+            )
         if self.baseline_vc_depth < 1:
             raise ValueError("baseline_vc_depth must be >= 1 flit")
         if self.afc_vc_depth != 1:
@@ -252,6 +273,27 @@ class NetworkConfig:
         return sum(self.baseline_vcs) * self.baseline_vc_depth
 
     def vcs_for(self, design: Design) -> Tuple[int, int, int]:
+        """The per-vnet VC layout ``design``'s routers are built with.
+
+        Adaptive AFC needs ``2L + 1`` VCs per virtual network: a router
+        switching forward keeps deflecting for a ``2L + 1``-cycle window
+        (``ModeController.transition_window``) in which every flit a
+        neighbour sent before it learnt of the switch may have to be
+        emergency-buffered — up to one per cycle per input port, all of
+        one vnet in the worst case.  Fewer slots can overflow before a
+        single credit is spent (docs/FLOW_CONTROL.md).  The
+        always-backpressured variant never switches and takes any
+        layout.
+        """
+        if design is Design.AFC:
+            need = 2 * self.link_latency + 1
+            if min(self.afc_vcs) < need:
+                raise ValueError(
+                    f"afc_vcs={self.afc_vcs} cannot serve adaptive AFC at "
+                    f"link_latency={self.link_latency}: every virtual "
+                    f"network needs >= 2 * link_latency + 1 = {need} VCs "
+                    "to hold the flits of one mode-switch window"
+                )
         if design.is_afc_family:
             return self.afc_vcs
         if design.is_backpressured_baseline:

@@ -114,7 +114,7 @@ def allocate_deflection_ports(
         else:
             # Direction-keyed dict: iteration order is insertion
             # order, fully determined by the seeded stream.
-            assignment[chosen] = flit  # simlint: disable=rng-tainted-hash-key
+            assignment[chosen] = flit
     return assignment, unplaced
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import List, Optional
 
 import pytest
 
+import repro
 from repro import (
     Design,
     Direction,
@@ -40,6 +45,21 @@ def _fresh_packet_ids():
 @pytest.fixture
 def config() -> NetworkConfig:
     return NetworkConfig()
+
+
+def run_python(*args, cwd=None, **env) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this
+    checkout's ``repro``; ``env`` entries override the environment."""
+    src_dir = str(Path(repro.__file__).parent.parent)
+    pythonpath = src_dir + os.pathsep + os.environ.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath, **env},
+    )
 
 
 def make_network(

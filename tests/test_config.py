@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro import Design, NetworkConfig, ContentionThresholds, RouterClass
+from repro import (
+    ContentionThresholds,
+    Design,
+    Network,
+    NetworkConfig,
+    RouterClass,
+)
+from repro.analysis.sanitizer import Sanitizer
 from repro.network.config import CONTROL_BITS, DEFAULT_THRESHOLDS, MachineConfig
+from repro.traffic.patterns import Hotspot
+from repro.traffic.synthetic import OpenLoopSource, PacketMix
 
 
 class TestDesign:
@@ -160,6 +169,19 @@ class TestKnobValidation:
             ("afc_vc_depth", 2),
             ("router_stages", 1),  # read by no line of the simulator
             ("router_stages", 3),
+            ("data_bits", 0),
+            ("data_bits", -32),  # billed negative joules
+            # One entry per virtual network: a short tuple was a bare
+            # KeyError from router construction, a fourth entry never
+            # held a flit but was billed leakage.
+            ("afc_vcs", (8, 8)),
+            ("baseline_vcs", (2, 2)),
+            ("baseline_vcs", (2, 2, 4, 4)),
+            ("thresholds", {}),  # was a KeyError from the first router
+            (
+                "thresholds",
+                {RouterClass.CENTER: ContentionThresholds(2.2, 1.7)},
+            ),
         ],
     )
     def test_rejected_with_the_field_named(self, field, value):
@@ -184,3 +206,65 @@ class TestKnobValidation:
             "eject_bandwidth", "inject_bandwidth", "load_window",
             "ewma_alpha", "gossip_threshold", "thresholds",
         ]
+
+
+class TestAfcWindowCapacity:
+    """Adaptive AFC needs ``2L + 1`` VCs per virtual network (one
+    mode-switch window of emergency writes, docs/FLOW_CONTROL.md):
+    smaller layouts are refused when the network is built, admitted
+    ones never over-commit a slot."""
+
+    @pytest.mark.parametrize(
+        "latency, vcs",
+        [
+            (1, (8, 8, 2)),
+            (2, (8, 8, 3)),  # died with "lazy buffer overflow" at cycle 75
+            (2, (4, 4, 4)),
+            (2, (1, 1, 1)),
+            (3, (8, 8, 4)),
+            (4, (8, 8, 16)),
+        ],
+    )
+    def test_small_layouts_rejected_for_adaptive_afc(self, latency, vcs):
+        config = NetworkConfig(
+            afc_vcs=vcs,
+            link_latency=latency,
+            gossip_threshold=max(4, 2 * latency),
+        )
+        with pytest.raises(ValueError, match="afc_vcs.*link_latency"):
+            Network(config, Design.AFC, seed=2)
+        # No mode switch, no window: the pinned twin takes any layout
+        # (the Section III-E ablation sweeps (4, 4, 8) on it).
+        Network(config, Design.AFC_ALWAYS_BACKPRESSURED, seed=2)
+
+    @pytest.mark.parametrize("rate", [0.3, 0.9])
+    @pytest.mark.parametrize("latency", [1, 2, 3, 4])
+    def test_smallest_admitted_layout_drains_sanitizer_clean(
+        self, latency, rate
+    ):
+        """Cache-line-only hotspot traffic floods a deflecting router
+        from full backpressured neighbours with one vnet — the pattern
+        that over-committed layouts up to ``4L`` VCs (six of these
+        eight cases) before credits were held back while a START notice
+        settles."""
+        config = NetworkConfig(
+            width=4,
+            height=4,
+            afc_vcs=(2 * latency + 1,) * 3,
+            link_latency=latency,
+            gossip_threshold=max(4, 2 * latency),
+        )
+        net = Network(config, Design.AFC, seed=2)
+        source = OpenLoopSource(
+            net,
+            rate,
+            pattern=Hotspot(net.mesh, hotspot=5),
+            mix=PacketMix(data_packet_fraction=1.0),
+            seed=2,
+            source_queue_limit=100,
+        )
+        with Sanitizer(net):
+            source.run(300)
+            net.drain()
+        net.check_flit_conservation()
+        assert net.stats.mode(5).forward_switches > 0

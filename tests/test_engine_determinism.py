@@ -9,22 +9,29 @@ Two families of guarantees, both *bit-exact* (no tolerances anywhere):
   every design, including the dropping design's retransmit path and
   AFC's self-timed reverse switches out of deep idle;
 * the process-parallel experiment harness (``jobs > 1``) must merge
-  per-seed samples into exactly the numbers the serial loop produces.
+  per-seed samples into exactly the numbers the serial loop produces;
+* a run must not depend on ``PYTHONHASHSEED``: fresh interpreters under
+  two fixed hash seeds replay the committed golden rows.
 
 Flit conservation is additionally asserted every few cycles while the
 active engine is skipping quiescent routers — sleeping a router that
 still owes (or is owed) a flit would show up here immediately.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from conftest import run_python
 from repro import Design, Network, NetworkConfig
-from repro.analysis.fingerprint import fingerprint
+from repro.analysis.fingerprint import differing, fingerprint
 from repro.analysis.sanitizer import Sanitizer
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.sweep import SweepGrid, run_open_loop_sweep
 from repro.network.flit import reset_packet_ids
-from repro.traffic.synthetic import uniform_random_traffic
+from repro.traffic.patterns import Hotspot
+from repro.traffic.synthetic import OpenLoopSource, uniform_random_traffic
 from repro.traffic.workloads import WORKLOADS
 
 
@@ -135,6 +142,26 @@ def test_afc_self_wake_reverse_switch():
     assert reverse > 0, "scenario too gentle: no reverse switch happened"
 
 
+def test_settling_reserve_is_engine_independent():
+    """On the smallest layout adaptive AFC admits, the credits a router
+    holds back after a START notice decide what it may send; a router
+    the active engine lets sleep through part of that phase must wake
+    with the reserve the naive loop counted down cycle by cycle."""
+    rows = []
+    for engine in ("naive", "active"):
+        reset_packet_ids()
+        config = NetworkConfig(width=4, height=4, afc_vcs=(5, 5, 5))
+        net = Network(config, Design.AFC, seed=11, engine=engine)
+        source = OpenLoopSource(
+            net, 0.25, pattern=Hotspot(net.mesh, hotspot=5), seed=5
+        )
+        source.run(600)
+        net.drain(max_cycles=20_000)
+        rows.append(fingerprint(net, source))
+        assert net.stats.mode(5).forward_switches > 0
+    assert rows[0] == rows[1]
+
+
 # -- invariant sanitizer is a pure observer -----------------------------------
 def _run_sanitized_scenario(
     design: Design, engine: str, rate: float, cycles: int, detach_first: bool
@@ -228,3 +255,45 @@ def test_sweep_parallel_matches_serial():
     }
     assert tables[1].columns == tables[2].columns
     assert tables[1].rows == tables[2].rows
+
+
+#: Run in a fresh interpreter: one 3x3 golden case per design, through
+#: the golden script's own runner, printed as ``{case key: row}``.
+_REPLAY = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("gen_goldens", sys.argv[1])
+gen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gen)
+from repro import Design
+cases = [(design, (3, 3), 2, 2, 0.1) for design in Design]
+json.dump({gen.case_key(*c): gen.run_case(*c) for c in cases}, sys.stdout)
+"""
+
+
+def test_goldens_replay_under_two_hash_seeds():
+    """Hash order must never reach the simulation.  ``str`` hashes (and
+    so the iteration order of any set or dict keyed by names) change
+    with ``PYTHONHASHSEED``; a run that consumed such an order anywhere
+    between the traffic source and the RNG end states would differ
+    from the committed rows under at least one of two fixed seeds —
+    deterministically, not once per random seed of the test runner."""
+    root = Path(__file__).resolve().parent.parent
+    golden = json.loads(
+        (root / "tests" / "fixtures" / "goldens.json").read_text()
+    )["cases"]
+    for hash_seed in ("1", "4242"):
+        proc = run_python(
+            "-c",
+            _REPLAY,
+            root / "scripts" / "gen_goldens.py",
+            PYTHONHASHSEED=hash_seed,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert len(rows) == len(Design)
+        bad = {
+            key: columns
+            for key, row in rows.items()
+            if (columns := differing(golden[key], row))
+        }
+        assert not bad, f"PYTHONHASHSEED={hash_seed}: {bad}"

@@ -187,6 +187,25 @@ class TestNeighborCreditState:
         state.on_credit(VirtualNetwork.DATA, debit=True)
         assert state.credits[VirtualNetwork.DATA] == 0  # floored
 
+    def test_settling_reserve_holds_credits_back_then_releases_them(self):
+        """For ``reserve`` cycles after a START a vnet is sendable only
+        while ``credits > reserve``; the reserve is a function of the
+        absolute cycle, so a router that slept catches up in one call."""
+        state = NeighborCreditState((5, 5, 5))
+        state.start_tracking((1, 0, 0), cycle=10, reserve=4)
+        assert state.ok == [False, True, True]  # 4 > 4 is false, 5 > 4
+        state.on_send(VirtualNetwork.DATA)
+        assert not state.can_send(VirtualNetwork.DATA)  # 4 left, 4 reserved
+        assert not state.settle(11)  # reserve 3
+        assert state.ok == [True, True, True]
+        state.on_credit(VirtualNetwork.CONTROL_REQ, debit=True)
+        assert not state.can_send(VirtualNetwork.CONTROL_REQ)  # 3 > 3
+        assert state.settle(20) and state.reserve == 0  # slept past 14
+        assert state.ok == [True, True, True]
+        state.start_tracking((0, 0, 0), cycle=30, reserve=4)
+        state.stop_tracking()
+        assert state.reserve == 0 and state.settle(31)
+
     def test_credits_ignored_when_not_tracking(self):
         state = NeighborCreditState(LAYOUT)
         state.on_credit(VirtualNetwork.DATA, debit=True)

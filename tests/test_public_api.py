@@ -6,6 +6,8 @@ import inspect
 
 import pytest
 
+from conftest import run_python
+
 PUBLIC_MODULES = [
     "repro",
     "repro.analysis",
@@ -87,3 +89,21 @@ def test_every_design_constructs_a_network():
     for design in Design:
         net = Network(NetworkConfig(), design, seed=0)
         net.run(5)  # no traffic; must simply not crash
+
+
+def test_simulation_processes_do_not_load_the_linter():
+    """The harness imports ``repro.analysis`` for the sanitizer; that
+    must not drag simlint into every simulation and service process.
+    ``lint_paths`` still resolves from the package on first use."""
+    program = (
+        "import sys\n"
+        "import repro.harness, repro.service\n"
+        "loaded = sorted(m for m in sys.modules"
+        " if m.startswith('repro.analysis.simlint'))\n"
+        "assert not loaded, loaded\n"
+        "from repro.analysis import LintReport, lint_paths\n"
+        "assert 'repro.analysis.simlint' in sys.modules\n"
+        "assert isinstance(lint_paths([]), LintReport)\n"
+    )
+    proc = run_python("-c", program)
+    assert proc.returncode == 0, proc.stderr

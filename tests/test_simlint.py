@@ -14,17 +14,15 @@ Two layers of coverage:
 import json
 import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import repro
+from conftest import run_python
 from repro.analysis.simlint import Baseline, BaselineError, lint_paths
 from repro.analysis.simlint.checkers import check_source
-from repro.analysis.simlint.rules import DEFAULT_CONFIG
 
 FIXTURES = Path(__file__).parent / "fixtures" / "simlint"
 BAD = FIXTURES / "bad"
@@ -39,7 +37,7 @@ SARIF_SCHEMA = json.loads(
 
 def findings(source: str, posix_path: str = "src/repro/harness/x.py"):
     """(line, rule) pairs for ``source`` linted as ``posix_path``."""
-    out = check_source(source, posix_path, posix_path, DEFAULT_CONFIG)
+    out = check_source(source, posix_path, posix_path)
     return [(v.line, v.rule) for v in out]
 
 
@@ -48,9 +46,7 @@ def findings_with_warnings(
 ):
     """Like :func:`findings` but also returns the directive warnings."""
     sink = []
-    out = check_source(
-        source, posix_path, posix_path, DEFAULT_CONFIG, warnings=sink
-    )
+    out = check_source(source, posix_path, posix_path, warnings=sink)
     return [(v.line, v.rule) for v in out], sink
 
 
@@ -288,13 +284,6 @@ EXPECTED_BAD = {
         (8, "numpy-unseeded-generator"),
         (12, "numpy-random"),
     ],
-    os.path.join("network", "rng_taint.py"): [
-        (16, "rng-tainted-hash-key"),
-        (17, "rng-tainted-iteration"),
-        (17, "set-iteration"),
-        (21, "rng-tainted-float-eq"),
-        (29, "rng-tainted-hash-key"),
-    ],
     os.path.join("service", "async_hazards.py"): [
         (10, "fork-unsafe-module-state"),
         (11, "mutable-module-state"),
@@ -343,23 +332,14 @@ def test_repro_source_tree_clean():
 
 # -- CLI ---------------------------------------------------------------------
 def run_cli(*args, cwd=None):
-    env = dict(os.environ)
-    src_dir = str(Path(repro.__file__).parent.parent)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "repro", "lint", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
+    return run_python("-m", "repro", "lint", *args, cwd=cwd)
 
 
 def test_cli_bad_corpus_exits_nonzero():
     proc = run_cli(str(BAD))
     assert proc.returncode == 1
     assert "unseeded-random" in proc.stdout
-    assert "simlint: 27 violation(s)" in proc.stdout
+    assert "simlint: 22 violation(s)" in proc.stdout
 
 
 def test_cli_good_corpus_exits_zero():
@@ -387,7 +367,7 @@ def test_cli_json_report():
 def test_cli_accepts_multiple_paths():
     proc = run_cli(str(BAD), str(GOOD))
     assert proc.returncode == 1
-    assert "simlint: 27 violation(s) in 11 file(s)" in proc.stdout
+    assert "simlint: 22 violation(s) in 10 file(s)" in proc.stdout
 
 
 def test_cli_multiple_paths_all_clean_exits_zero():
@@ -396,70 +376,7 @@ def test_cli_multiple_paths_all_clean_exits_zero():
     assert "clean" in proc.stdout
 
 
-# -- RNG taint pass (project dataflow) --------------------------------------
-def test_taint_set_literal_and_iteration():
-    src = (
-        "def arbitrate(rng, sink):\n"
-        "    pick = rng.randrange(4)\n"
-        "    live = {pick, 3}\n"
-        "    for port in live:\n"
-        "        sink(port)\n"
-    )
-    assert findings(src, NETWORK_PATH) == [
-        (3, "rng-tainted-hash-key"),
-        (4, "rng-tainted-iteration"),
-        (4, "set-iteration"),
-    ]
-
-
-def test_taint_local_dict_key():
-    src = (
-        "def tally(rng):\n"
-        "    table = {}\n"
-        "    table[rng.randrange(4)] = 1\n"
-        "    return table\n"
-    )
-    assert findings(src, NETWORK_PATH) == [(3, "rng-tainted-hash-key")]
-
-
-def test_taint_float_eq_through_call_summary():
-    src = (
-        "def draw(rng):\n"
-        "    return rng.random()\n"
-        "\n"
-        "\n"
-        "def collide(rng):\n"
-        "    return draw(rng) == draw(rng)\n"
-    )
-    assert findings(src) == [(6, "rng-tainted-float-eq")]
-
-
-def test_taint_self_rng_attribute_from_init():
-    src = (
-        "class Arbiter:\n"
-        "    def __init__(self, rng):\n"
-        "        self.rng = rng\n"
-        "\n"
-        "    def collide(self):\n"
-        "        return self.rng.random() != self.rng.random()\n"
-    )
-    assert findings(src) == [(6, "rng-tainted-float-eq")]
-
-
-def test_taint_seeded_stream_still_tainted():
-    src = (
-        "import random\n"
-        "\n"
-        "\n"
-        "def pick():\n"
-        "    rng = random.Random(42)\n"
-        "    live = set()\n"
-        "    live.add(rng.randrange(8))\n"
-        "    return live\n"
-    )
-    assert findings(src, NETWORK_PATH) == [(7, "rng-tainted-hash-key")]
-
-
+# -- RNG-derived values: what the kept rules leave alone ---------------------
 def test_taint_sorted_iteration_is_clean():
     src = (
         "def stable(rng, sink):\n"
@@ -468,20 +385,6 @@ def test_taint_sorted_iteration_is_clean():
         "        sink(port)\n"
     )
     assert findings(src, NETWORK_PATH) == []
-
-
-def test_taint_iteration_rule_is_network_scoped_but_float_eq_is_not():
-    src = (
-        "def arbitrate(rng, sink):\n"
-        "    live = {rng.randrange(4)}\n"
-        "    for port in live:\n"
-        "        sink(port)\n"
-        "    return rng.random() != rng.random()\n"
-    )
-    harness = findings(src, "src/repro/harness/x.py")
-    assert harness == [(5, "rng-tainted-float-eq")]
-    network = findings(src, NETWORK_PATH)
-    assert (3, "rng-tainted-iteration") in network
 
 
 def test_taint_untainted_float_compare_is_clean():
@@ -884,7 +787,7 @@ def test_sarif_validates_against_schema():
     run = sarif["runs"][0]
     assert run["tool"]["driver"]["name"] == "simlint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert "rng-tainted-iteration" in rule_ids
+    assert "set-iteration" in rule_ids
     assert "async-blocking-call" in rule_ids
     assert "numpy-dtype-mixing" in rule_ids
     assert len(run["results"]) == len(report.violations)
@@ -955,7 +858,7 @@ def test_seeded_rng_taint_hazard_in_network_module(tmp_path):
             "        ports.append(port)\n"
             "    return ports\n"
         )
-    assert "rng-tainted-iteration" in _rules_found(target)
+    assert "set-iteration" in _rules_found(target)
 
 
 def test_seeded_blocking_hazard_in_service_module(tmp_path):
@@ -1012,16 +915,5 @@ def test_hazard_free_copies_stay_clean(tmp_path):
 
 # -- generated rule table ---------------------------------------------------
 def test_rule_table_in_docs_is_in_sync():
-    proc = subprocess.run(
-        [sys.executable, "scripts/gen_rule_table.py", "--check"],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env={
-            **os.environ,
-            "PYTHONPATH": str(REPO_ROOT / "src")
-            + os.pathsep
-            + os.environ.get("PYTHONPATH", ""),
-        },
-    )
+    proc = run_python("scripts/gen_rule_table.py", "--check", cwd=REPO_ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
