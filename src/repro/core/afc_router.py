@@ -2,11 +2,11 @@
 
 One router, two datapaths:
 
-* **backpressureless mode** — identical behaviour to
-  :class:`~repro.routers.backpressureless.BackpressurelessRouter`
-  (randomized deflection routing, latches only, buffers power-gated),
-  except that output ports toward neighbours known to be in
-  backpressured mode are masked per virtual network by credit
+* **backpressureless mode** — the deflection router itself: the cycle
+  of :class:`~repro.routers.backpressureless.DeflectionRouter`
+  (randomized deflection routing, latches only, buffers power-gated)
+  runs unchanged, except that output ports toward neighbours known to
+  be in backpressured mode are masked per virtual network by credit
   availability, and a gossip-induced forward switch fires when such a
   neighbour runs low on free buffers.
 * **backpressured mode** — an input-buffered router with *lazy VC
@@ -49,19 +49,23 @@ from ..network.link import (
     ModeNotification,
     credit_message,
 )
-from ..network.router_base import BaseRouter
 from ..network.stats import StatsCollector
 from ..network.topology import Direction, Mesh
-from ..routers.backpressureless import allocate_deflection_ports
+from ..routers.backpressureless import DeflectionRouter
 from .lazy_vc import BufferBank, LazyInputPort, NeighborCreditState
 from .mode_controller import Mode, ModeController
 from .thresholds import thresholds_for
 
 
-class AfcRouter(BaseRouter):
+class AfcRouter(DeflectionRouter):
     """Adaptive flow-control router (and its always-backpressured twin)."""
 
     gating_can_flip = True  # gated exactly while deflecting and empty
+    STAGES = {
+        "step": DeflectionRouter.STAGES["step"]
+        + ("_backpressured_step", "_adapt"),
+        "_backpressured_step": ("_backpressured_inject",),
+    }
 
     def __init__(
         self,
@@ -103,23 +107,23 @@ class AfcRouter(BaseRouter):
         #: Neighbours still holding back credits after a START notice
         #: (see :class:`NeighborCreditState`); empty almost always.
         self._settling: List[NeighborCreditState] = []
-        self._latched: List[Tuple[Flit, Direction]] = []
-        #: Entry events this cycle (network arrivals + injections); the
-        #: contention metric counts a flit "traversing through the
-        #: router" once on entry and once on exit, so steady-state
-        #: intensity is twice the switch throughput.  With this
-        #: definition the paper's threshold values hold unchanged.
+        #: Input port each latched flit arrived on, for the rare
+        #: emergency write (the latch itself holds plain flits).
+        self._arrival_port: Dict[Flit, Direction] = {}
+        #: Flits written to the buffers this cycle (backpressured
+        #: arrivals and injections, emergency writes).  The contention
+        #: metric counts a flit "traversing through the router" once on
+        #: entry and once on exit, so steady-state intensity is twice
+        #: the switch throughput; a deflected flit's entry is counted
+        #: with its exit (see :meth:`step`).  With this definition the
+        #: paper's threshold values hold unchanged.
         self._entries_this_cycle = 0
-        self._inject_rr = 0
-        self._grant_rr: Dict[Direction, int] = {}
         self._finalized = False
-        #: Hot-path views built by :meth:`finalize`: the bound credit
-        #: mask (one allocation, instead of a fresh closure per
-        #: deflection cycle), the frozen input-port items, and the
-        #: persistent switch-allocation request lists (first-request
-        #: insertion order preserved via ``_bp_order``, exactly like the
-        #: ``setdefault`` dict they replace).
-        self._deflect_mask = self._port_allowed
+        #: Hot-path views built by :meth:`finalize`: the frozen
+        #: input-port items and the persistent switch-allocation request
+        #: lists (first-request insertion order preserved via
+        #: ``_bp_order``, exactly like the ``setdefault`` dict they
+        #: replace).
         self._iport_items: Tuple[Tuple[Direction, LazyInputPort], ...] = ()
         self._bp_requests: Dict[Direction, List[Tuple[Direction, Flit]]] = {}
         self._bp_order: List[Direction] = []
@@ -149,8 +153,6 @@ class AfcRouter(BaseRouter):
                 # accounting is on from cycle zero.
                 state.start_tracking((0, 0, 0))
             self._neighbors[direction] = state
-            self._grant_rr[direction] = 0
-        self._grant_rr[Direction.LOCAL] = 0
         self._cache_tables()
         #: Frozen iteration snapshots for the hot paths; the dicts stay
         #: the source of truth for keyed lookups.
@@ -184,19 +186,18 @@ class AfcRouter(BaseRouter):
         super().deliver(cycle)
 
     def _accept_flit(self, flit: Flit, in_port: Direction, cycle: int) -> None:
-        self._entries_this_cycle += 1
-        if self._mode.mode is Mode.BACKPRESSURED:
+        buffered = self._mode.mode is Mode.BACKPRESSURED
+        if buffered:
+            self._entries_this_cycle += 1
             self._input_ports[in_port].insert(flit)
             self.energy.buffer_write(self.node)
-            if self.obs is not None:
-                for sink in self.obs:
-                    sink.on_arrive(self.node, flit, in_port, True, cycle)
         else:
-            self._latched.append((flit, in_port))
+            self._latched.append(flit)
+            self._arrival_port[flit] = in_port
             self.energy.latch(self.node)
-            if self.obs is not None:
-                for sink in self.obs:
-                    sink.on_arrive(self.node, flit, in_port, False, cycle)
+        if self.obs is not None:
+            for sink in self.obs:
+                sink.on_arrive(self.node, flit, in_port, buffered, cycle)
 
     def _accept_credit(
         self, out_port: Direction, credit: CreditMessage, cycle: int
@@ -229,10 +230,16 @@ class AfcRouter(BaseRouter):
         if controller.mode is Mode.TRANSITION:
             controller.maybe_complete_forward(cycle)
         if controller.mode is Mode.BACKPRESSURED:
-            dispatched = self._backpressured_step(cycle)
+            exits = self._backpressured_step(cycle)
         else:
-            dispatched = self._deflection_step(cycle)
-        controller.record_load(self._entries_this_cycle + dispatched)
+            # Backpressureless mode is the deflection router's cycle
+            # (Section III).  A flit that leaves it entered this very
+            # cycle — latches hold nothing over — so each exit stands
+            # for its entry too; only emergency-buffered flits enter
+            # without leaving (counted by _unplaced).
+            exits = 2 * DeflectionRouter.step(self, cycle)
+            self._arrival_port.clear()
+        controller.record_load(self._entries_this_cycle + exits)
         self._entries_this_cycle = 0
         self._adapt(cycle)
         controller.tick_residency(self.stats.mode_stats[self.node])
@@ -313,113 +320,19 @@ class AfcRouter(BaseRouter):
             self.energy.credit(self.node)
 
     # -- backpressureless datapath --------------------------------------------------
-    def _deflection_step(self, cycle: int) -> int:
-        resident = self._latched
-        ni = self.ni
-        if not resident and (ni is None or not ni._queued):
-            return 0  # idle: the full path below would do exactly nothing
-        self._latched = []
-        if len(resident) > len(self._net_ports):
-            raise RuntimeError(
-                f"deflection invariant violated at node {self.node}"
-            )
-        dispatched = 0
-
-        # At most one resident flit: the ejection and service-order
-        # shuffles of the general path would each see <= 1 element and
-        # draw nothing, so the flit ejects, or takes its first credit-
-        # allowed productive port, with the RNG untouched.  No such
-        # port (every productive one masked) leaves ``assignment``
-        # unset and the general path below decides, from the same state.
-        assignment: Optional[Dict[Direction, Flit]] = None
-        if not resident:
-            assignment = {}
-        elif len(resident) == 1:
-            flit = resident[0][0]
-            if flit.dst == self.node:
-                self.stats.record_switch_traversal()
-                self._eject(flit, cycle)
-                dispatched = 1
-                assignment = {}
-            else:
-                ok_rows = self._ok_rows
-                vnet = flit.vnet
-                for port in self._prod_row[flit.dst]:
-                    if ok_rows[port][vnet]:
-                        assignment = {port: flit}
-                        break
-        if assignment is None:
-            assignment, dispatched = self._deflect_general(resident, cycle)
-
-        # Injection into a leftover free+allowed port, then dispatch.
-        if ni is not None and ni._queued:
-            self._deflection_inject(assignment, cycle)
-        for out_port, flit in assignment.items():
-            self._neighbors[out_port].on_send(flit.vnet)
-            self.energy.arbiter(self.node)
-            self.stats.record_switch_traversal()
-            self._dispatch(flit, out_port, cycle)
-            dispatched += 1
-        return dispatched
-
-    def _deflect_general(
-        self, resident: List[Tuple[Flit, Direction]], cycle: int
-    ) -> Tuple[Dict[Direction, Flit], int]:
-        """Ejection, credit-masked allocation and emergency buffering
-        for any number of resident flits; returns the port assignment
-        and the number of flits ejected."""
-        flits = [flit for flit, _ in resident]
-
-        # 1. Ejection.
-        at_dst = [f for f in flits if f.dst == self.node]
-        self.rng.shuffle(at_dst)
-        ejected = set()
-        for flit in at_dst[: self.config.eject_bandwidth]:
-            self.stats.record_switch_traversal()
-            self._eject(flit, cycle)
-            ejected.add(id(flit))
-        if ejected:
-            remaining = [f for f in flits if id(f) not in ejected]
-        else:
-            remaining = flits
-
-        # 2. Credit-masked deflection allocation.
-        assignment, unplaced = allocate_deflection_ports(
-            self.mesh,
-            self.node,
-            self.rng,
-            remaining,
-            port_allowed=self._deflect_mask,
-            prod_row=self._prod_row,
-            fallback_row=self._fallback_row,
-        )
-
-        # 3. Emergency buffering for flits with no usable port.
-        if unplaced:
-            in_port_of = {id(flit): port for flit, port in resident}
-            self._emergency_buffer(unplaced, in_port_of, cycle)
-        return assignment, len(ejected)
-
-    def _port_allowed(self, flit: Flit, port: Direction) -> bool:
-        """Credit mask toward mixed-mode neighbours (pure within one
-        allocation call: ``on_send`` only fires at dispatch time)."""
-        return self._ok_rows[port][flit.vnet]
-
-    def _emergency_buffer(
-        self,
-        unplaced: List[Flit],
-        in_port_of: Dict[int, Direction],
-        cycle: int,
-    ) -> None:
+    def _unplaced(self, flits: List[Flit], cycle: int) -> None:
+        """Emergency buffering (Section III-D): credit masking left
+        ``flits`` without a usable output port."""
         already_switching = self._mode.mode is Mode.TRANSITION
-        for flit in unplaced:
-            in_port = in_port_of[id(flit)]
+        self._entries_this_cycle += len(flits)
+        for flit in flits:
+            in_port = self._arrival_port[flit]
             self._input_ports[in_port].insert(flit)
             self.energy.buffer_write(self.node)
             if self.obs is not None:
                 for sink in self.obs:
                     sink.on_buffer(self.node, flit, in_port, cycle)
-            if already_switching and in_port is not Direction.LOCAL:
+            if already_switching:
                 # The forward-switch notification (and its occupancy
                 # snapshot) already went out: reconcile the upstream
                 # credit counter with a debit.
@@ -431,48 +344,6 @@ class AfcRouter(BaseRouter):
             # Snapshot in the START notification includes the flits
             # buffered above, so no debits are needed.
             self._begin_forward(cycle, gossip=True)
-
-    def _deflection_inject(
-        self, assignment: Dict[Direction, Flit], cycle: int
-    ) -> None:
-        """Inject one flit into a port the resident flits left free:
-        the first free, credit-allowed productive port of the first
-        eligible vnet's head flit, else a random free allowed port (a
-        deflection).  Caller checked that the NI has flits queued."""
-        net_ports = self._net_ports
-        if len(assignment) >= len(net_ports):
-            return  # every output port is taken
-        ni = self.ni
-        queues = ni._queues
-        ok_rows = self._ok_rows
-        vnets = VNETS
-        for offset in range(len(vnets)):
-            vnet = vnets[(self._inject_rr + offset) % len(vnets)]
-            queue = queues[vnet]
-            if not queue:
-                continue
-            chosen: Optional[Direction] = None
-            for port in self._prod_row[queue[0].dst]:
-                if port not in assignment and ok_rows[port][vnet]:
-                    chosen = port
-                    break
-            if chosen is not None:
-                flit = ni.pop(vnet, cycle)
-            else:
-                allowed = [
-                    p
-                    for p in net_ports
-                    if p not in assignment and ok_rows[p][vnet]
-                ]
-                if not allowed:
-                    continue
-                flit = ni.pop(vnet, cycle)
-                chosen = self.rng.choice(allowed)
-                flit.deflections += 1
-            assignment[chosen] = flit
-            self._entries_this_cycle += 1
-            self._inject_rr = (self._inject_rr + offset + 1) % len(vnets)
-            return
 
     # -- backpressured (lazy VC) datapath ----------------------------------------------
     def _backpressured_step(self, cycle: int) -> int:
@@ -584,22 +455,6 @@ class AfcRouter(BaseRouter):
             self._entries_this_cycle += 1
             self._inject_rr = (inject_rr + offset + 1) % n
             return
-
-    def _grant(
-        self,
-        out_port: Direction,
-        reqs: List[Tuple[Direction, Flit]],
-        capacity: int,
-    ) -> List[Tuple[Direction, Flit]]:
-        if len(reqs) <= capacity:
-            return reqs
-        start = self._grant_rr[out_port]
-        self._grant_rr[out_port] += capacity
-        # Plain tuple sort: each input port requests at most once per
-        # output, so the (distinct) directions decide the order and the
-        # flits are never compared — same order as key=r[0].value.
-        ordered = sorted(reqs)
-        return [ordered[(start + i) % len(ordered)] for i in range(capacity)]
 
     # -- introspection --------------------------------------------------------
     def buffered_flits(self) -> int:

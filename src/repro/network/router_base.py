@@ -41,6 +41,11 @@ class BaseRouter(ABC):
     #: True for routers whose :attr:`buffers_power_gated` can change
     #: during a run; the static-energy cache polls only those.
     gating_can_flip = False
+    #: Sub-stage methods ``repro.obs.profiler`` times besides
+    #: ``deliver`` and ``step``: stage -> the stages nested directly
+    #: inside it (each under one parent; their time comes off the
+    #: parent's self time).  Declared by the class that owns the methods.
+    STAGES: Dict[str, Tuple[str, ...]] = {}
 
     def __init__(
         self,
@@ -81,6 +86,9 @@ class BaseRouter(ABC):
         #: an attribute chase per channel.
         self._in_drain: Optional[tuple] = None
         self._out_drain: Optional[tuple] = None
+        #: Round-robin grant pointer per output port (LOCAL: ejection),
+        #: indexed by direction; see :meth:`_grant`.
+        self._grant_rr = [0] * len(Direction)
 
     # -- wiring -------------------------------------------------------------
     def attach_input(self, direction: Direction, channel: Channel) -> None:
@@ -220,6 +228,18 @@ class BaseRouter(ABC):
             for sink in self.obs:
                 sink.on_dispatch(self.node, flit, out_port, cycle)
         self.out_channels[out_port].send_flit(flit, cycle)
+
+    def _grant(self, out_port: Direction, reqs: list, capacity: int) -> list:
+        """Round-robin choice of ``capacity`` winners among the (more
+        numerous) ``(in_dir, ...)`` switch requests for ``out_port``."""
+        start = self._grant_rr[out_port]
+        self._grant_rr[out_port] = start + capacity
+        # Plain tuple sort: each input port requests at most once per
+        # output, so the (distinct) directions decide the order and the
+        # second elements are never compared — same order as
+        # key=r[0].value.
+        ordered = sorted(reqs)
+        return [ordered[(start + i) % len(ordered)] for i in range(capacity)]
 
     # -- introspection (used by energy accounting and invariant checks) -----------
     def buffered_flits(self) -> int:

@@ -1,10 +1,11 @@
 """Pipeline profiler: per-stage wall-clock self-time by cycle bucket.
 
 The :class:`PipelineProfiler` wraps ``Network.step`` and each router's
-pipeline-stage methods (``deliver``, ``step``, and the per-design
-sub-stages such as ``_route_and_allocate_vcs`` or ``_deflection_step``)
-with timing closures installed as *instance attributes*, shadowing the
-class methods.  ``detach`` deletes the instance attributes, restoring
+pipeline-stage methods — ``deliver``, ``step`` and the sub-stages its
+class declares in
+:attr:`~repro.network.router_base.BaseRouter.STAGES` — with timing
+closures installed as *instance attributes*, shadowing the class
+methods.  ``detach`` deletes the instance attributes, restoring
 the originals — no subclassing, no permanent monkey-patching, and zero
 cost for un-profiled networks.  The profiler registers with the network
 like every other extension — a ``cycle_end`` subscription that counts
@@ -30,41 +31,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["PipelineProfiler", "render_report"]
 
-#: Stage methods probed on each router, filtered by ``hasattr`` so one
-#: list covers all three designs. ``deliver``/``step`` are the
-#: top-level phases every router has.
-_ROUTER_STAGES: Tuple[str, ...] = (
-    "deliver",
-    "step",
-    # backpressured
-    "_inject",
-    "_route_and_allocate_vcs",
-    "_switch_allocation",
-    # backpressureless
-    "_eject_arrivals",
-    # afc
-    "_deflection_step",
-    "_backpressured_step",
-    "_adapt",
-    "_deflection_inject",
-    "_backpressured_inject",
-)
-
-#: parent stage -> stages nested inside it (for exclusive-time math).
-_CHILDREN: Dict[str, Tuple[str, ...]] = {
-    "step": (
-        "_inject",
-        "_route_and_allocate_vcs",
-        "_switch_allocation",
-        "_eject_arrivals",
-        "_deflection_step",
-        "_backpressured_step",
-        "_adapt",
-    ),
-    "_deflection_step": ("_deflection_inject",),
-    "_backpressured_step": ("_backpressured_inject",),
-}
-
 #: Special node id for the network-level step (engine) phase.
 _ENGINE = -1
 
@@ -83,6 +49,8 @@ class PipelineProfiler:
         # bucket index -> stage -> inclusive seconds (summed over nodes)
         self._buckets: Dict[int, Dict[str, float]] = {}
         self._wrapped: List[Tuple[object, str]] = []
+        # node -> its router class's STAGES (stage -> nested stages)
+        self._nested: Dict[int, Dict[str, Tuple[str, ...]]] = {}
         self.cycles_profiled = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -92,10 +60,13 @@ class PipelineProfiler:
         self.net.subscribe("cycle_end", self._count_cycle)
         for router in self.net.routers:
             node = router.node
-            for stage in _ROUTER_STAGES:
-                original = getattr(router, stage, None)
-                if original is None:
-                    continue
+            self._nested[node] = nested = router.STAGES
+            for stage in (
+                "deliver",
+                "step",
+                *(child for inner in nested.values() for child in inner),
+            ):
+                original = getattr(router, stage)
                 setattr(router, stage, self._wrap(original, node, stage))
                 self._wrapped.append((router, stage))
         self.net.step = self._wrap(self.net.step, _ENGINE, "net.step")
@@ -158,7 +129,7 @@ class PipelineProfiler:
         exclusive: Dict[Tuple[int, str], float] = {}
         for (node, stage), (seconds, _calls) in self._totals.items():
             self_time = seconds
-            for child in _CHILDREN.get(stage, ()):
+            for child in self._nested.get(node, {}).get(stage, ()):
                 child_cell = self._totals.get((node, child))
                 if child_cell is not None:
                     self_time -= child_cell[0]

@@ -91,7 +91,7 @@ class _DownstreamVC:
 class _OutputPortState:
     """Credit and allocation state for one network output port."""
 
-    __slots__ = ("vc_states", "ranges", "_alloc_rr", "_alloc_scan", "grant_rr")
+    __slots__ = ("vc_states", "ranges", "_alloc_rr", "_alloc_scan")
 
     def __init__(self, vcs: Sequence[int], depth: int) -> None:
         self.vc_states = [
@@ -111,7 +111,6 @@ class _OutputPortState:
             )
             for vnet, rng in self.ranges.items()
         }
-        self.grant_rr = 0
 
     def allocate_vc(self, vnet: VirtualNetwork) -> Optional[int]:
         """Claim a free downstream VC in ``vnet`` (round-robin scan)."""
@@ -164,6 +163,10 @@ class _InputPort:
 class BackpressuredRouter(BaseRouter):
     """The baseline per-packet VC router (and its ideal-bypass twin)."""
 
+    STAGES = {
+        "step": ("_inject", "_route_and_allocate_vcs", "_switch_allocation"),
+    }
+
     def __init__(
         self,
         node: int,
@@ -188,7 +191,6 @@ class BackpressuredRouter(BaseRouter):
             vnet: None for vnet in VirtualNetwork
         }
         self._inject_rr = 0
-        self._eject_rr = 0
         self._finalized = False
         #: Running buffered-flit count (occupancy is polled every cycle
         #: by the activity scheduler and invariant checks).
@@ -454,27 +456,6 @@ class BackpressuredRouter(BaseRouter):
                 self._traverse(in_dir, vc_idx, out_port, cycle)
             reqs.clear()
         order.clear()
-
-    def _grant(
-        self,
-        out_port: Direction,
-        reqs: List[Tuple[Direction, int]],
-        capacity: int,
-    ) -> List[Tuple[Direction, int]]:
-        if len(reqs) <= capacity:
-            return reqs
-        if out_port is Direction.LOCAL:
-            start = self._eject_rr
-            self._eject_rr += capacity
-        else:
-            state = self._out_state[out_port]
-            start = state.grant_rr
-            state.grant_rr += capacity
-        # Plain tuple sort: each input port requests at most once per
-        # output, so the (distinct) directions decide the order and the
-        # vc indices are never reached — same order as key=r[0].value.
-        ordered = sorted(reqs)
-        return [ordered[(start + i) % len(ordered)] for i in range(capacity)]
 
     def _traverse(
         self,

@@ -46,10 +46,10 @@ def age_key(flit: Flit) -> Tuple[int, int, int]:
     return (injected, flit.pid, flit.seq)
 
 
-def _always_allowed(_flit: Flit, _port: Direction) -> bool:
-    """Port mask of the pure deflection router (module-level so the
-    per-cycle hot path does not allocate a closure)."""
-    return True
+#: Port-mask rows, indexed ``[direction][vnet]``, of a router none of
+#: whose neighbours is ever backpressured: every vnet may take every
+#: port.  One table shared by all such routers.
+_UNMASKED: Sequence[Sequence[bool]] = ((True,) * len(VNETS),) * len(Direction)
 
 
 def allocate_deflection_ports(
@@ -57,7 +57,7 @@ def allocate_deflection_ports(
     node: int,
     rng: random.Random,
     flits: List[Flit],
-    port_allowed: Callable[[Flit, Direction], bool],
+    ok_rows: Sequence[Optional[Sequence[bool]]],
     sort_key: Optional[Callable[[Flit], object]] = None,
     prod_row: Optional[Sequence[Tuple[Direction, ...]]] = None,
     fallback_row: Optional[Sequence[Tuple[Direction, ...]]] = None,
@@ -73,10 +73,12 @@ def allocate_deflection_ports(
     Returns the port assignment and the flits that could not be placed
     at all.
 
-    With ``port_allowed`` always true (the pure deflection router) and
-    no more flits than the node has network ports, the unplaced list is
-    provably empty — masking ports (AFC's credit tracking toward
-    backpressured neighbours) is the only way a flit can be left over.
+    ``ok_rows[port][vnet]`` is the port mask (read, never written: pure
+    within one call).  With every entry true (the pure deflection
+    router) and no more flits than the node has network ports, the
+    unplaced list is provably empty — masking ports (AFC's credit
+    tracking toward backpressured neighbours) is the only way a flit
+    can be left over.
 
     ``prod_row`` / ``fallback_row`` are this node's rows of
     ``routing_tables(mesh).productive`` / ``.fallback`` (the productive
@@ -95,16 +97,17 @@ def allocate_deflection_ports(
     assignment: Dict[Direction, Flit] = {}
     unplaced: List[Flit] = []
     for flit in order:
+        vnet = flit.vnet
         chosen: Optional[Direction] = None
         for port in prod_row[flit.dst]:
-            if port not in assignment and port_allowed(flit, port):
+            if port not in assignment and ok_rows[port][vnet]:
                 chosen = port
                 break
         if chosen is None:
             free = [
                 p
                 for p in fallback_row[flit.dst]
-                if p not in assignment and port_allowed(flit, p)
+                if p not in assignment and ok_rows[p][vnet]
             ]
             if free:
                 chosen = rng.choice(free)
@@ -118,18 +121,29 @@ def allocate_deflection_ports(
     return assignment, unplaced
 
 
-class BackpressurelessRouter(BaseRouter):
-    """Pure deflection router (no buffers, no credits).
+class DeflectionRouter(BaseRouter):
+    """The latch stage and the one scalar deflection cycle.
 
-    Port allocation is randomized (``_sort_key = None``); the
-    :class:`PriorityDeflectionRouter` subclass overrides it with
-    oldest-first age priorities.
+    :class:`BackpressurelessRouter` is this class under its design
+    name.  The AFC router *is* this router while in backpressureless
+    mode (Section III) and runs :meth:`step` unchanged, contributing
+    data: its neighbours' live credit rows as :attr:`_ok_rows`, their
+    credit states as :attr:`_neighbors`, and emergency buffering as
+    :meth:`_unplaced`.  The dropping router keeps the latch stage and
+    replaces the cycle.  Neither is an instance of the pure design's
+    class, so whatever names :class:`BackpressurelessRouter` (exact-type
+    tests, class-level instrumentation) means that design alone.
     """
 
-    design = Design.BACKPRESSURELESS
     #: Service order for port allocation and ejection; ``None`` means a
     #: random permutation each cycle.
     _sort_key = None
+    #: Port mask ``[direction][vnet]``, read when a port is chosen.
+    _ok_rows = _UNMASKED
+    #: Per-output credit state debited (``on_send``) for every flit
+    #: dispatched, or ``None`` when no neighbour keeps credits.
+    _neighbors: Optional[dict] = None
+    STAGES = {"step": ("_eject_arrivals", "_inject")}
 
     def __init__(
         self,
@@ -156,25 +170,30 @@ class BackpressurelessRouter(BaseRouter):
                 sink.on_arrive(self.node, flit, in_port, False, cycle)
 
     # -- per-cycle operation ----------------------------------------------------
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> int:
+        """One deflection cycle; returns the number of flits that left
+        the router (ejected or dispatched)."""
         if self._net_ports is None:
             self._cache_tables()
         resident = self._latched
         ni = self.ni
         if not resident and (ni is None or not ni._queued):
-            return  # idle: the full path below would do exactly nothing
+            return 0  # idle: the full path below would do exactly nothing
         self._latched = []
         if len(resident) > len(self._net_ports):
             raise RuntimeError(
                 f"deflection invariant violated at node {self.node}: "
                 f"{len(resident)} flits, {len(self._net_ports)} ports"
             )
+        ok_rows = self._ok_rows
+        left = 0
         # At most one resident flit and no service order to honour: the
         # ejection and allocation shuffles of the general path would
-        # each see <= 1 element and draw nothing, and no port is masked,
-        # so the flit ejects, or takes its first productive port, with
-        # the RNG untouched.  Anything else leaves ``assignment`` unset
-        # and takes the general path, from the same state.
+        # each see <= 1 element and draw nothing, so the flit ejects, or
+        # takes its first unmasked productive port, with the RNG
+        # untouched.  Anything else (every productive port masked
+        # included) leaves ``assignment`` unset and takes the general
+        # path, from the same state.
         assignment: Optional[Dict[Direction, Flit]] = None
         if self._sort_key is None:
             if not resident:
@@ -184,34 +203,41 @@ class BackpressurelessRouter(BaseRouter):
                 if flit.dst == self.node:
                     self.stats.record_switch_traversal()
                     self._eject(flit, cycle)
+                    left = 1
                     assignment = {}
                 else:
-                    productive = self._prod_row[flit.dst]
-                    if productive:
-                        assignment = {productive[0]: flit}
+                    vnet = flit.vnet
+                    for port in self._prod_row[flit.dst]:
+                        if ok_rows[port][vnet]:
+                            assignment = {port: flit}
+                            break
         if assignment is None:
             remaining = self._eject_arrivals(resident, cycle)
+            left = len(resident) - len(remaining)
             assignment, unplaced = allocate_deflection_ports(
                 self.mesh,
                 self.node,
                 self.rng,
                 remaining,
-                port_allowed=_always_allowed,
+                ok_rows,
                 sort_key=self._sort_key,
                 prod_row=self._prod_row,
                 fallback_row=self._fallback_row,
             )
             if unplaced:
-                raise RuntimeError(
-                    f"deflection router failed to place {len(unplaced)} "
-                    f"flits at node {self.node}"
-                )
+                self._unplaced(unplaced, cycle)
         if ni is not None and ni._queued:
             self._inject(assignment, cycle)
+        # Credits are debited only here, at dispatch, so the mask was
+        # pure throughout the allocation and injection above.
+        neighbors = self._neighbors
         for out_port, flit in assignment.items():
+            if neighbors is not None:
+                neighbors[out_port].on_send(flit.vnet)
             self.energy.arbiter(self.node)
             self.stats.record_switch_traversal()
             self._dispatch(flit, out_port, cycle)
+        return left + len(assignment)
 
     def _eject_arrivals(self, resident: List[Flit], cycle: int) -> List[Flit]:
         """Eject up to ``eject_bandwidth`` flits at their destination.
@@ -233,29 +259,48 @@ class BackpressurelessRouter(BaseRouter):
             ejected.add(id(flit))
         return [f for f in resident if id(f) not in ejected]
 
+    def _unplaced(self, flits: List[Flit], cycle: int) -> None:
+        """Flits the port mask left without an output this cycle."""
+        raise RuntimeError(
+            f"deflection router failed to place {len(flits)} "
+            f"flits at node {self.node}"
+        )
+
     def _inject(
         self, assignment: Dict[Direction, Flit], cycle: int
     ) -> None:
-        """Inject one flit if an output port remains free (caller
-        checked that the NI has flits queued)."""
+        """Inject one flit into a port the resident flits left free:
+        the first free, unmasked productive port of the first eligible
+        vnet's head flit, else a random free unmasked port (a
+        deflection).  Caller checked that the NI has flits queued."""
         net_ports = self._net_ports
         if len(assignment) >= len(net_ports):
             return  # every output port is taken
         ni = self.ni
         queues = ni._queues
+        ok_rows = self._ok_rows
         vnets = VNETS
         for offset in range(len(vnets)):
             vnet = vnets[(self._inject_rr + offset) % len(vnets)]
-            if not queues[vnet]:
+            queue = queues[vnet]
+            if not queue:
                 continue
-            flit = ni.pop(vnet, cycle)
             chosen: Optional[Direction] = None
-            for port in self._prod_row[flit.dst]:
-                if port not in assignment:
+            for port in self._prod_row[queue[0].dst]:
+                if port not in assignment and ok_rows[port][vnet]:
                     chosen = port
                     break
-            if chosen is None:
-                free = [p for p in net_ports if p not in assignment]
+            if chosen is not None:
+                flit = ni.pop(vnet, cycle)
+            else:
+                free = [
+                    p
+                    for p in net_ports
+                    if p not in assignment and ok_rows[p][vnet]
+                ]
+                if not free:
+                    continue  # this vnet is masked on every free port
+                flit = ni.pop(vnet, cycle)
                 chosen = self.rng.choice(free)
                 flit.deflections += 1
             assignment[chosen] = flit
@@ -269,6 +314,17 @@ class BackpressurelessRouter(BaseRouter):
     @property
     def buffers_power_gated(self) -> bool:
         return True  # there are no buffers at all
+
+
+class BackpressurelessRouter(DeflectionRouter):
+    """Pure deflection router (no buffers, no credits).
+
+    Port allocation is randomized (``_sort_key = None``); the
+    :class:`PriorityDeflectionRouter` subclass overrides it with
+    oldest-first age priorities.
+    """
+
+    design = Design.BACKPRESSURELESS
 
 
 class PriorityDeflectionRouter(BackpressurelessRouter):

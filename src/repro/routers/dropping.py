@@ -30,48 +30,26 @@ Differences from the deflection router:
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional
 
-from ..network.config import Design, NetworkConfig
-from ..network.energy_hooks import EnergyMeter
-from ..network.flit import Flit, VirtualNetwork, VNETS
-from ..network.router_base import BaseRouter
-from ..network.stats import StatsCollector
-from ..network.topology import Direction, Mesh
+from ..network.config import Design
+from ..network.flit import Flit, VNETS
+from ..network.topology import Direction
+from .backpressureless import DeflectionRouter
 
 
-class DroppingRouter(BaseRouter):
-    """Backpressureless router that drops on contention."""
+class DroppingRouter(DeflectionRouter):
+    """Backpressureless router that drops on contention: the deflection
+    router's latch stage under a cycle of its own."""
 
     design = Design.BACKPRESSURELESS_DROPPING
     #: A packet dropped this many times is served with absolute
     #: oldest-first priority until it completes (starvation escape).
     ESCALATION_EPOCH = 6
-
-    def __init__(
-        self,
-        node: int,
-        config: NetworkConfig,
-        mesh: Mesh,
-        rng: random.Random,
-        stats: StatsCollector,
-        energy: Optional[EnergyMeter] = None,
-    ) -> None:
-        super().__init__(node, config, mesh, rng, stats, energy)
-        self._latched: List[Flit] = []
-        self._inject_rr = 0
-        #: Set by the Network: notifies it that a flit was dropped so
-        #: the whole packet is retransmitted after the NACK delay.
-        self.drop_notify = None
-
-    def finalize(self) -> None:
-        self._cache_tables()
-
-    # -- receive path -------------------------------------------------------
-    def _accept_flit(self, flit: Flit, in_port: Direction, cycle: int) -> None:
-        self._latched.append(flit)
-        self.energy.latch(self.node)
+    #: Set by the Network: notifies it that a flit was dropped so the
+    #: whole packet is retransmitted after the NACK delay.
+    drop_notify = None
+    STAGES = {"step": ("_eject_or_drop", "_inject")}
 
     # -- per-cycle operation ----------------------------------------------------
     def step(self, cycle: int) -> None:
@@ -175,11 +153,3 @@ class DroppingRouter(BaseRouter):
             assignment[chosen] = self.ni.pop(vnet, cycle)
             self._inject_rr = (self._inject_rr + offset + 1) % len(vnets)
             return
-
-    # -- introspection --------------------------------------------------------
-    def resident_flits(self) -> int:
-        return len(self._latched)
-
-    @property
-    def buffers_power_gated(self) -> bool:
-        return True  # no buffers at all

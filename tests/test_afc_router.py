@@ -1,9 +1,23 @@
 """Tests for the AFC router: dual datapaths, mode switches, gossip."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro import Design, Direction, Mode, Packet, VirtualNetwork
+from repro import (
+    Design,
+    Direction,
+    Mode,
+    Network,
+    NetworkConfig,
+    Packet,
+    VirtualNetwork,
+)
+from repro.analysis.fingerprint import differing, fingerprint
 from repro.core.afc_router import AfcRouter
+from repro.energy.model import EnergyBreakdown
+from repro.network.config import ContentionThresholds, RouterClass
+from repro.network.flit import reset_packet_ids
 from repro.network.link import CreditMessage, ModeNotice, ModeNotification
 from repro.traffic.synthetic import uniform_random_traffic
 
@@ -421,6 +435,50 @@ class TestSingleFlitPath:
         )
         assert ports_used(router) == [deflected_to]
         assert router.rng.getstate() == before.getstate()
+
+
+class TestDeflectionIdentity:
+    """Section III: AFC's backpressureless mode *is* the deflection
+    router.  An AFC network that never switches (thresholds out of
+    reach) must replay the pure router's run flit for flit and draw
+    for draw, so nothing AFC contributes to the shared cycle — mask
+    rows, credit debit, emergency buffering, load counts — can leak
+    behaviour into it."""
+
+    NEVER = {
+        cls: ContentionThresholds(high=1e9, low=1.0) for cls in RouterClass
+    }
+    #: All that may differ: energy scales with AFC's wider flits (17 vs
+    #: 13 control bits) and gated buffers, and only AFC keeps mode stats.
+    MAY_DIFFER = {f.name for f in fields(EnergyBreakdown)} | {"mode_stats"}
+
+    def _run(self, design, width, rate):
+        reset_packet_ids()
+        config = NetworkConfig(
+            width=width, height=width, thresholds=self.NEVER
+        )
+        net = Network(config, design, seed=3)
+        source = uniform_random_traffic(net, rate, seed=4)
+        source.run(500)
+        net.drain(max_cycles=100_000)
+        return net, fingerprint(net, source)
+
+    @pytest.mark.parametrize(
+        "width, rate", [(3, 0.1), (4, 0.3), (8, 0.5)]
+    )
+    def test_never_switching_afc_replays_the_deflection_router(
+        self, width, rate
+    ):
+        pure, expected = self._run(Design.BACKPRESSURELESS, width, rate)
+        afc, row = self._run(Design.AFC, width, rate)
+        assert all(r.mode is Mode.BACKPRESSURELESS for r in afc.routers)
+        assert pure.stats.packets_completed > 0
+        leaked = [
+            column
+            for column in differing(expected, row)
+            if column not in self.MAY_DIFFER
+        ]
+        assert not leaked, f"AFC changed the deflection cycle's {leaked}"
 
 
 class TestBufferedCountMirror:

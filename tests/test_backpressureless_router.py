@@ -18,6 +18,10 @@ from conftest import (
 )
 
 
+#: Port-mask rows ``[direction][vnet]`` with nothing masked.
+OPEN = [[True] * len(VirtualNetwork)] * len(Direction)
+
+
 def flits_to(dsts, src=0):
     out = []
     for dst in dsts:
@@ -40,7 +44,7 @@ class TestAllocateDeflectionPorts:
         flits = flits_to([5, 5, 5], src=3)  # node 4's neighbours vary
         assignment, unplaced = allocate_deflection_ports(
             self.MESH, 4, random.Random(0), flits,
-            port_allowed=lambda f, p: True,
+            ok_rows=OPEN,
         )
         assert not unplaced
         assert len(assignment) == 3  # dict keys are ports: all distinct
@@ -49,7 +53,7 @@ class TestAllocateDeflectionPorts:
         flits = flits_to([5], src=3)  # at node 4, 5 is EAST
         assignment, _ = allocate_deflection_ports(
             self.MESH, 4, random.Random(0), flits,
-            port_allowed=lambda f, p: True,
+            ok_rows=OPEN,
         )
         assert assignment == {Direction.EAST: flits[0]}
         assert flits[0].deflections == 0
@@ -58,7 +62,7 @@ class TestAllocateDeflectionPorts:
         flits = flits_to([5, 5], src=3)  # both want EAST at node 4
         assignment, _ = allocate_deflection_ports(
             self.MESH, 4, random.Random(0), flits,
-            port_allowed=lambda f, p: True,
+            ok_rows=OPEN,
         )
         assert Direction.EAST in assignment
         deflected = sum(f.deflections for f in flits)
@@ -68,7 +72,7 @@ class TestAllocateDeflectionPorts:
         flits = flits_to([5], src=3)
         assignment, unplaced = allocate_deflection_ports(
             self.MESH, 4, random.Random(0), flits,
-            port_allowed=lambda f, p: False,
+            ok_rows=[[False] * len(VirtualNetwork)] * len(Direction),
         )
         assert assignment == {}
         assert unplaced == flits
@@ -81,7 +85,7 @@ class TestAllocateDeflectionPorts:
             flits = flits_to(dsts, src=0)
             _, unplaced = allocate_deflection_ports(
                 self.MESH, 4, rng, flits,
-                port_allowed=lambda f, p: True,
+                ok_rows=OPEN,
             )
             assert not unplaced
 
@@ -104,7 +108,7 @@ class TestAllocateDeflectionPorts:
         flits = flits_to(dsts, src=node if node != 0 else 1)
         assignment, unplaced = allocate_deflection_ports(
             mesh, node, rng, flits,
-            port_allowed=lambda f, p: True,
+            ok_rows=OPEN,
         )
         assert not unplaced
         assert len(assignment) == n

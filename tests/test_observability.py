@@ -25,6 +25,7 @@ from repro.analysis.fingerprint import fingerprint
 from repro.faults import FaultInjector, FaultSpec, ProtectionConfig
 from repro.harness.experiment import ExperimentRunner
 from repro.network.flit import reset_packet_ids
+from repro.network.router_base import BaseRouter
 from repro.obs import (
     LATENCY_BUCKETS,
     FlitTracer,
@@ -37,6 +38,8 @@ from repro.obs import (
 from repro.obs.profiler import render_report
 from repro.traffic.patterns import Hotspot
 from repro.traffic.synthetic import OpenLoopSource, uniform_random_traffic
+
+from conftest import offer_random_burst
 
 FULL_OPTIONS = ObservabilityOptions(
     trace=True, trace_capacity=1 << 17, metrics=True, profile=True
@@ -160,6 +163,27 @@ def test_full_observability_is_pure(design, engine):
     assert dispatched > 0
 
 
+@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+def test_every_dispatched_flit_is_seen_arriving(design):
+    """Once the network has drained, each flit put on a link was
+    reported arriving at the other end — for every router family."""
+    reset_packet_ids()
+    net = Network(NetworkConfig(), design, seed=1)
+    observer = Observability(net, ObservabilityOptions(metrics=True)).attach()
+    offer_random_burst(net, 60)
+    net.drain(max_cycles=30_000)
+    observer.detach()
+    counters = observer.registry.to_dict()["counters"]
+
+    def total(prefix):
+        return sum(v for k, v in counters.items() if k.startswith(prefix))
+
+    assert total("noc_flits_dispatched_total") > 0
+    assert total("noc_flits_arrived_total") == total(
+        "noc_flits_dispatched_total"
+    )
+
+
 def test_detach_restores_class_methods_and_hooks():
     net, observer, _ = run_uniform(Design.AFC, "active", FULL_OPTIONS)
     assert not net.subscribed
@@ -242,6 +266,48 @@ def test_profiler_names_hottest_router_and_stage():
     assert "pipeline profile" in text and "hottest router" in text
     # The shipped-dict renderer and the method agree.
     assert profiler.render() == text
+
+
+def _router_classes(cls=BaseRouter):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _router_classes(sub)
+
+
+@pytest.mark.parametrize(
+    "cls", list(_router_classes()), ids=lambda c: c.__name__
+)
+def test_declared_stages_resolve_on_their_class(cls):
+    """A renamed or deleted stage method must fail here, not silently
+    lose its ``--profile-sim`` row."""
+    nested = [child for inner in cls.STAGES.values() for child in inner]
+    assert len(set(nested)) == len(nested)  # one parent each
+    timed = {"deliver", "step", *nested}
+    assert set(cls.STAGES) <= timed  # a parent is itself timed
+    for name in timed:
+        assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
+
+
+@pytest.mark.parametrize(
+    "design",
+    [Design.BACKPRESSURED, Design.BACKPRESSURELESS, Design.AFC],
+    ids=lambda d: d.value,
+)
+def test_every_declared_stage_gets_a_profile_row(design):
+    """At a load that takes AFC through both modes, every stage a main
+    design declares is reached and reported."""
+    reset_packet_ids()
+    net = Network(NetworkConfig(), design, seed=2)
+    source = uniform_random_traffic(net, 0.7, seed=4, source_queue_limit=200)
+    with PipelineProfiler(net, bucket_cycles=500) as profiler:
+        source.run(1500)
+    stages = type(net.routers[0]).STAGES
+    reached = {
+        stage
+        for stage, agg in profiler.report()["stage_totals"].items()
+        if agg["calls"] > 0
+    }
+    assert reached == {"net.step", "deliver", "step"}.union(*stages.values())
 
 
 # -- acceptance: traced saturating AFC hotspot run --------------------------
