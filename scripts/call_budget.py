@@ -11,11 +11,14 @@ tight bound::
     PYTHONPATH=src python scripts/call_budget.py           # rewrite archive
     PYTHONPATH=src python scripts/call_budget.py --check   # CI gate (+-5 %)
 
-Each row runs one design on an 8x8 mesh for 300 open-loop cycles under
-``sys.setprofile`` and divides the ``call`` events (python functions
-and generator resumptions; C functions are not counted) by the flit
-hops the run dispatched.  ``--reference FILE`` embeds the rows of an
-archive written by this script elsewhere (e.g. at the parent commit)
+Each open-loop row runs one design on an 8x8 mesh for 300 open-loop
+cycles; each closed-loop row runs one paper design on the default 3x3
+CMP under the ``apache`` workload for 1 500 cycles (Fig. 2's loop:
+memsys, NI and every router family).  The run happens under
+``sys.setprofile`` and the ``call`` events (python functions and
+generator resumptions; C functions are not counted) are divided by the
+flit hops the run dispatched.  ``--reference FILE`` embeds the rows of
+an archive written by this script elsewhere (e.g. at the parent commit)
 for side-by-side reading; ``--check`` never looks at them.
 """
 
@@ -25,7 +28,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARCHIVE = REPO_ROOT / "benchmarks" / "results" / "CALL_BUDGET.json"
@@ -34,10 +37,40 @@ DESIGNS = ("backpressured", "backpressureless", "afc")
 RATES = (0.05, 0.6)
 WIDTH = 8
 CYCLES = 300
+CLOSED_WORKLOAD = "apache"
+CLOSED_CYCLES = 1500
 SEED = 11
 #: ``--check`` fails when a row is off its archived value by more,
 #: either way.
 TOLERANCE = 0.05
+
+
+def count_calls(run: Callable[[], None]) -> int:
+    """Python-level calls made by ``run()``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def row(design_name: str, case: Dict[str, object], calls: int, net) -> dict:
+    hops = net.stats.dispatched_flit_hops
+    return {
+        "design": design_name,
+        **case,
+        "calls": calls,
+        "flit_hops": hops,
+        "calls_per_flit_hop": round(calls / hops, 3),
+    }
 
 
 def measure(design_name: str, rate: float) -> Dict[str, object]:
@@ -52,30 +85,37 @@ def measure(design_name: str, rate: float) -> Dict[str, object]:
     source = uniform_random_traffic(
         net, rate, seed=SEED, source_queue_limit=500
     )
-    calls = 0
+    calls = count_calls(lambda: source.run(CYCLES))
+    return row(design_name, {"rate": rate}, calls, net)
 
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
 
-    sys.setprofile(count)
-    try:
-        source.run(CYCLES)
-    finally:
-        sys.setprofile(None)
-    hops = net.stats.dispatched_flit_hops
-    return {
-        "design": design_name,
-        "rate": rate,
-        "calls": calls,
-        "flit_hops": hops,
-        "calls_per_flit_hop": round(calls / hops, 3),
-    }
+def measure_closed(design) -> Dict[str, object]:
+    from repro import Network, NetworkConfig
+    from repro.memsys.system import MemorySystem
+    from repro.network.flit import reset_packet_ids
+    from repro.traffic.workloads import WORKLOADS
+
+    reset_packet_ids()
+    net = Network(NetworkConfig(), design, seed=SEED)
+    system = MemorySystem(net, WORKLOADS[CLOSED_WORKLOAD], seed=SEED)
+    calls = count_calls(lambda: system.run(CLOSED_CYCLES))
+    return row(design.value, {"workload": CLOSED_WORKLOAD}, calls, net)
 
 
 def measure_all() -> List[Dict[str, object]]:
-    return [measure(design, rate) for design in DESIGNS for rate in RATES]
+    from repro.harness import MAIN_DESIGNS
+
+    return [
+        measure(design, rate) for design in DESIGNS for rate in RATES
+    ] + [measure_closed(design) for design in MAIN_DESIGNS]
+
+
+def row_key(row: Dict[str, object]) -> tuple:
+    return row["design"], row.get("rate"), row.get("workload")
+
+
+def label(row: Dict[str, object]) -> str:
+    return f"{row['design']} @ {row.get('rate') or row.get('workload')}"
 
 
 def main(argv=None) -> int:
@@ -88,25 +128,22 @@ def main(argv=None) -> int:
                         help="archive whose rows are embedded for comparison")
     args = parser.parse_args(argv)
     rows = measure_all()
-    for row in rows:
+    for entry in rows:
         print(
-            f"{row['design']:>17} @ {row['rate']:<4}  "
-            f"{row['calls_per_flit_hop']:8.3f} calls/hop  "
-            f"({row['calls']} calls, {row['flit_hops']} hops)"
+            f"{label(entry):>34}  "
+            f"{entry['calls_per_flit_hop']:8.3f} calls/hop  "
+            f"({entry['calls']} calls, {entry['flit_hops']} hops)"
         )
     if args.check:
         archived = {
-            (row["design"], row["rate"]): row["calls_per_flit_hop"]
-            for row in json.loads(ARCHIVE.read_text())["rows"]
+            row_key(entry): entry["calls_per_flit_hop"]
+            for entry in json.loads(ARCHIVE.read_text())["rows"]
         }
         failed = False
-        for row in rows:
-            now = row["calls_per_flit_hop"]
-            was = archived[row["design"], row["rate"]]
-            line = (
-                f"{row['design']} @ {row['rate']}: {now} calls/hop, "
-                f"archived {was}"
-            )
+        for entry in rows:
+            now = entry["calls_per_flit_hop"]
+            was = archived[row_key(entry)]
+            line = f"{label(entry)}: {now} calls/hop, archived {was}"
             if now > was * (1.0 + TOLERANCE):
                 print(f"OVER BUDGET (+{TOLERANCE:.0%}): {line}")
                 failed = True
@@ -119,6 +156,7 @@ def main(argv=None) -> int:
     document = {
         "mesh": f"{WIDTH}x{WIDTH}",
         "cycles": CYCLES,
+        "closed_loop": f"3x3, {CLOSED_WORKLOAD}, {CLOSED_CYCLES} cycles",
         "seed": SEED,
         "tolerance": TOLERANCE,
         "rows": rows,

@@ -11,7 +11,13 @@ trees behave the same when every row is equal.  The grid is
 * **saturated** — the three paper designs on 8x8 at 0.4 / 0.6 / 0.8
   with a bounded source queue, 300 cycles plus a drain (every router
   busy every cycle: deflection fallback rows, AFC's credit-masked
-  allocation, switch allocation under full contention).
+  allocation, switch allocation under full contention);
+* **closed loop** (the ``closed_loop`` section) — every Fig. 2 workload
+  under every paper design on the default 3x3 CMP, a short warmup, then
+  ``begin_measurement`` and a few hundred measured cycles, with the
+  ``MemorySystem`` as the source: its ``rng_states`` cover the memory
+  system's, every core's and every bank's stream, so the rows pin that
+  memsys draws, admits and completes exactly as before.
 
 The file is written by the commit *before* a behaviour-preserving
 change and replayed by ``tests/test_lowload_goldens.py`` after it::
@@ -50,6 +56,9 @@ SATURATED_CYCLES = 300
 #: Per-node source-queue bound, in flits: keeps the drain (and the
 #: tier-1 bill) proportional to the run, not to the overload.
 SATURATED_QUEUE_LIMIT = 60
+
+CLOSED_WARMUP = 100
+CLOSED_CYCLES = 300
 
 
 def case_key(
@@ -109,12 +118,45 @@ def run_case(
     return fingerprint(net, source)
 
 
+def closed_cases() -> Iterator[tuple]:
+    """Every ``(workload name, design)`` of the closed-loop grid."""
+    from repro.harness import MAIN_DESIGNS
+    from repro.traffic.workloads import WORKLOADS
+
+    return product(WORKLOADS, MAIN_DESIGNS)
+
+
+def closed_key(workload: str, design) -> str:
+    return f"{workload}/{design.value}"
+
+
+def run_closed_case(workload: str, design) -> list:
+    """Run one closed-loop case and return its fingerprint row."""
+    from repro import Network, NetworkConfig
+    from repro.analysis.fingerprint import fingerprint
+    from repro.memsys.system import MemorySystem
+    from repro.network.flit import reset_packet_ids
+    from repro.traffic.workloads import WORKLOADS
+
+    reset_packet_ids()
+    net = Network(NetworkConfig(), design, seed=NET_SEED)
+    system = MemorySystem(net, WORKLOADS[workload], seed=TRAFFIC_SEED)
+    system.run(CLOSED_WARMUP)
+    system.begin_measurement()
+    system.run(CLOSED_CYCLES)
+    return fingerprint(net, system)
+
+
 def generate() -> Dict[str, object]:
     from repro.analysis.fingerprint import COLUMNS
 
     return {
         "columns": COLUMNS,
         "cases": {case_key(*case): run_case(*case) for case in cases()},
+        "closed_loop": {
+            closed_key(*case): run_closed_case(*case)
+            for case in closed_cases()
+        },
     }
 
 
@@ -124,15 +166,20 @@ def load() -> Dict[str, object]:
 
 def render(goldens: Dict[str, object]) -> str:
     """One case per line: diffs of a re-pin stay readable."""
-    rows = ",\n".join(
-        f"  {json.dumps(key)}: {json.dumps(row)}"
-        for key, row in goldens["cases"].items()
-    )
+
+    def rows(section: str) -> str:
+        return ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(row)}"
+            for key, row in goldens[section].items()
+        )
+
     return (
         '{"columns": '
         + json.dumps(goldens["columns"])
         + ',\n "cases": {\n'
-        + rows
+        + rows("cases")
+        + '\n},\n "closed_loop": {\n'
+        + rows("closed_loop")
         + "\n}}\n"
     )
 
@@ -150,17 +197,29 @@ def main(argv=None) -> int:
     if not args.check:
         goldens = generate()
         GOLDENS_PATH.write_text(render(goldens))
-        print(f"wrote {len(goldens['cases'])} cases to {GOLDENS_PATH}")
+        print(
+            f"wrote {len(goldens['cases'])} + {len(goldens['closed_loop'])} "
+            f"cases to {GOLDENS_PATH}"
+        )
         return 0
     golden = load()
+    runs = [
+        (golden["cases"], case_key(*case), run_case, case)
+        for case in cases()
+    ] + [
+        (golden["closed_loop"], closed_key(*case), run_closed_case, case)
+        for case in closed_cases()
+    ]
     bad = 0
-    for case in cases():
-        key = case_key(*case)
-        columns = differing(golden["cases"][key], run_case(*case))
+    for rows, key, run, case in runs:
+        columns = differing(rows[key], run(*case))
         if columns:
             bad += 1
             print(f"{key}: differs in {', '.join(columns)}")
-    print(f"{bad} of {len(golden['cases'])} cases differ")
+    print(
+        f"{bad} of {len(golden['cases'])} + {len(golden['closed_loop'])} "
+        "cases differ"
+    )
     return 1 if bad else 0
 
 

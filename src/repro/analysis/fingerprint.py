@@ -55,7 +55,10 @@ def _digest(value) -> str:
 
 
 def _rng_states(net, source) -> list:
-    """Final state of every router's stream, then the source's.
+    """Final state of every router's stream, then the source's
+    (``source.rng_streams()``: one for an open-loop source; the
+    memory system's own, every core's and every bank's for the closed
+    loop).
 
     A network still on the vector engine reports the batched
     generator's rows as they are: materialising first would route them
@@ -66,14 +69,15 @@ def _rng_states(net, source) -> list:
         states = [router.rng.getstate() for router in net.routers]
     else:
         states = [engine.mt.getstate(row) for row in range(engine.mt.n_rows)]
-    states.append(source.rng.getstate())
+    states.extend(rng.getstate() for rng in source.rng_streams())
     return states
 
 
 def fingerprint(net, source) -> list:
     """The fingerprint row of a finished run — ``net`` after the
-    ``run``/``drain`` that ended it, driven by the open-loop ``source``
-    — in :data:`COLUMNS` order (JSON-stable)."""
+    ``run``/``drain`` that ended it, driven by ``source`` (an open-loop
+    source or a ``MemorySystem``) — in :data:`COLUMNS` order
+    (JSON-stable)."""
     stats = net.stats
     energy = net.measured_energy()
     modes = sorted(

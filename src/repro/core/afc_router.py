@@ -50,17 +50,23 @@ from ..network.link import (
     credit_message,
 )
 from ..network.stats import StatsCollector
-from ..network.topology import Direction, Mesh
+from ..network.router_base import BaseRouter
+from ..network.topology import LOCAL, Direction, Mesh
 from ..routers.backpressureless import DeflectionRouter
 from .lazy_vc import BufferBank, LazyInputPort, NeighborCreditState
-from .mode_controller import Mode, ModeController
+from .mode_controller import (
+    BACKPRESSURED,
+    BACKPRESSURELESS,
+    TRANSITION,
+    Mode,
+    ModeController,
+)
 from .thresholds import thresholds_for
 
 
 class AfcRouter(DeflectionRouter):
     """Adaptive flow-control router (and its always-backpressured twin)."""
 
-    gating_can_flip = True  # gated exactly while deflecting and empty
     STAGES = {
         "step": DeflectionRouter.STAGES["step"]
         + ("_backpressured_step", "_adapt"),
@@ -90,9 +96,13 @@ class AfcRouter(DeflectionRouter):
             ewma_alpha=config.ewma_alpha,
             adaptive=adaptive,
             initial_mode=(
-                Mode.BACKPRESSURELESS if adaptive else Mode.BACKPRESSURED
+                BACKPRESSURELESS if adaptive else BACKPRESSURED
             ),
         )
+        #: Gated exactly while deflecting and empty, so only the
+        #: adaptive router's gating can flip; the twin's stays off and
+        #: the static-energy cache need not poll it.
+        self.gating_can_flip = adaptive
         self._input_ports: Dict[Direction, LazyInputPort] = {}
         #: Flits buffered across all input ports; every port moves it
         #: together with its own count (see :class:`BufferBank`).
@@ -142,7 +152,7 @@ class AfcRouter(DeflectionRouter):
     def finalize(self) -> None:
         if self._finalized:
             return
-        for direction in list(self.in_channels) + [Direction.LOCAL]:
+        for direction in list(self.in_channels) + [LOCAL]:
             self._input_ports[direction] = LazyInputPort(
                 self._vcs, self._bank
             )
@@ -159,7 +169,7 @@ class AfcRouter(DeflectionRouter):
         self._neighbor_list = tuple(self._neighbors.values())
         self._iport_items = tuple(self._input_ports.items())
         self._bp_requests = {direction: [] for direction in self._neighbors}
-        self._bp_requests[Direction.LOCAL] = []
+        self._bp_requests[LOCAL] = []
         for direction, state in self._neighbors.items():
             self._ok_rows[direction] = state.ok
         self._iport_scan = tuple(
@@ -181,12 +191,12 @@ class AfcRouter(DeflectionRouter):
         # Mode completion must precede arrival classification: a flit
         # delivered at the first backpressured cycle is buffered.
         controller = self._mode
-        if controller.mode is Mode.TRANSITION:
+        if controller.mode is TRANSITION:
             controller.maybe_complete_forward(cycle)
-        super().deliver(cycle)
+        BaseRouter.deliver(self, cycle)
 
     def _accept_flit(self, flit: Flit, in_port: Direction, cycle: int) -> None:
-        buffered = self._mode.mode is Mode.BACKPRESSURED
+        buffered = self._mode.mode is BACKPRESSURED
         if buffered:
             self._entries_this_cycle += 1
             self._input_ports[in_port].insert(flit)
@@ -202,7 +212,7 @@ class AfcRouter(DeflectionRouter):
     def _accept_credit(
         self, out_port: Direction, credit: CreditMessage, cycle: int
     ) -> None:
-        self._neighbors[out_port].on_credit(credit.vnet, debit=credit.debit)
+        self._neighbors[out_port].on_credit(credit.vnet, credit.debit)
 
     def _accept_mode_notice(
         self, out_port: Direction, notice: ModeNotification, cycle: int
@@ -227,9 +237,9 @@ class AfcRouter(DeflectionRouter):
                 nb for nb in self._settling if not nb.settle(cycle)
             ]
         controller = self._mode
-        if controller.mode is Mode.TRANSITION:
+        if controller.mode is TRANSITION:
             controller.maybe_complete_forward(cycle)
-        if controller.mode is Mode.BACKPRESSURED:
+        if controller.mode is BACKPRESSURED:
             exits = self._backpressured_step(cycle)
         else:
             # Backpressureless mode is the deflection router's cycle
@@ -241,7 +251,8 @@ class AfcRouter(DeflectionRouter):
             self._arrival_port.clear()
         controller.record_load(self._entries_this_cycle + exits)
         self._entries_this_cycle = 0
-        self._adapt(cycle)
+        if controller.adaptive:
+            self._adapt(cycle)
         controller.tick_residency(self.stats.mode_stats[self.node])
 
     # -- activity reporting (active-set cycle engine) --------------------------
@@ -255,7 +266,7 @@ class AfcRouter(DeflectionRouter):
         # via backflow, which the engine refuses to sleep through.
         ni = self.ni
         return (
-            self._mode.mode is not Mode.TRANSITION
+            self._mode.mode is not TRANSITION
             and not self._bank.flits
             and not self._latched
             and (ni is None or not ni._queued)
@@ -270,11 +281,11 @@ class AfcRouter(DeflectionRouter):
 
     # -- adaptation policy -------------------------------------------------------
     def _adapt(self, cycle: int) -> None:
+        """Mode-switch decisions of an adaptive router (the
+        always-backpressured twin never calls this)."""
         controller = self._mode
-        if not controller.adaptive:
-            return
         mode = controller.mode
-        if mode is Mode.BACKPRESSURELESS:
+        if mode is BACKPRESSURELESS:
             # Gossip (Section III-D): a tracked, i.e. backpressured,
             # neighbour's free buffers fell below the threshold X.
             threshold = self.config.gossip_threshold
@@ -284,8 +295,11 @@ class AfcRouter(DeflectionRouter):
                     return
             if controller.ewma > controller.thresholds.high:
                 self._begin_forward(cycle, gossip=False)
-        elif mode is Mode.BACKPRESSURED:
-            if controller.wants_reverse(not self._bank.flits):
+        elif mode is BACKPRESSURED:
+            # Buffers first: under load they are rarely empty, and
+            # ``wants_reverse`` is pure, so it is asked only when it can
+            # say yes.
+            if not self._bank.flits and controller.wants_reverse(True):
                 self._begin_reverse(cycle)
 
     def _begin_forward(self, cycle: int, gossip: bool) -> None:
@@ -323,7 +337,7 @@ class AfcRouter(DeflectionRouter):
     def _unplaced(self, flits: List[Flit], cycle: int) -> None:
         """Emergency buffering (Section III-D): credit masking left
         ``flits`` without a usable output port."""
-        already_switching = self._mode.mode is Mode.TRANSITION
+        already_switching = self._mode.mode is TRANSITION
         self._entries_this_cycle += len(flits)
         for flit in flits:
             in_port = self._arrival_port[flit]
@@ -366,7 +380,7 @@ class AfcRouter(DeflectionRouter):
         order = self._bp_order
         ok_rows = self._ok_rows
         xy_row = self._xy_row
-        local = Direction.LOCAL
+        local = LOCAL
         nv = len(VNETS)
         arbiter = self.energy.arbiter
         node = self.node
@@ -399,13 +413,13 @@ class AfcRouter(DeflectionRouter):
         if not order:
             return dispatched
         input_ports = self._input_ports
+        bank = self._bank
         neighbors = self._neighbors
         in_channels = self.in_channels
         credit_msgs = self._credit_msgs
         energy = self.energy
         buffer_read = energy.buffer_read
         credit_energy = energy.credit
-        switch_traversal = self.stats.record_switch_traversal
         eject_bandwidth = self.config.eject_bandwidth
         for out_port in order:
             reqs = requests[out_port]
@@ -416,9 +430,12 @@ class AfcRouter(DeflectionRouter):
                 else self._grant(out_port, reqs, capacity)
             )
             for in_dir, flit in winners:
-                input_ports[in_dir].remove(flit)
+                # LazyInputPort.remove, inline: one call fewer per flit.
+                port = input_ports[in_dir]
+                port._by_vnet[flit.vnet].remove(flit)
+                port._count -= 1
+                bank.flits -= 1
                 buffer_read(node)
-                switch_traversal()
                 dispatched += 1
                 if out_port is local:
                     self._eject(flit, cycle)
@@ -432,11 +449,12 @@ class AfcRouter(DeflectionRouter):
                     credit_energy(node)
             reqs.clear()
         order.clear()
+        self.stats.record_switch_traversal(dispatched)
         return dispatched
 
     def _backpressured_inject(self, cycle: int) -> None:
         ni = self.ni
-        local = self._input_ports[Direction.LOCAL]
+        local = self._input_ports[LOCAL]
         vnets = VNETS
         n = len(vnets)
         inject_rr = self._inject_rr
@@ -468,6 +486,6 @@ class AfcRouter(DeflectionRouter):
         """Coarse-grained power gating: the whole buffer bank is gated
         whenever the router deflects and holds no buffered flits."""
         return (
-            self._mode.mode is Mode.BACKPRESSURELESS
+            self._mode.mode is BACKPRESSURELESS
             and not self._bank.flits
         )

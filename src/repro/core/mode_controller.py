@@ -45,7 +45,15 @@ class Mode(Enum):
     def deflecting(self) -> bool:
         """True when arrivals are latched and deflected rather than
         buffered."""
-        return self is not Mode.BACKPRESSURED
+        return self is not BACKPRESSURED
+
+
+#: The members bound once: an Enum class-attribute load costs several
+#: times a module global, and the per-cycle and per-flit paths of the
+#: controller and the AFC router test the mode constantly.
+BACKPRESSURELESS = Mode.BACKPRESSURELESS
+TRANSITION = Mode.TRANSITION
+BACKPRESSURED = Mode.BACKPRESSURED
 
 
 class ModeController:
@@ -69,9 +77,9 @@ class ModeController:
         load_window: int = 4,
         ewma_alpha: float = 0.99,
         adaptive: bool = True,
-        initial_mode: Mode = Mode.BACKPRESSURELESS,
+        initial_mode: Mode = BACKPRESSURELESS,
     ) -> None:
-        if initial_mode is Mode.TRANSITION:
+        if initial_mode is TRANSITION:
             raise ValueError("cannot start in a transition")
         self.thresholds = thresholds
         self.link_latency = link_latency
@@ -101,41 +109,41 @@ class ModeController:
     def maybe_complete_forward(self, cycle: int) -> None:
         """Enter backpressured mode once the transition window elapsed."""
         if (
-            self.mode is Mode.TRANSITION
+            self.mode is TRANSITION
             and self.backpressured_from is not None
             and cycle >= self.backpressured_from
         ):
-            self.mode = Mode.BACKPRESSURED
+            self.mode = BACKPRESSURED
             self.backpressured_from = None
 
     # -- transitions ----------------------------------------------------------
     def wants_forward(self) -> bool:
         return (
             self.adaptive
-            and self.mode is Mode.BACKPRESSURELESS
+            and self.mode is BACKPRESSURELESS
             and self.ewma > self.thresholds.high
         )
 
     def wants_reverse(self, buffers_empty: bool) -> bool:
         return (
             self.adaptive
-            and self.mode is Mode.BACKPRESSURED
+            and self.mode is BACKPRESSURED
             and self.ewma < self.thresholds.low
             and buffers_empty
         )
 
     def begin_forward(self, cycle: int) -> None:
         """Start a forward switch (threshold- or gossip-triggered)."""
-        if self.mode is not Mode.BACKPRESSURELESS:
+        if self.mode is not BACKPRESSURELESS:
             raise RuntimeError(f"forward switch from mode {self.mode}")
-        self.mode = Mode.TRANSITION
+        self.mode = TRANSITION
         self.backpressured_from = cycle + self.transition_window
 
     def begin_reverse(self) -> None:
         """Switch to backpressureless mode (caller checked buffers)."""
-        if self.mode is not Mode.BACKPRESSURED:
+        if self.mode is not BACKPRESSURED:
             raise RuntimeError(f"reverse switch from mode {self.mode}")
-        self.mode = Mode.BACKPRESSURELESS
+        self.mode = BACKPRESSURELESS
 
     # -- idle fast-path support (active-set cycle engine) ------------------------
     #
@@ -177,7 +185,7 @@ class ModeController:
         before the pure geometric decay takes over, so the drain is
         replayed explicitly; once the window is all zeros the EWMA only
         falls and the check is trivially true."""
-        if not self.adaptive or self.mode is not Mode.BACKPRESSURELESS:
+        if not self.adaptive or self.mode is not BACKPRESSURELESS:
             return True  # no spontaneous forward switch in this mode
         high = self.thresholds.high
         if self.ewma > high:
@@ -236,9 +244,9 @@ class ModeController:
             for _ in range(remaining):
                 ewma = alpha * ewma + beta
         self.ewma = ewma
-        if self.mode is Mode.BACKPRESSURELESS:
+        if self.mode is BACKPRESSURELESS:
             entry.backpressureless_cycles += cycles
-        elif self.mode is Mode.TRANSITION:
+        elif self.mode is TRANSITION:
             entry.transition_cycles += cycles
         else:
             entry.backpressured_cycles += cycles
@@ -252,7 +260,7 @@ class ModeController:
         the returned count names the exact cycle the eager loop would
         have switched on.
         """
-        if not (self.adaptive and self.mode is Mode.BACKPRESSURED):
+        if not (self.adaptive and self.mode is BACKPRESSURED):
             return None
         low = self.thresholds.low
         if low <= 0.0:
@@ -277,9 +285,9 @@ class ModeController:
     # -- accounting ---------------------------------------------------------------
     def tick_residency(self, entry: RouterModeStats) -> None:
         """Charge this cycle to the current mode's residency counter."""
-        if self.mode is Mode.BACKPRESSURELESS:
+        if self.mode is BACKPRESSURELESS:
             entry.backpressureless_cycles += 1
-        elif self.mode is Mode.TRANSITION:
+        elif self.mode is TRANSITION:
             entry.transition_cycles += 1
         else:
             entry.backpressured_cycles += 1

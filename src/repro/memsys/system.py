@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from functools import partial
 from typing import Callable, DefaultDict, Dict, List, Optional
 
 from ..network.config import DEFAULT_MACHINE_CONFIG, MachineConfig
@@ -71,6 +72,12 @@ class MemorySystem:
             )
             for n in range(num_nodes)
         ]
+        #: ``(bank, completion callback)`` per node, the callback bound
+        #: once here rather than per bank per cycle.
+        self._bank_ports = tuple(
+            (bank, partial(self._bank_complete, bank.node))
+            for bank in self.banks
+        )
         self._wheel: DefaultDict[int, List[Callable[[int], None]]] = (
             defaultdict(list)
         )
@@ -80,6 +87,8 @@ class MemorySystem:
             )
         self._measure_start = network.cycle
         self.writebacks_issued = 0
+        #: Packets handed to the network interfaces (never reset).
+        self.offered_packets = 0
 
     # -- event wheel ----------------------------------------------------------
     def schedule(self, at_cycle: int, fn: Callable[[int], None]) -> None:
@@ -93,14 +102,10 @@ class MemorySystem:
         cycle = self.network.cycle
         for fn in self._wheel.pop(cycle, ()):  # completions due now
             fn(cycle)
-        for bank in self.banks:
-            bank.tick(
-                cycle,
-                self.schedule,
-                lambda req, fwd, at, _home=bank.node: self._bank_complete(
-                    _home, req, fwd, at
-                ),
-            )
+        schedule = self.schedule
+        for bank, complete in self._bank_ports:
+            if bank.queue:  # an empty bank's tick admits nothing
+                bank.tick(cycle, schedule, complete)
         for core in self.cores:
             txn = core.tick(cycle)
             if txn is not None:
@@ -111,6 +116,15 @@ class MemorySystem:
             self.tick()
             self.network.step()
         self.network.sync_bookkeeping()
+
+    def rng_streams(self) -> tuple:
+        """Every random stream the closed loop draws from: the system's
+        own, then each core's, then each bank's."""
+        return (
+            self.rng,
+            *(core.rng for core in self.cores),
+            *(bank.rng for bank in self.banks),
+        )
 
     # -- transaction flow -------------------------------------------------------------
     def _issue(self, core: Core, txn: Transaction, cycle: int) -> None:
@@ -289,6 +303,7 @@ class MemorySystem:
         cycle: int,
         meta: Optional[Dict[str, int]] = None,
     ) -> None:
+        self.offered_packets += 1
         self.network.interface(src).offer(
             Packet(
                 src=src,

@@ -330,6 +330,28 @@ class MachineConfig:
     #: Fraction of L2 accesses that miss to memory (adds memory_latency).
     l2_miss_rate: float = 0.10
 
+    def __post_init__(self) -> None:
+        for name in ("l1_mshrs", "l2_mshrs"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1 (got {getattr(self, name)}): "
+                    "with no MSHR nothing is ever issued or admitted"
+                )
+        if self.l2_latency < 1:
+            raise ValueError(
+                f"l2_latency must be >= 1 cycle (got {self.l2_latency}): "
+                "a bank completes in a later cycle than it admits"
+            )
+        if self.memory_latency < 0:
+            raise ValueError(
+                f"memory_latency must be >= 0 cycles "
+                f"(got {self.memory_latency})"
+            )
+        if not 0.0 <= self.l2_miss_rate <= 1.0:
+            raise ValueError(
+                f"l2_miss_rate must be in [0, 1] (got {self.l2_miss_rate})"
+            )
+
 
 DEFAULT_NETWORK_CONFIG = NetworkConfig()
 DEFAULT_MACHINE_CONFIG = MachineConfig()

@@ -237,14 +237,23 @@ class Channel:
         self.fault = None
 
     # -- forward (flit) direction -----------------------------------------
+    # ``send_flit`` and ``send_credit`` run once per flit hop each, so
+    # they append to their own delay line inline (the body of
+    # ``DelayLine.push``, monotonic-cycle check included) instead of
+    # paying a second call.
     def send_flit(self, flit: Flit, cycle: int) -> None:
         flit.hops += 1
         self.flit_traversals += 1
         if self.fault is not None:
             self.fault.on_send_flit(flit, cycle)
-        self._flits.push(flit, cycle)
+        line = self._flits
+        ready = cycle + line.latency
+        items = line._items
+        if items and items[-1][0] > ready:
+            raise ValueError("DelayLine pushes must have non-decreasing cycles")
+        items.append((ready, flit))
         if self.wake_flit is not None:
-            self.wake_flit(cycle + self._flits.latency)
+            self.wake_flit(ready)
 
     def deliver_flits(self, cycle: int) -> List[Flit]:
         return self._flits.pop_ready(cycle)
@@ -257,9 +266,14 @@ class Channel:
     def send_credit(self, credit: CreditMessage, cycle: int) -> None:
         if self.fault is not None and self.fault.on_send_credit(credit, cycle):
             return
-        self._backflow.push(credit, cycle)
+        line = self._backflow
+        ready = cycle + line.latency
+        items = line._items
+        if items and items[-1][0] > ready:
+            raise ValueError("DelayLine pushes must have non-decreasing cycles")
+        items.append((ready, credit))
         if self.wake_backflow is not None:
-            self.wake_backflow(cycle + self._backflow.latency)
+            self.wake_backflow(ready)
 
     def send_mode_notice(self, notice: ModeNotification, cycle: int) -> None:
         self._backflow.push(notice, cycle)

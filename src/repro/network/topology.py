@@ -33,6 +33,10 @@ class Direction(IntEnum):
         return _OPPOSITES[self]
 
 
+#: ``Direction.LOCAL`` bound once: an Enum class-attribute load costs
+#: several times a module global, so per-flit paths import this name.
+LOCAL = Direction.LOCAL
+
 _OPPOSITES = {
     Direction.EAST: Direction.WEST,
     Direction.WEST: Direction.EAST,

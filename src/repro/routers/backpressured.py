@@ -38,7 +38,7 @@ from ..network.flit import Flit, VirtualNetwork, VNETS
 from ..network.link import CreditMessage, credit_message
 from ..network.router_base import BaseRouter
 from ..network.stats import StatsCollector
-from ..network.topology import Direction, Mesh
+from ..network.topology import LOCAL, Direction, Mesh
 
 
 def vc_ranges(vcs: Sequence[int]) -> Dict[VirtualNetwork, range]:
@@ -223,7 +223,7 @@ class BackpressuredRouter(BaseRouter):
         """Build port structures once all channels are attached."""
         if self._finalized:
             return
-        for direction in list(self.in_channels) + [Direction.LOCAL]:
+        for direction in list(self.in_channels) + [LOCAL]:
             self._input_ports[direction] = _InputPort(self._vcs, self._depth)
         for direction in self.out_channels:
             self._out_state[direction] = _OutputPortState(
@@ -235,7 +235,7 @@ class BackpressuredRouter(BaseRouter):
         self._sa_requests = {
             direction: [] for direction in self._out_state
         }
-        self._sa_requests[Direction.LOCAL] = []
+        self._sa_requests[LOCAL] = []
         self._finalized = True
 
     # -- receive paths -------------------------------------------------------
@@ -313,7 +313,7 @@ class BackpressuredRouter(BaseRouter):
     # discipline applies to the injection port like any other).
     def _inject(self, cycle: int) -> None:
         ni = self.ni
-        local = self._input_ports[Direction.LOCAL]
+        local = self._input_ports[LOCAL]
         vnets = VNETS
         queues = ni._queues
         for offset in range(len(vnets)):
@@ -349,7 +349,7 @@ class BackpressuredRouter(BaseRouter):
             return  # one flit per cycle (config.inject_bandwidth == 1)
 
     def _find_free_local_vc(self, vnet: VirtualNetwork) -> Optional[int]:
-        local = self._input_ports[Direction.LOCAL]
+        local = self._input_ports[LOCAL]
         for idx in local.ranges[vnet]:
             if local.vcs[idx].free_for_allocation:
                 return idx
@@ -360,7 +360,7 @@ class BackpressuredRouter(BaseRouter):
     def _route_and_allocate_vcs(self) -> None:
         xy_row = self._xy_row
         out_state = self._out_state
-        local = Direction.LOCAL
+        local = LOCAL
         for port in self._iport_list:
             occupied = port.occupied
             vcs = port.vcs
@@ -391,7 +391,7 @@ class BackpressuredRouter(BaseRouter):
         requests = self._sa_requests
         order = self._sa_order
         out_state = self._out_state
-        local = Direction.LOCAL
+        local = LOCAL
         arbiter = self.energy.arbiter
         node = self.node
         for in_dir, port in self._iport_items:
@@ -444,6 +444,8 @@ class BackpressuredRouter(BaseRouter):
         if not order:
             return
         eject_bandwidth = self.config.eject_bandwidth
+        traverse = self._traverse
+        traversals = 0
         for out_port in order:
             reqs = requests[out_port]
             capacity = eject_bandwidth if out_port is local else 1
@@ -453,9 +455,11 @@ class BackpressuredRouter(BaseRouter):
                 else self._grant(out_port, reqs, capacity)
             )
             for in_dir, vc_idx in winners:
-                self._traverse(in_dir, vc_idx, out_port, cycle)
+                traverse(in_dir, vc_idx, out_port, cycle)
+            traversals += len(winners)
             reqs.clear()
         order.clear()
+        self.stats.record_switch_traversal(traversals)
 
     def _traverse(
         self,
@@ -474,8 +478,7 @@ class BackpressuredRouter(BaseRouter):
             self._bypass_pending.discard(flit)  # cut-through: no write/read
         else:
             self.energy.buffer_read(self.node)
-        self.stats.record_switch_traversal()
-        if out_port is Direction.LOCAL:
+        if out_port is LOCAL:
             flit.vc = -1
             self._eject(flit, cycle)
         else:
@@ -486,7 +489,7 @@ class BackpressuredRouter(BaseRouter):
             state.credits -= 1
             flit.vc = out_vc
             self._dispatch(flit, out_port, cycle)
-        if in_dir is not Direction.LOCAL:
+        if in_dir is not LOCAL:
             self.in_channels[in_dir].send_credit(
                 port.credits[flit.vnet][vc_idx][flit.is_tail], cycle
             )

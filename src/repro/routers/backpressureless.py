@@ -201,7 +201,6 @@ class DeflectionRouter(BaseRouter):
             elif len(resident) == 1:
                 flit = resident[0]
                 if flit.dst == self.node:
-                    self.stats.record_switch_traversal()
                     self._eject(flit, cycle)
                     left = 1
                     assignment = {}
@@ -235,9 +234,11 @@ class DeflectionRouter(BaseRouter):
             if neighbors is not None:
                 neighbors[out_port].on_send(flit.vnet)
             self.energy.arbiter(self.node)
-            self.stats.record_switch_traversal()
             self._dispatch(flit, out_port, cycle)
-        return left + len(assignment)
+        left += len(assignment)
+        if left:
+            self.stats.record_switch_traversal(left)
+        return left
 
     def _eject_arrivals(self, resident: List[Flit], cycle: int) -> List[Flit]:
         """Eject up to ``eject_bandwidth`` flits at their destination.
@@ -254,7 +255,6 @@ class DeflectionRouter(BaseRouter):
             candidates.sort(key=self._sort_key)
         ejected = set()
         for flit in candidates[: self.config.eject_bandwidth]:
-            self.stats.record_switch_traversal()
             self._eject(flit, cycle)
             ejected.add(id(flit))
         return [f for f in resident if id(f) not in ejected]

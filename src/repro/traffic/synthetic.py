@@ -145,6 +145,10 @@ class OpenLoopSource:
             self.network.step()
         self.network.sync_bookkeeping()
 
+    def rng_streams(self) -> tuple:
+        """Every random stream this source draws from."""
+        return (self.rng,)
+
 
 def uniform_random_traffic(
     network: Network, rate: float, seed: int = 0, **kwargs

@@ -208,6 +208,41 @@ class TestKnobValidation:
         ]
 
 
+class TestMachineConfigValidation:
+    """Closed-loop machine values that crashed a run mid-way
+    (``events must be scheduled in the future``), silently completed
+    nothing, or were not a probability are rejected at construction."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("l1_mshrs", 0),  # 0 transactions, every cycle a stall
+            ("l2_mshrs", 0),  # 0 transactions, requests stuck in banks
+            ("l2_latency", 0),  # a completion scheduled for "now"
+            ("memory_latency", -20),  # a miss scheduled in the past
+            ("l2_miss_rate", 1.5),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: value})
+
+    def test_legal_edge_values_accepted(self):
+        MachineConfig(
+            l1_mshrs=1, l2_mshrs=1, l2_latency=1, memory_latency=0,
+            l2_miss_rate=1.0,
+        )
+        MachineConfig(l2_miss_rate=0.0)
+
+    def test_field_set_unchanged(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(MachineConfig)] == [
+            "l1_mshrs", "l2_mshrs", "l2_latency", "memory_latency",
+            "l2_miss_rate",
+        ]
+
+
 class TestAfcWindowCapacity:
     """Adaptive AFC needs ``2L + 1`` VCs per virtual network (one
     mode-switch window of emergency writes, docs/FLOW_CONTROL.md):

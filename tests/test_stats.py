@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Packet, StatsCollector, VirtualNetwork
+from repro import Design, Packet, StatsCollector, VirtualNetwork
 from repro.network.stats import RouterModeStats
 
 
@@ -127,3 +127,38 @@ class TestModeStats:
         s.mode(0).gossip_switches = 2
         s.mode(1).gossip_switches = 3
         assert s.total_gossip_switches == 5
+
+
+def _closed_loop(design):
+    from repro import Network, NetworkConfig
+    from repro.memsys.system import MemorySystem
+    from repro.traffic.workloads import WORKLOADS
+
+    net = Network(NetworkConfig(), design, seed=3)
+    MemorySystem(net, WORKLOADS["apache"], seed=3).run(800)
+    return net
+
+
+def _saturated_8x8(design):
+    from repro import Network, NetworkConfig
+    from repro.traffic.synthetic import uniform_random_traffic
+
+    net = Network(NetworkConfig(width=8, height=8), design, seed=3)
+    uniform_random_traffic(net, 0.6, seed=3, source_queue_limit=60).run(200)
+    return net
+
+
+@pytest.mark.parametrize("run", [_closed_loop, _saturated_8x8],
+                         ids=["apache_3x3", "saturated_8x8"])
+@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+def test_switch_traversals_equal_link_and_ejection_recount(design, run):
+    """Routers report switch traversals as one count per step, not
+    one call per flit; the count must equal what actually crossed a switch — a flit sent
+    on a link or handed to the ejection port — with no measurement
+    reset in between, so a missed ejection (single-flit path, ejection
+    draw) or a double count shows."""
+    net = run(design)
+    traversals = sum(ch.flit_traversals for ch in net.channels)
+    ejected = sum(ni.flits_ejected_total for ni in net.interfaces)
+    assert traversals > 0 and ejected > 0
+    assert net.stats.dispatched_flit_hops == traversals + ejected
