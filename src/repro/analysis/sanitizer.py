@@ -10,6 +10,10 @@ Checked invariants (see docs/ANALYSIS.md for the paper references):
 
 * **Flit conservation** — offered == delivered + in-network +
   at-sources + discarded, from the NIs' absolute counters.
+* **Energy counts** — the meter's link count equals the channels'
+  traversal counters, and its switch-crossing count equals links plus
+  the NIs' ejections: the event counts routers add once per step are
+  checked against counters kept per flit elsewhere.
 * **Deflection in-degree == out-degree** — every flit entering a
   deflection router's switch in a cycle leaves it the same cycle
   (dispatch or ejection); checked both structurally (the arrival latch
@@ -205,6 +209,7 @@ class Sanitizer:
             self._check_gossip(cycle)
         if self._deflection:
             self._check_deflection_flow(cycle)
+        self._check_energy_counts(cycle)
         self._last_checked = cycle
 
     # -- global: conservation ----------------------------------------------
@@ -213,6 +218,25 @@ class Sanitizer:
             self.net.check_flit_conservation()
         except RuntimeError as exc:
             self._fail(cycle, "network", str(exc))
+
+    # -- global: energy event counts ----------------------------------------
+    def _check_energy_counts(self, cycle: int) -> None:
+        net = self.net
+        meter = net.energy
+        links = sum(channel.flit_traversals for channel in net.channels)
+        if meter.links != links:
+            self._fail(
+                cycle, "network",
+                f"energy meter counts {meter.links} link traversals, "
+                f"the channels {links}",
+            )
+        ejected = sum(ni.flits_ejected_total for ni in net.interfaces)
+        if meter.crossings != links + ejected:
+            self._fail(
+                cycle, "network",
+                f"energy meter counts {meter.crossings} switch crossings, "
+                f"not links {links} + ejections {ejected}",
+            )
 
     # -- structural: deflection latches ------------------------------------
     def _check_latch_empty(self, cycle: int, node: int, router) -> None:

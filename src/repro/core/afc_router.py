@@ -63,6 +63,15 @@ from .mode_controller import (
 )
 from .thresholds import thresholds_for
 
+#: Switch allocation's round-robin over virtual networks, as data:
+#: ``_VNET_ORDER[sa_rr]`` is the vnet visiting order from pointer
+#: ``sa_rr``, and ``_VNET_NEXT[vnet]`` the pointer after serving ``vnet``.
+_VNET_ORDER = tuple(
+    tuple((start + i) % len(VNETS) for i in range(len(VNETS)))
+    for start in range(len(VNETS))
+)
+_VNET_NEXT = tuple((vnet + 1) % len(VNETS) for vnet in range(len(VNETS)))
+
 
 class AfcRouter(DeflectionRouter):
     """Adaptive flow-control router (and its always-backpressured twin)."""
@@ -121,21 +130,24 @@ class AfcRouter(DeflectionRouter):
         #: emergency write (the latch itself holds plain flits).
         self._arrival_port: Dict[Flit, Direction] = {}
         #: Flits written to the buffers this cycle (backpressured
-        #: arrivals and injections, emergency writes).  The contention
-        #: metric counts a flit "traversing through the router" once on
-        #: entry and once on exit, so steady-state intensity is twice
-        #: the switch throughput; a deflected flit's entry is counted
-        #: with its exit (see :meth:`step`).  With this definition the
-        #: paper's threshold values hold unchanged.
+        #: arrivals and injections, emergency writes): exactly the
+        #: cycle's buffer writes, counted on the meter by :meth:`step`.
+        #: The contention metric counts a flit "traversing through the
+        #: router" once on entry and once on exit, so steady-state
+        #: intensity is twice the switch throughput; a deflected flit's
+        #: entry is counted with its exit (see :meth:`step`).  With this
+        #: definition the paper's threshold values hold unchanged.
         self._entries_this_cycle = 0
         self._finalized = False
         #: Hot-path views built by :meth:`finalize`: the frozen
         #: input-port items and the persistent switch-allocation request
         #: lists (first-request insertion order preserved via
         #: ``_bp_order``, exactly like the ``setdefault`` dict they
-        #: replace).
+        #: replace).  A request is ``(in_dir, flit, the flit's vnet
+        #: list, its input port)``, so a grant removes the flit without
+        #: looking either up.
         self._iport_items: Tuple[Tuple[Direction, LazyInputPort], ...] = ()
-        self._bp_requests: Dict[Direction, List[Tuple[Direction, Flit]]] = {}
+        self._bp_requests: Dict[Direction, List[tuple]] = {}
         self._bp_order: List[Direction] = []
         #: Per-output-direction views of the neighbours' live ``ok``
         #: masks (NeighborCreditState.ok), indexed ``[direction][vnet]``.
@@ -200,11 +212,9 @@ class AfcRouter(DeflectionRouter):
         if buffered:
             self._entries_this_cycle += 1
             self._input_ports[in_port].insert(flit)
-            self.energy.buffer_write(self.node)
         else:
             self._latched.append(flit)
             self._arrival_port[flit] = in_port
-            self.energy.latch(self.node)
         if self.obs is not None:
             for sink in self.obs:
                 sink.on_arrive(self.node, flit, in_port, buffered, cycle)
@@ -249,8 +259,11 @@ class AfcRouter(DeflectionRouter):
             # without leaving (counted by _unplaced).
             exits = 2 * DeflectionRouter.step(self, cycle)
             self._arrival_port.clear()
-        controller.record_load(self._entries_this_cycle + exits)
-        self._entries_this_cycle = 0
+        entries = self._entries_this_cycle
+        if entries:
+            self.energy.writes += entries
+            self._entries_this_cycle = 0
+        controller.record_load(entries + exits)
         if controller.adaptive:
             self._adapt(cycle)
         controller.tick_residency(self.stats.mode_stats[self.node])
@@ -342,7 +355,6 @@ class AfcRouter(DeflectionRouter):
         for flit in flits:
             in_port = self._arrival_port[flit]
             self._input_ports[in_port].insert(flit)
-            self.energy.buffer_write(self.node)
             if self.obs is not None:
                 for sink in self.obs:
                     sink.on_buffer(self.node, flit, in_port, cycle)
@@ -381,62 +393,49 @@ class AfcRouter(DeflectionRouter):
         ok_rows = self._ok_rows
         xy_row = self._xy_row
         local = LOCAL
-        nv = len(VNETS)
-        arbiter = self.energy.arbiter
-        node = self.node
+        vnet_order = _VNET_ORDER
+        vnet_next = _VNET_NEXT
         for in_dir, port, vnet_lists in self._iport_scan:
             if not port._count:
                 continue
-            sa_rr = port.sa_rr
-            chosen: Optional[Flit] = None
-            out_port = local
-            for offset in range(nv):
-                vnet = sa_rr + offset
-                if vnet >= nv:
-                    vnet -= nv
-                for flit in vnet_lists[vnet]:
+            for vnet in vnet_order[port.sa_rr]:
+                flits = vnet_lists[vnet]
+                if not flits:
+                    continue
+                for flit in flits:
                     out_port = xy_row[flit.dst]
                     if out_port is local or ok_rows[out_port][vnet]:
-                        chosen = flit
                         break
-                if chosen is not None:
-                    port.sa_rr = vnet + 1 if vnet + 1 < nv else 0
-                    break
-            if chosen is None:
-                continue
-            reqs = requests[out_port]
-            if not reqs:
-                order.append(out_port)
-            reqs.append((in_dir, chosen))
-            arbiter(node)
-        dispatched = 0
+                else:
+                    continue  # every flit of this vnet is masked
+                port.sa_rr = vnet_next[vnet]
+                reqs = requests[out_port]
+                if not reqs:
+                    order.append(out_port)
+                reqs.append((in_dir, flit, flits, port))
+                break
         if not order:
-            return dispatched
-        input_ports = self._input_ports
+            return 0
         bank = self._bank
         neighbors = self._neighbors
         in_channels = self.in_channels
         credit_msgs = self._credit_msgs
-        energy = self.energy
-        buffer_read = energy.buffer_read
-        credit_energy = energy.credit
         eject_bandwidth = self.config.eject_bandwidth
+        requested = dispatched = ejected = credits = 0
         for out_port in order:
             reqs = requests[out_port]
+            requested += len(reqs)
             capacity = eject_bandwidth if out_port is local else 1
             winners = (
                 reqs
                 if len(reqs) <= capacity
                 else self._grant(out_port, reqs, capacity)
             )
-            for in_dir, flit in winners:
+            for in_dir, flit, flits, port in winners:
                 # LazyInputPort.remove, inline: one call fewer per flit.
-                port = input_ports[in_dir]
-                port._by_vnet[flit.vnet].remove(flit)
+                flits.remove(flit)
                 port._count -= 1
                 bank.flits -= 1
-                buffer_read(node)
-                dispatched += 1
                 if out_port is local:
                     self._eject(flit, cycle)
                 else:
@@ -446,10 +445,19 @@ class AfcRouter(DeflectionRouter):
                     in_channels[in_dir].send_credit(
                         credit_msgs[flit.vnet], cycle
                     )
-                    credit_energy(node)
+                    credits += 1
+            dispatched += len(winners)
+            if out_port is local:
+                ejected = len(winners)
             reqs.clear()
         order.clear()
         self.stats.record_switch_traversal(dispatched)
+        energy = self.energy
+        energy.arbitrations += requested
+        energy.reads += dispatched
+        energy.crossings += dispatched
+        energy.links += dispatched - ejected
+        energy.credits += credits
         return dispatched
 
     def _backpressured_inject(self, cycle: int) -> None:
@@ -469,7 +477,6 @@ class AfcRouter(DeflectionRouter):
                 continue
             flit = ni.pop(vnet, cycle)
             local.insert(flit)
-            self.energy.buffer_write(self.node)
             self._entries_this_cycle += 1
             self._inject_rr = (inject_rr + offset + 1) % n
             return

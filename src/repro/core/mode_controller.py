@@ -66,6 +66,7 @@ class ModeController:
         "mode",
         "ewma",
         "_window",
+        "_load",
         "_alpha",
         "backpressured_from",
     )
@@ -87,6 +88,9 @@ class ModeController:
         self.mode = initial_mode
         self.ewma = 0.0
         self._window: Deque[int] = deque(maxlen=load_window)
+        #: Running ``sum(_window)``: the same int, without a re-sum per
+        #: cycle.
+        self._load = 0
         self._alpha = ewma_alpha
         #: First cycle of backpressured operation for an in-progress
         #: forward switch.
@@ -95,8 +99,13 @@ class ModeController:
     # -- load tracking ------------------------------------------------------
     def record_load(self, switch_traversals: int) -> None:
         """Report this cycle's switch traversals and update the EWMA."""
-        self._window.append(switch_traversals)
-        window_avg = sum(self._window) / len(self._window)
+        window = self._window
+        load = self._load + switch_traversals
+        if len(window) == window.maxlen:
+            load -= window[0]
+        window.append(switch_traversals)
+        self._load = load
+        window_avg = load / len(window)
         self.ewma = self._alpha * self.ewma + (1.0 - self._alpha) * window_avg
 
     # -- transition window ------------------------------------------------------
@@ -191,7 +200,7 @@ class ModeController:
         if self.ewma > high:
             return False
         window = self._window
-        total = sum(window)
+        total = self._load
         if total == 0:
             return True  # pure decay, never rises
         # Cheap sound bound before the exact replay: every replayed EWMA
@@ -244,6 +253,7 @@ class ModeController:
             for _ in range(remaining):
                 ewma = alpha * ewma + beta
         self.ewma = ewma
+        self._load = sum(window)
         if self.mode is BACKPRESSURELESS:
             entry.backpressureless_cycles += cycles
         elif self.mode is TRANSITION:

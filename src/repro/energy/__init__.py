@@ -1,9 +1,9 @@
 """Orion-style network energy model (Section IV, "Energy Modeling").
 
 The Garnet+Orion callback structure of the paper maps here to routers
-reporting micro-events to an :class:`~repro.energy.model.OrionEnergyMeter`,
-which prices them with per-bit event energies and integrates leakage
-every cycle.
+counting micro-events on an :class:`~repro.energy.model.OrionEnergyMeter`,
+which prices the counts with per-bit event energies when read and
+integrates leakage every cycle.
 """
 
 from .model import (

@@ -10,10 +10,12 @@ bits (~20 %) wider than the baseline's, yet its high-load energy lands
 within 2–3 % of the baseline (Figure 2(d)) — which is only consistent
 with control bits carrying a low activity factor.
 
-Leakage, by contrast, scales with the *physical* bit count of the
-buffers (every cell leaks whether or not it toggles), integrated every
-cycle.  AFC power-gates its buffers in backpressureless mode at 90 %
-effectiveness (Section IV).
+Dynamic energy is activity counts times per-event energies, as in
+Orion: routers count events on the meter and the meter multiplies the
+counts out when it is read.  Leakage, by contrast, scales with the
+*physical* bit count of the buffers (every cell leaks whether or not it
+toggles), integrated every cycle.  AFC power-gates its buffers in
+backpressureless mode at 90 % effectiveness (Section IV).
 
 Default constants are calibrated (see DESIGN.md, "Energy widths") so
 that the baseline's low-load buffer energy share sits in the paper's
@@ -22,8 +24,9 @@ stated 30–40 % band; absolute joules are not meaningful, ratios are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Sequence, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Iterable, List, Sequence, Tuple
 
 from ..network.config import CONTROL_BITS, Design, NetworkConfig
 from ..network.energy_hooks import EnergyMeter
@@ -49,10 +52,31 @@ class EnergyParameters:
     power_gating_effectiveness: float = 0.90
 
     def __post_init__(self) -> None:
+        for name in _ENERGY_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # false for NaN too
+                raise ValueError(
+                    f"{name} must be a finite energy >= 0 (got {value!r}): "
+                    "it prices every event of its kind"
+                )
         if not 0.0 <= self.control_activity <= 1.0:
             raise ValueError("control_activity must be in [0, 1]")
         if not 0.0 <= self.power_gating_effectiveness <= 1.0:
             raise ValueError("power_gating_effectiveness must be in [0, 1]")
+
+
+#: The per-event energy and leakage fields of :class:`EnergyParameters`.
+_ENERGY_FIELDS = (
+    "buffer_write_pj_per_bit",
+    "buffer_read_pj_per_bit",
+    "crossbar_pj_per_bit",
+    "link_pj_per_bit",
+    "latch_pj_per_bit",
+    "arbiter_pj",
+    "credit_pj",
+    "buffer_leak_pj_per_bit_cycle",
+    "logic_leak_pj_per_port_cycle",
+)
 
 
 DEFAULT_ENERGY_PARAMETERS = EnergyParameters()
@@ -111,8 +135,22 @@ class EnergyBreakdown:
         )
 
 
+@dataclass
+class _CountedBreakdown(EnergyBreakdown):
+    """A meter snapshot: the totals at one instant plus the event counts
+    behind them, so :meth:`OrionEnergyMeter.since` prices a window's
+    own counts instead of subtracting two priced totals."""
+
+    counts: Tuple[int, ...] = ()
+
+
 class OrionEnergyMeter(EnergyMeter):
-    """Prices router micro-events for one design's flit geometry.
+    """Prices router micro-event counts for one design's flit geometry.
+
+    Dynamic energy is a function of the integer counts routers keep on
+    the meter: :attr:`totals` multiplies each count by its per-event
+    energy when it is read.  Leakage is integrated every cycle into the
+    float sums :attr:`buffer_static` and :attr:`logic_static`.
 
     ``ideal_bypass`` realises the paper's "Backpressured ideal-bypass"
     bound: timing is untouched, but all buffer *dynamic* energy is
@@ -126,83 +164,53 @@ class OrionEnergyMeter(EnergyMeter):
         design: Design,
         params: EnergyParameters = DEFAULT_ENERGY_PARAMETERS,
     ) -> None:
+        super().__init__()
         self.config = config
         self.design = design
         self.params = params
         self.ideal_bypass = design is Design.BACKPRESSURED_IDEAL_BYPASS
         control = CONTROL_BITS[design]
         #: Toggled bits per flit event.
-        self.effective_bits = (
+        self.effective_bits = bits = (
             config.data_bits + params.control_activity * control
         )
         #: Physical bits per flit (leakage, area).
         self.physical_bits = config.data_bits + control
-        self.totals = EnergyBreakdown()
-        #: Single-event energies, precomputed for the per-flit fast
-        #: paths below.  ``1 * a * b == a * b`` bit-exactly, so the
-        #: ``flits == 1`` branches add the same floats the general
-        #: expressions produce; multi-flit calls keep the original
-        #: left-to-right association.
-        self._buffer_write_flit_pj = (
-            params.buffer_write_pj_per_bit * self.effective_bits
-        )
-        self._buffer_read_flit_pj = (
-            params.buffer_read_pj_per_bit * self.effective_bits
-        )
-        self._crossbar_flit_pj = params.crossbar_pj_per_bit * self.effective_bits
-        self._link_flit_pj = params.link_pj_per_bit * self.effective_bits
-        self._latch_flit_pj = params.latch_pj_per_bit * self.effective_bits
+        #: Energy of one flit event of each kind (pJ).
+        self.write_pj = params.buffer_write_pj_per_bit * bits
+        self.read_pj = params.buffer_read_pj_per_bit * bits
+        self.crossbar_pj = params.crossbar_pj_per_bit * bits
+        self.link_pj = params.link_pj_per_bit * bits
+        self.latch_pj = params.latch_pj_per_bit * bits
+        #: Leakage integrated so far (pJ), one add per simulated cycle.
+        self.buffer_static = 0.0
+        self.logic_static = 0.0
 
-    # -- dynamic events ------------------------------------------------------
-    def buffer_write(self, node: int, flits: int = 1) -> None:
-        if self.ideal_bypass:
-            return
-        if flits == 1:
-            self.totals.buffer_dynamic += self._buffer_write_flit_pj
-            return
-        self.totals.buffer_dynamic += (
-            flits * self.params.buffer_write_pj_per_bit * self.effective_bits
-        )
-
-    def buffer_read(self, node: int, flits: int = 1) -> None:
-        if self.ideal_bypass:
-            return
-        if flits == 1:
-            self.totals.buffer_dynamic += self._buffer_read_flit_pj
-            return
-        self.totals.buffer_dynamic += (
-            flits * self.params.buffer_read_pj_per_bit * self.effective_bits
+    # -- pricing ------------------------------------------------------------
+    def _price(
+        self, counts: Tuple[int, ...], buffer_static: float, logic_static: float
+    ) -> EnergyBreakdown:
+        writes, reads, crossings, links, arbitrations, latches, credits = counts
+        params = self.params
+        return EnergyBreakdown(
+            buffer_dynamic=(
+                0.0
+                if self.ideal_bypass
+                else writes * self.write_pj + reads * self.read_pj
+            ),
+            buffer_static=buffer_static,
+            link=links * self.link_pj,
+            crossbar=crossings * self.crossbar_pj,
+            arbiter=arbitrations * params.arbiter_pj,
+            latch=latches * self.latch_pj,
+            credit=credits * params.credit_pj,
+            logic_static=logic_static,
         )
 
-    def crossbar(self, node: int, flits: int = 1) -> None:
-        if flits == 1:
-            self.totals.crossbar += self._crossbar_flit_pj
-            return
-        self.totals.crossbar += (
-            flits * self.params.crossbar_pj_per_bit * self.effective_bits
-        )
-
-    def arbiter(self, node: int, requests: int = 1) -> None:
-        self.totals.arbiter += requests * self.params.arbiter_pj
-
-    def link(self, node: int, flits: int = 1) -> None:
-        if flits == 1:
-            self.totals.link += self._link_flit_pj
-            return
-        self.totals.link += (
-            flits * self.params.link_pj_per_bit * self.effective_bits
-        )
-
-    def latch(self, node: int, flits: int = 1) -> None:
-        if flits == 1:
-            self.totals.latch += self._latch_flit_pj
-            return
-        self.totals.latch += (
-            flits * self.params.latch_pj_per_bit * self.effective_bits
-        )
-
-    def credit(self, node: int, messages: int = 1) -> None:
-        self.totals.credit += messages * self.params.credit_pj
+    @property
+    def totals(self) -> EnergyBreakdown:
+        """Energy accumulated since construction, priced now."""
+        return self._price(self.counts(), self.buffer_static, self.logic_static)
 
     # -- static integration ------------------------------------------------------
     def static_cycle(self, routers: Iterable) -> None:
@@ -217,15 +225,24 @@ class OrionEnergyMeter(EnergyMeter):
                 buffer_leak += bits * leak_per_bit * scale
             ports = len(router.in_channels) + 1  # + local port
             logic_leak += ports * self.params.logic_leak_pj_per_port_cycle
-        self.totals.buffer_static += buffer_leak
-        self.totals.logic_static += logic_leak
+        self.buffer_static += buffer_leak
+        self.logic_static += logic_leak
 
     # -- measurement windows --------------------------------------------------------
     def snapshot(self) -> EnergyBreakdown:
-        return self.totals.snapshot()
+        return _CountedBreakdown(**vars(self.totals), counts=self.counts())
 
     def since(self, snapshot: EnergyBreakdown) -> EnergyBreakdown:
-        return self.totals.minus(snapshot)
+        """Energy since ``snapshot`` (taken by :meth:`snapshot`): the
+        window's own event counts priced, plus its leakage."""
+        return self._price(
+            tuple(
+                now - then
+                for now, then in zip(self.counts(), snapshot.counts)
+            ),
+            self.buffer_static - snapshot.buffer_static,
+            self.logic_static - snapshot.logic_static,
+        )
 
 
 class StaticEnergyCache:
@@ -289,6 +306,6 @@ class StaticEnergyCache:
                 dirty = True
         if dirty:
             self._sum = sum(self._vals, 0.0)
-        totals = self._meter.totals
-        totals.buffer_static += self._sum
-        totals.logic_static += self._logic
+        meter = self._meter
+        meter.buffer_static += self._sum
+        meter.logic_static += self._logic

@@ -46,7 +46,8 @@ Per-cycle pass order (backpressureless design)
 4. **inject** — one flit per router if a network port is still free,
    round-robin over virtual networks, with the scalar source-queue pop.
 5. **traverse** — scatter all assigned flits into the neighbour rings,
-   bump hop counts, and flush energy/statistics counters.
+   bump hop counts, and add the cycle's event counts to the energy
+   meter and statistics.
 
 Scalar fallback
 ===============
@@ -193,17 +194,12 @@ class VectorEngine:
         "orion",
         "_static_buffer",
         "_static_logic",
-        "_e_latch",
-        "_e_cross",
-        "_e_link",
-        "_e_arb",
         "_nodes",
         "_col4",
         "_drain",
         "_taken",
         "_pslot",
         "_ejflag",
-        "_ebuf",
         "_eject_fns",
         "_pop_fns",
     )
@@ -289,7 +285,7 @@ class VectorEngine:
         # -- batched RNG -------------------------------------------------
         self.mt = BatchedMT19937([router.rng for router in net.routers])
 
-        # -- energy constants (replayed per cycle, bit-exact) ------------
+        # -- per-cycle leakage (bit-exact with static_cycle) -------------
         energy = net.energy
         self.orion = isinstance(energy, OrionEnergyMeter)
         if self.orion:
@@ -310,10 +306,6 @@ class VectorEngine:
                 logic_leak += ports * energy.params.logic_leak_pj_per_port_cycle
             self._static_buffer = buffer_leak
             self._static_logic = logic_leak
-            self._e_latch = energy._latch_flit_pj
-            self._e_cross = energy._crossbar_flit_pj
-            self._e_link = energy._link_flit_pj
-            self._e_arb = energy.params.arbiter_pj
 
         # -- preallocated per-cycle scratch ------------------------------
         self._nodes = np.arange(R, dtype=np.int64)
@@ -322,7 +314,6 @@ class VectorEngine:
         self._taken = np.zeros((R, 5), bool)
         self._pslot = np.full((R, 4), -1, np.int64)
         self._ejflag = np.zeros((R, 4), bool)
-        self._ebuf = np.empty(6 * R + 2, np.float64)
         # Pre-bound NI endpoints (the objects are stable for the life of
         # the network; both methods read their hooks at call time).
         self._eject_fns = [ni.eject for ni in net.interfaces]
@@ -351,19 +342,6 @@ class VectorEngine:
             src_tot[node] = ni._queued
 
         return sync
-
-    def _replay_adds(self, start: float, const: float, k: int) -> float:
-        """``start`` plus ``k`` sequential additions of ``const``.
-
-        ``np.add.accumulate`` is a left fold of float64 adds, so the
-        result is bit-identical to the scalar engines' per-event
-        ``total += const`` loop at C speed.
-        """
-        buf = self._ebuf
-        buf[0] = start
-        buf[1 : k + 1] = const
-        np.add.accumulate(buf[: k + 1], out=buf[: k + 1])
-        return float(buf[k])
 
     def flits_in_network(self) -> int:
         return self.inflight + int(self.lat_n.sum())
@@ -576,27 +554,15 @@ class VectorEngine:
                 self.inflight += n_disp
             lat_n[:] = 0
 
-        # ---- per-cycle bookkeeping (bit-exact replay) ------------------
+        # ---- per-cycle bookkeeping: the scalar routers' counts --------
+        energy = net.energy
+        energy.latches += n_latch
+        energy.crossings += n_ej + n_disp
+        energy.links += n_disp
+        energy.arbitrations += n_disp
         if self.orion:
-            totals = net.energy.totals
-            if n_latch:
-                totals.latch = self._replay_adds(
-                    totals.latch, self._e_latch, n_latch
-                )
-            n_cross = n_ej + n_disp
-            if n_cross:
-                totals.crossbar = self._replay_adds(
-                    totals.crossbar, self._e_cross, n_cross
-                )
-            if n_disp:
-                totals.link = self._replay_adds(
-                    totals.link, self._e_link, n_disp
-                )
-                totals.arbiter = self._replay_adds(
-                    totals.arbiter, self._e_arb, n_disp
-                )
-            totals.buffer_static += self._static_buffer
-            totals.logic_static += self._static_logic
+            energy.buffer_static += self._static_buffer
+            energy.logic_static += self._static_logic
         stats = net.stats
         stats.dispatched_flit_hops += n_ej + n_disp
         stats.tick()

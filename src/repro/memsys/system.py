@@ -43,6 +43,10 @@ from .core_model import Core, Transaction
 from .l2bank import BankRequest, L2Bank
 from .protocol import MessageType, message_flits, message_vnet
 
+#: ``packet.kind`` -> message class: a dict lookup per delivered packet
+#: instead of an ``Enum`` value lookup.
+_MESSAGE_TYPES = {mtype.value: mtype for mtype in MessageType}
+
 
 class MemorySystem:
     """Closed-loop memory traffic driver for one network."""
@@ -255,7 +259,7 @@ class MemorySystem:
     # -- network delivery -------------------------------------------------------------
     def _on_packet(self, node: int, done: CompletedPacket) -> None:
         packet = done.packet
-        mtype = MessageType(packet.kind)
+        mtype = _MESSAGE_TYPES[packet.kind]
         cycle = done.completed_at
         meta = packet.meta or {}
         if mtype.is_request:

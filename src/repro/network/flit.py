@@ -133,9 +133,13 @@ class Packet:
 
     def flits(self) -> Iterator["Flit"]:
         """Expand the packet into its flit sequence (stamped with the
-        packet's current retransmission epoch)."""
-        for seq in range(self.num_flits):
-            yield Flit(packet=self, seq=seq, epoch=self.epoch)
+        packet's current retransmission epoch).  The flits are built up
+        front, so a caller can ``extend`` a queue without resuming a
+        generator per flit."""
+        epoch = self.epoch
+        return iter(
+            [Flit(self, seq, epoch=epoch) for seq in range(self.num_flits)]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -88,9 +88,7 @@ class NetworkInterface:
         if self.on_offer is not None:
             for callback in self.on_offer:
                 callback(packet)
-        queue = self._queues[packet.vnet]
-        for flit in packet.flits():
-            queue.append(flit)
+        self._queues[packet.vnet].extend(packet.flits())
         self._queued += packet.num_flits
         if self.on_activity is not None:
             self.on_activity()
@@ -137,8 +135,7 @@ class NetworkInterface:
             queue.clear()
             queue.extend(kept)
         self.flits_offered_total += packet.num_flits
-        for flit in packet.flits():
-            queue.append(flit)
+        queue.extend(packet.flits())
         self._queued += packet.num_flits - purged
         if self.on_activity is not None:
             self.on_activity()
@@ -179,10 +176,10 @@ class NetworkInterface:
                 callback(done)
         self.stats.record_packet_complete(
             done.packet,
-            completed_at=done.completed_at,
-            first_injected_at=done.first_injected_at,
-            total_hops=done.hops,
-            total_deflections=done.deflections,
+            done.completed_at,
+            done.first_injected_at,
+            done.hops,
+            done.deflections,
         )
         if self.obs is not None:
             for sink in self.obs:

@@ -14,8 +14,8 @@ hop/deflection counts over all flits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional, Set
 
 from .flit import Flit, Packet
 
@@ -23,19 +23,14 @@ from .flit import Flit, Packet
 @dataclass(slots=True)
 class _PendingPacket:
     packet: Packet
-    epoch: int = 0
-    received: Set[int] = field(default_factory=set)
-    hops: int = 0
-    deflections: int = 0
-    first_injected_at: Optional[int] = None
-
-    @property
-    def complete(self) -> bool:
-        return len(self.received) == self.packet.num_flits
+    epoch: int
+    received: Set[int]
+    hops: int
+    deflections: int
+    first_injected_at: Optional[int]
 
 
-@dataclass(frozen=True)
-class CompletedPacket:
+class CompletedPacket(NamedTuple):
     """A fully reassembled packet plus its measured transport costs."""
 
     packet: Packet
@@ -76,46 +71,43 @@ class ReassemblyBuffer:
             raise ValueError(
                 f"flit destined to {flit.dst} ejected at node {self.node}"
             )
-        if flit.epoch < flit.packet.epoch:
+        packet = flit.packet
+        epoch = flit.epoch
+        if epoch < packet.epoch:
             self.stale_flits_discarded += 1
             return None
-        entry = self._pending.get(flit.pid)
-        if entry is not None and entry.epoch < flit.epoch:
-            # Abandon the superseded partial reassembly.
-            self.stale_flits_discarded += len(entry.received)
-            del self._pending[flit.pid]
-            entry = None
-        if entry is None:
-            entry = _PendingPacket(packet=flit.packet, epoch=flit.epoch)
-            self._pending[flit.pid] = entry
-            self.high_water = max(self.high_water, len(self._pending))
-        if flit.seq in entry.received:
-            raise ValueError(
-                f"duplicate flit seq {flit.seq} for packet {flit.pid}"
-            )
-        entry.received.add(flit.seq)
+        pending = self._pending
+        pid = flit.pid
+        entry = pending.get(pid)
+        if entry is None or entry.epoch < epoch:
+            if entry is not None:
+                # Abandon the superseded partial reassembly.
+                self.stale_flits_discarded += len(entry.received)
+                del pending[pid]
+            entry = _PendingPacket(packet, epoch, set(), 0, 0, None)
+            pending[pid] = entry
+            if len(pending) > self.high_water:
+                self.high_water = len(pending)
+        received = entry.received
+        seq = flit.seq
+        if seq in received:
+            raise ValueError(f"duplicate flit seq {seq} for packet {pid}")
+        received.add(seq)
         entry.hops += flit.hops
         entry.deflections += flit.deflections
-        if flit.injected_at is not None:
-            if entry.first_injected_at is None:
-                entry.first_injected_at = flit.injected_at
-            else:
-                entry.first_injected_at = min(
-                    entry.first_injected_at, flit.injected_at
-                )
-        if not entry.complete:
+        injected = flit.injected_at
+        first = entry.first_injected_at
+        if injected is not None and (first is None or injected < first):
+            entry.first_injected_at = first = injected
+        if len(received) != packet.num_flits:
             return None
-        del self._pending[flit.pid]
+        del pending[pid]
         return CompletedPacket(
-            packet=entry.packet,
-            completed_at=cycle,
-            first_injected_at=(
-                entry.first_injected_at
-                if entry.first_injected_at is not None
-                else entry.packet.created_at
-            ),
-            hops=entry.hops,
-            deflections=entry.deflections,
+            packet,
+            cycle,
+            first if first is not None else packet.created_at,
+            entry.hops,
+            entry.deflections,
         )
 
     @property

@@ -211,10 +211,11 @@ class BaseRouter(ABC):
         return None
 
     # -- shared helpers ----------------------------------------------------------
+    # Neither helper counts energy: the step that calls them counts
+    # its switch and link traversals once (see repro.network.energy_hooks).
     def _eject(self, flit: Flit, cycle: int) -> None:
         """Hand a flit at its destination to the local interface."""
         assert self.ni is not None, "router has no network interface"
-        self.energy.crossbar(self.node)
         if self.obs is not None:
             for sink in self.obs:
                 sink.on_eject(self.node, flit, cycle)
@@ -222,8 +223,6 @@ class BaseRouter(ABC):
 
     def _dispatch(self, flit: Flit, out_port: Direction, cycle: int) -> None:
         """Send a flit on a network output port."""
-        self.energy.crossbar(self.node)
-        self.energy.link(self.node)
         if self.obs is not None:
             for sink in self.obs:
                 sink.on_dispatch(self.node, flit, out_port, cycle)

@@ -214,7 +214,8 @@ class BackpressuredRouter(BaseRouter):
         #: output port, reused every cycle) and the insertion-order list
         #: of ports with requests this cycle.  Grant processing follows
         #: first-request order, exactly like the ``setdefault`` dict it
-        #: replaces — energy accumulation order depends on it.
+        #: replaces: it fixes the order in which observers see dispatch
+        #: and eject events.
         self._sa_requests: Dict[Direction, List[Tuple[Direction, int]]] = {}
         self._sa_order: List[Direction] = []
 
@@ -273,7 +274,7 @@ class BackpressuredRouter(BaseRouter):
         if self._realistic_bypass and was_empty:
             self._bypass_pending.add(flit)
         else:
-            self.energy.buffer_write(self.node)
+            self.energy.writes += 1
         if self.obs is not None:
             for sink in self.obs:
                 sink.on_arrive(self.node, flit, in_port, True, cycle)
@@ -305,7 +306,7 @@ class BackpressuredRouter(BaseRouter):
         if self._bypass_pending:
             # Bypass candidates that failed to cut through this cycle
             # really are buffered: pay the deferred write.
-            self.energy.buffer_write(self.node, len(self._bypass_pending))
+            self.energy.writes += len(self._bypass_pending)
             self._bypass_pending.clear()
 
     # Injection: stream flits from the NI into the local input port,
@@ -342,7 +343,7 @@ class BackpressuredRouter(BaseRouter):
             if self._realistic_bypass and was_empty:
                 self._bypass_pending.add(flit)
             else:
-                self.energy.buffer_write(self.node)
+                self.energy.writes += 1
             if flit.is_tail:
                 self._stream_vc[vnet] = None
             self._inject_rr = (self._inject_rr + offset + 1) % len(vnets)
@@ -361,6 +362,7 @@ class BackpressuredRouter(BaseRouter):
         xy_row = self._xy_row
         out_state = self._out_state
         local = LOCAL
+        allocations = 0
         for port in self._iport_list:
             occupied = port.occupied
             vcs = port.vcs
@@ -381,7 +383,8 @@ class BackpressuredRouter(BaseRouter):
                 if allocated is not None:
                     vc.out_vc = allocated
                     self._unallocated -= 1
-                    self.energy.arbiter(self.node)
+                    allocations += 1
+        self.energy.arbitrations += allocations
 
     # Separable (input-first) switch allocation, one iteration.  Each
     # input port nominates the first VC (in round-robin order from its
@@ -392,8 +395,6 @@ class BackpressuredRouter(BaseRouter):
         order = self._sa_order
         out_state = self._out_state
         local = LOCAL
-        arbiter = self.energy.arbiter
-        node = self.node
         for in_dir, port in self._iport_items:
             occupied = port.occupied
             if not occupied:
@@ -440,14 +441,14 @@ class BackpressuredRouter(BaseRouter):
             if not reqs:
                 order.append(out_port)
             reqs.append((in_dir, chosen))
-            arbiter(node)
         if not order:
             return
         eject_bandwidth = self.config.eject_bandwidth
         traverse = self._traverse
-        traversals = 0
+        requested = traversals = ejected = 0
         for out_port in order:
             reqs = requests[out_port]
+            requested += len(reqs)
             capacity = eject_bandwidth if out_port is local else 1
             winners = (
                 reqs
@@ -457,9 +458,15 @@ class BackpressuredRouter(BaseRouter):
             for in_dir, vc_idx in winners:
                 traverse(in_dir, vc_idx, out_port, cycle)
             traversals += len(winners)
+            if out_port is local:
+                ejected = len(winners)
             reqs.clear()
         order.clear()
         self.stats.record_switch_traversal(traversals)
+        energy = self.energy
+        energy.arbitrations += requested
+        energy.crossings += traversals
+        energy.links += traversals - ejected
 
     def _traverse(
         self,
@@ -477,7 +484,7 @@ class BackpressuredRouter(BaseRouter):
         if self._realistic_bypass and flit in self._bypass_pending:
             self._bypass_pending.discard(flit)  # cut-through: no write/read
         else:
-            self.energy.buffer_read(self.node)
+            self.energy.reads += 1
         if out_port is LOCAL:
             flit.vc = -1
             self._eject(flit, cycle)
@@ -493,7 +500,7 @@ class BackpressuredRouter(BaseRouter):
             self.in_channels[in_dir].send_credit(
                 port.credits[flit.vnet][vc_idx][flit.is_tail], cycle
             )
-            self.energy.credit(self.node)
+            self.energy.credits += 1
         if flit.is_tail:
             vc.reset_packet_state()
 

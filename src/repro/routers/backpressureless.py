@@ -164,7 +164,6 @@ class DeflectionRouter(BaseRouter):
     # -- receive path -------------------------------------------------------
     def _accept_flit(self, flit: Flit, in_port: Direction, cycle: int) -> None:
         self._latched.append(flit)
-        self.energy.latch(self.node)
         if self.obs is not None:
             for sink in self.obs:
                 sink.on_arrive(self.node, flit, in_port, False, cycle)
@@ -233,11 +232,16 @@ class DeflectionRouter(BaseRouter):
         for out_port, flit in assignment.items():
             if neighbors is not None:
                 neighbors[out_port].on_send(flit.vnet)
-            self.energy.arbiter(self.node)
             self._dispatch(flit, out_port, cycle)
-        left += len(assignment)
+        dispatched = len(assignment)
+        left += dispatched
         if left:
             self.stats.record_switch_traversal(left)
+        energy = self.energy
+        energy.latches += len(resident)
+        energy.arbitrations += dispatched
+        energy.links += dispatched
+        energy.crossings += left
         return left
 
     def _eject_arrivals(self, resident: List[Flit], cycle: int) -> List[Flit]:

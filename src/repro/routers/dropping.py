@@ -90,9 +90,14 @@ class DroppingRouter(DeflectionRouter):
                 assignment[chosen] = flit
         self._inject(assignment, cycle)
         for out_port, flit in assignment.items():
-            self.energy.arbiter(self.node)
             self.stats.record_switch_traversal()
             self._dispatch(flit, out_port, cycle)
+        dispatched = len(assignment)
+        energy = self.energy
+        energy.latches += len(resident)
+        energy.arbitrations += dispatched
+        energy.links += dispatched
+        energy.crossings += dispatched
 
     def _eject_or_drop(self, resident: List[Flit], cycle: int) -> List[Flit]:
         candidates = [f for f in resident if f.dst == self.node]
@@ -105,10 +110,12 @@ class DroppingRouter(DeflectionRouter):
         # deflection variant cannot have).
         candidates.sort(key=lambda f: (f.packet.created_at, f.pid, f.seq))
         gone = set()
-        for flit in candidates[: self.config.eject_bandwidth]:
+        ejecting = candidates[: self.config.eject_bandwidth]
+        for flit in ejecting:
             self.stats.record_switch_traversal()
             self._eject(flit, cycle)
             gone.add(flit)
+        self.energy.crossings += len(ejecting)
         for flit in candidates[self.config.eject_bandwidth:]:
             # At the destination with the ejection port busy: there is
             # no productive network port, so the flit is dropped.

@@ -154,9 +154,9 @@ class Network:
         self.energy: EnergyMeter
         if with_energy:
             self.energy = OrionEnergyMeter(config, design, energy_params)
+            self._energy_base = self.energy.snapshot()
         else:
             self.energy = NullEnergyMeter()
-        self._energy_base = EnergyBreakdown()
 
         self.routers: List[BaseRouter] = []
         self.interfaces: List[NetworkInterface] = []

@@ -122,34 +122,13 @@ def single_packet_network(
     return net, packet
 
 
-class RecordingMeter(EnergyMeter):
-    """Energy meter that logs the name of every event it is sent, so a
-    test can pin the *order* in which a router reports them (float
-    accumulation order is part of bit-identity)."""
-
-    def __init__(self) -> None:
-        self.events: List[str] = []
-
-    def buffer_write(self, node, flits=1):
-        self.events.append("buffer_write")
-
-    def buffer_read(self, node, flits=1):
-        self.events.append("buffer_read")
-
-    def crossbar(self, node, flits=1):
-        self.events.append("crossbar")
-
-    def arbiter(self, node, requests=1):
-        self.events.append("arbiter")
-
-    def link(self, node, flits=1):
-        self.events.append("link")
-
-    def latch(self, node, flits=1):
-        self.events.append("latch")
-
-    def credit(self, node, messages=1):
-        self.events.append("credit")
+def event_counts(meter: EnergyMeter) -> dict:
+    """The non-zero event counters of an energy meter, by name."""
+    return {
+        name: count
+        for name, count in zip(meter.COUNTERS, meter.counts())
+        if count
+    }
 
 
 def ports_used(router) -> list:

@@ -9,7 +9,7 @@ from repro import Design, Direction, Mesh, Packet, VirtualNetwork
 from repro.routers.backpressureless import allocate_deflection_ports
 
 from conftest import (
-    RecordingMeter,
+    event_counts,
     make_network,
     offer_random_burst,
     ports_used,
@@ -217,14 +217,14 @@ class TestSingleFlitPath:
     """With at most one resident flit the randomized router skips the
     allocator.  The general path would shuffle lists of <= 1 element
     (no draw) and hand the flit its first productive port, so the
-    outcome, the RNG stream and the event order must all be those of
+    outcome, the RNG stream and the event counts must all be those of
     the general path — which the priority variant, whose sort of <= 1
     element is equally a no-op, still takes for the same input."""
 
     def _step_with(self, design, dsts, inject_to=None):
         net = make_network(design)
         router = net.router(4)  # centre: EAST/WEST/NORTH/SOUTH
-        router.energy = meter = RecordingMeter()
+        meter = router.energy
         before = rng_twin(router.rng)
         for flit in flits_to(dsts, src=3):
             router._accept_flit(flit, Direction.WEST, cycle=0)
@@ -245,7 +245,9 @@ class TestSingleFlitPath:
         assert ports_used(router) == [Direction.EAST]
         assert net.stats.deflections == 0
         assert router.rng.getstate() == before.getstate()
-        assert meter.events == ["latch", "arbiter", "crossbar", "link"]
+        assert event_counts(meter) == {
+            "latches": 1, "arbitrations": 1, "crossings": 1, "links": 1
+        }
 
     def test_lone_flit_at_destination_ejects_without_a_draw(self):
         net, router, meter, before = self._step_with(
@@ -255,7 +257,7 @@ class TestSingleFlitPath:
         assert net.interface(4).flits_ejected_total == 1
         assert net.stats.dispatched_flit_hops == 1
         assert router.rng.getstate() == before.getstate()
-        assert meter.events == ["latch", "crossbar"]
+        assert event_counts(meter) == {"latches": 1, "crossings": 1}
 
     def test_same_cycle_injection_takes_a_leftover_port(self):
         # Resident and injected flit both want EAST (their only
@@ -269,7 +271,9 @@ class TestSingleFlitPath:
         )
         assert ports_used(router) == sorted([Direction.EAST, leftover])
         assert router.rng.getstate() == before.getstate()
-        assert meter.events == ["latch"] + ["arbiter", "crossbar", "link"] * 2
+        assert event_counts(meter) == {
+            "latches": 1, "arbitrations": 2, "crossings": 2, "links": 2
+        }
         assert net.interface(4).source_queue_flits == 0
 
     @pytest.mark.parametrize(
@@ -283,7 +287,7 @@ class TestSingleFlitPath:
         )
         assert ports_used(fast[1]) == ports_used(general[1])
         assert fast[1].rng.getstate() == general[1].rng.getstate()
-        assert fast[2].events == general[2].events
+        assert fast[2].counts() == general[2].counts()
         assert (
             fast[0].stats.dispatched_flit_hops
             == general[0].stats.dispatched_flit_hops

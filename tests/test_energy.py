@@ -170,6 +170,28 @@ class TestParameters:
         with pytest.raises(ValueError):
             EnergyParameters(power_gating_effectiveness=-0.1)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "buffer_write_pj_per_bit",
+            "buffer_read_pj_per_bit",
+            "crossbar_pj_per_bit",
+            "link_pj_per_bit",
+            "latch_pj_per_bit",
+            "arbiter_pj",
+            "credit_pj",
+            "buffer_leak_pj_per_bit_cycle",
+            "logic_leak_pj_per_port_cycle",
+        ],
+    )
+    def test_energies_must_be_finite_and_non_negative(self, name):
+        # A negative energy once reported -8078 pJ of link energy for a
+        # plain run; NaN and infinity poison every total they touch.
+        for bad in (-0.4, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                EnergyParameters(**{name: bad})
+        assert getattr(EnergyParameters(**{name: 0.0}), name) == 0.0
+
     def test_custom_parameters_flow_through(self):
         params = EnergyParameters(link_pj_per_bit=1.0, control_activity=0.0)
         m = meter(params=params)

@@ -16,13 +16,19 @@ class TestNullEnergyMeter:
         meter.buffer_write(0)
         meter.buffer_read(0, flits=5)
         meter.crossbar(0)
-        meter.arbiter(0)
+        meter.arbiter(0, requests=2)
         meter.link(0)
-        meter.latch(0)
+        meter.latch(0, flits=3)
         meter.credit(0)
         meter.static_cycle([])
-        # nothing to assert beyond "no state, no exceptions"
-        assert not vars(meter)
+        # The hooks count (the sanitizer checks counts on any meter)...
+        assert meter.counts() == (1, 5, 1, 1, 2, 3, 1)
+        # ...but nothing is ever priced.
+        net = make_network(Design.AFC, with_energy=False)
+        offer_random_burst(net, 30)
+        net.drain(max_cycles=20_000)
+        assert net.energy.links > 0
+        assert net.measured_energy().total == 0.0
 
     def test_network_without_energy_runs(self):
         net = make_network(Design.AFC, with_energy=False)

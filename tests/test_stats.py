@@ -156,9 +156,22 @@ def test_switch_traversals_equal_link_and_ejection_recount(design, run):
     one call per flit; the count must equal what actually crossed a switch — a flit sent
     on a link or handed to the ejection port — with no measurement
     reset in between, so a missed ejection (single-flit path, ejection
-    draw) or a double count shows."""
+    draw) or a double count shows.  The energy meter's event counts,
+    also added once per step, must match the same independent
+    counters, and its link energy must be exactly their product."""
     net = run(design)
     traversals = sum(ch.flit_traversals for ch in net.channels)
     ejected = sum(ni.flits_ejected_total for ni in net.interfaces)
     assert traversals > 0 and ejected > 0
     assert net.stats.dispatched_flit_hops == traversals + ejected
+    meter = net.energy
+    assert meter.links == traversals
+    assert meter.crossings == meter.links + ejected
+    assert meter.writes - meter.reads == sum(
+        router.buffered_flits() for router in net.routers
+    )
+    if design.is_backpressureless:
+        in_flight = sum(ch.flits_in_flight for ch in net.channels)
+        assert meter.latches == meter.links - in_flight
+    per_flit = meter.params.link_pj_per_bit * meter.effective_bits
+    assert net.energy.totals.link == traversals * per_flit

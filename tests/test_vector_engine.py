@@ -343,9 +343,9 @@ def test_batched_mt_exports_a_row_on_the_block_boundary_like_cpython():
 
 
 def test_float_accumulate_is_a_sequential_fold():
-    """The energy replay relies on ``np.add.accumulate`` being the
-    same left-to-right float64 fold as the scalar ``acc += x`` loop —
-    bit-exact, not merely close."""
+    """``np.add.accumulate`` is the same left-to-right float64 fold as
+    the scalar ``acc += x`` loop — bit-exact, not merely close (the
+    property simlint's ``numpy-dtype-mixing`` rule protects)."""
     values = np.array([0.1, 0.7, 1e-9, 3.14159, 0.07] * 400, np.float64)
     acc = 0.0
     for v in values.tolist():
