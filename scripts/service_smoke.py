@@ -9,9 +9,11 @@ process:
 3. SIGKILL a worker process mid-run — the service must retry the lost
    seed and still finish the job;
 4. resubmit after completion — a cache hit, zero extra seed units;
-5. restart the server over the same store — the result survives and
+5. drain one small job of every other experiment kind, so that every
+   kind runs in a forked worker of a real server;
+6. restart the server over the same store — the result survives and
    still answers as a cache hit;
-6. shut down cleanly.
+7. shut down cleanly.
 
 Exit 0 = every property held.  Uses wall-clock timeouts only to bound
 the smoke itself; every simulation result is deterministic.
@@ -34,7 +36,7 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.service import ServiceClient  # noqa: E402
+from repro.service import KINDS, ServiceClient  # noqa: E402
 
 #: Big enough that a worker is observably mid-run when we kill it.
 SPEC = {
@@ -47,6 +49,24 @@ SPEC = {
     "seeds": 2,
     "rate": 0.25,
 }
+#: One small job of each kind ``SPEC`` is not.
+OTHER_KINDS = (
+    {
+        "kind": "closed_loop",
+        "design": "afc",
+        "workload": "apache",
+        "warmup_cycles": 100,
+        "measure_cycles": 300,
+    },
+    {
+        "kind": "faulted",
+        "design": "afc",
+        "rate": 0.2,
+        "warmup_cycles": 100,
+        "measure_cycles": 300,
+        "fault": {"link_flap_rate": 4.0, "bit_error_rate": 2.0},
+    },
+)
 DEADLINE = 300.0
 
 
@@ -126,6 +146,17 @@ def main() -> int:
             assert counters["cache_hits"] == 1, counters
             assert counters["seed_units_run"] == units_after_first
             log("resubmission answered from the store, zero extra work")
+
+            # -- every other kind drains through a forked worker -----
+            kinds = [SPEC["kind"]] + [spec["kind"] for spec in OTHER_KINDS]
+            assert sorted(kinds) == sorted(KINDS), kinds
+            for spec in OTHER_KINDS:
+                submitted = client.submit(spec)
+                done = client.result(
+                    submitted["key"], wait=True, timeout=DEADLINE
+                )
+                assert done["status"] == "done", done
+            log(f"drained one job of each kind: {', '.join(kinds)}")
 
             client.shutdown()
         server.wait(timeout=30)

@@ -15,25 +15,12 @@
 * :mod:`repro.analysis.fingerprint` — the one definition of "the same
   run" (golden grid, determinism suites).
 
-``lint_paths`` / ``LintReport`` resolve lazily: the harness imports this
-package for the sanitizer, and a simulation process has no use for the
+Every name resolves lazily: a simulation process imports the sanitizer
+only when it sanitizes, the probes only when it probes, and never the
 linter.
 """
 
-from .analytic import (
-    SaturationBound,
-    estimated_latency,
-    mean_uniform_hops,
-    per_hop_latency,
-    uniform_saturation_bound,
-    xy_channel_loads,
-    zero_load_flit_latency,
-    zero_load_packet_latency,
-)
-from .histogram import Histogram, build_histogram, latency_histogram
-from .probes import ChannelUtilization, TimeSeriesProbe, channel_utilization
-from .report import simulation_report
-from .sanitizer import InvariantViolation, Sanitizer
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChannelUtilization",
@@ -57,12 +44,27 @@ __all__ = [
     "zero_load_packet_latency",
 ]
 
-
-def __getattr__(name: str):
-    if name not in ("LintReport", "lint_paths"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simlint
-
-    value = getattr(simlint, name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ChannelUtilization": "probes",
+        "Histogram": "histogram",
+        "InvariantViolation": "sanitizer",
+        "LintReport": "simlint",
+        "Sanitizer": "sanitizer",
+        "SaturationBound": "analytic",
+        "TimeSeriesProbe": "probes",
+        "lint_paths": "simlint",
+        "build_histogram": "histogram",
+        "channel_utilization": "probes",
+        "estimated_latency": "analytic",
+        "latency_histogram": "histogram",
+        "mean_uniform_hops": "analytic",
+        "per_hop_latency": "analytic",
+        "simulation_report": "report",
+        "uniform_saturation_bound": "analytic",
+        "xy_channel_loads": "analytic",
+        "zero_load_flit_latency": "analytic",
+        "zero_load_packet_latency": "analytic",
+    },
+)

@@ -43,17 +43,11 @@ import sys
 from pathlib import Path
 from typing import Any, List, Optional, Sequence
 
+# Only what building the parser needs loads with the module; each
+# command imports what it runs (docs/PERFORMANCE.md, "Start-up").
 from . import __version__
-from .analysis.sanitizer import InvariantViolation
-from .core.threshold_search import derive_thresholds_empirically
-from .faults import FaultSpec, ProtectionConfig
 from .harness.experiment import KINDS, MAIN_DESIGNS
-from .harness.reporting import format_normalized_table, format_table
-from .harness.sweep import SweepGrid, run_open_loop_sweep
 from .network.config import Design, NetworkConfig
-from .obs.hub import Observability, ObservabilityOptions
-from .obs.metrics import MetricsRegistry
-from .obs.profiler import render_report
 from .traffic.workloads import WORKLOADS
 
 #: Designs compared by the resilience experiments (the paper's three
@@ -204,6 +198,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _obs_options(args: argparse.Namespace) -> Optional[ObservabilityOptions]:
+    from .obs.hub import ObservabilityOptions
+
     opts = ObservabilityOptions(
         trace=getattr(args, "trace", False),
         trace_capacity=getattr(args, "trace_capacity", 1 << 17),
@@ -254,11 +250,16 @@ def _print_obs_reports(
     """Text renderings of an observed run (table mode only)."""
     payload = result.observability or {}
     if getattr(args, "metrics", False) and "metrics" in payload:
+        from .harness.reporting import format_table
+        from .obs.metrics import MetricsRegistry
+
         registry = MetricsRegistry.from_dict(payload["metrics"])
         rows = [[name, value] for name, value in registry.rows()]
         title = "metrics" + (f" ({label})" if label else "")
         print(format_table(["metric", "value"], rows, title=title))
     if getattr(args, "profile_sim", False) and "profile" in payload:
+        from .obs.profiler import render_report
+
         if label:
             print(f"[{label}]")
         print(render_report(payload["profile"]))
@@ -332,11 +333,13 @@ def _cache_eligible(args: argparse.Namespace) -> bool:
 def _run_spec(args: argparse.Namespace, spec):
     """Run ``spec`` in the foreground, through the result store when
     ``--cache`` allows it."""
-    from .service import ResultStore, result_from_dict, result_to_dict
+    from .service import result_from_dict, result_to_dict
 
     store = None
     if getattr(args, "cache", False):
         if _cache_eligible(args):
+            from .service import ResultStore
+
             store = ResultStore(args.store)
         else:
             print(
@@ -360,15 +363,33 @@ def _run_spec(args: argparse.Namespace, spec):
     return result
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec(args, "closed_loop", workload=args.workload.name)
+def _run_specs(args: argparse.Namespace, specs: dict) -> Optional[dict]:
+    """:func:`_run_spec` over ``specs`` (same keys in the result).  With
+    ``--sanitize``, ``None`` once an invariant violation is reported."""
+    if not args.sanitize:
+        return {name: _run_spec(args, spec) for name, spec in specs.items()}
+    from .analysis.sanitizer import InvariantViolation
+
     try:
-        result = _run_spec(args, spec)
+        results = {
+            name: _run_spec(args, spec) for name, spec in specs.items()
+        }
     except InvariantViolation as exc:
         print(f"sanitizer: {exc}", file=sys.stderr)
-        return 2
-    if args.sanitize and not args.json:
+        return None
+    if not args.json:
         print("sanitizer: enabled, no invariant violations")
+    return results
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .harness.reporting import format_table
+
+    spec = _spec(args, "closed_loop", workload=args.workload.name)
+    results = _run_specs(args, {"run": spec})
+    if results is None:
+        return 2
+    result = results["run"]
     _write_obs_artifacts(args, result)
     if args.json:
         _emit_json({**_result_json(spec, result), "version": __version__})
@@ -400,21 +421,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .harness.reporting import format_normalized_table
+
     specs = {
         design: _spec(
             args, "closed_loop", design, workload=args.workload.name
         )
         for design in MAIN_DESIGNS
     }
-    try:
-        results = {
-            design: _run_spec(args, spec) for design, spec in specs.items()
-        }
-    except InvariantViolation as exc:
-        print(f"sanitizer: {exc}", file=sys.stderr)
+    results = _run_specs(args, specs)
+    if results is None:
         return 2
-    if args.sanitize and not args.json:
-        print("sanitizer: enabled, no invariant violations")
     for design, result in results.items():
         _write_obs_artifacts(args, result, label=design.value)
     if args.json:
@@ -446,6 +463,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .harness.reporting import format_table
+    from .harness.sweep import SweepGrid, run_open_loop_sweep
+
     designs = args.designs or list(FAULT_DESIGNS)
     grid = SweepGrid(
         designs=designs,
@@ -485,6 +505,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
+    from .faults.protection import ProtectionConfig
+    from .faults.schedule import FaultSpec
+    from .harness.reporting import format_table
+
     fault = FaultSpec(
         seed=args.fault_seed,
         link_flap_rate=args.flap_rate,
@@ -584,7 +608,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     with half the traffic aimed at the central node, driven to
     saturation, so the trace shows forward switches, gossip switches
     and deflected hop paths in one run."""
+    from .harness.reporting import format_table
     from .network.flit import reset_packet_ids
+    from .obs.hub import Observability, ObservabilityOptions
     from .simulation import Network
     from .traffic.patterns import Hotspot
     from .traffic.synthetic import OpenLoopSource
@@ -946,6 +972,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive_thresholds(args: argparse.Namespace) -> int:
+    from .core.threshold_search import derive_thresholds_empirically
+    from .harness.reporting import format_table
+
     config = NetworkConfig(width=args.width, height=args.height)
     result = derive_thresholds_empirically(
         config,

@@ -16,12 +16,12 @@ three flow-control disciplines can be compared under topology damage:
   routers, and fault-aware route-table patching;
 * :mod:`repro.faults.reroute` — shortest-path route tables over the
   damaged topology.
+
+Every name resolves lazily: a job description carries a
+:class:`FaultSpec`, but only a faulted run needs the injector.
 """
 
-from .injector import FaultInjector
-from .protection import ProtectionConfig, ProtectionLayer
-from .reroute import damaged_route_rows
-from .schedule import FaultEvent, FaultKind, FaultSchedule, FaultSpec
+from .._lazy import lazy_exports
 
 __all__ = [
     "FaultEvent",
@@ -33,3 +33,17 @@ __all__ = [
     "ProtectionLayer",
     "damaged_route_rows",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "FaultEvent": "schedule",
+        "FaultInjector": "injector",
+        "FaultKind": "schedule",
+        "FaultSchedule": "schedule",
+        "FaultSpec": "schedule",
+        "ProtectionConfig": "protection",
+        "ProtectionLayer": "protection",
+        "damaged_route_rows": "reroute",
+    },
+)

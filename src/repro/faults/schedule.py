@@ -37,6 +37,7 @@ Fault kinds
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,6 +47,9 @@ from ..network.topology import Mesh
 
 
 class FaultKind(Enum):
+    """What a :class:`FaultEvent` does (module docstring, "Fault
+    kinds")."""
+
     LINK_FLAP = "link_flap"
     LINK_KILL = "link_kill"
     ROUTER_KILL = "router_kill"
@@ -198,6 +202,26 @@ class FaultSpec:
     credit_loss_burst: int = 4
     link_kills: int = 0
     router_kills: int = 0
+
+    def __post_init__(self) -> None:
+        # Rejected here, so that an illegal spec never gets a job key
+        # and then fails inside a worker.
+        for name in ("link_flap_rate", "bit_error_rate", "credit_loss_rate"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(
+                    f"{name} must be a finite rate >= 0 (got {rate})"
+                )
+        for name, least in (
+            ("flap_duration", 1),
+            ("credit_loss_burst", 1),
+            ("link_kills", 0),
+            ("router_kills", 0),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"{name} must be >= {least} (got {getattr(self, name)})"
+                )
 
     def schedule(
         self, mesh: Mesh, start: int, horizon: int, salt: object = 0

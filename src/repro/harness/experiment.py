@@ -18,9 +18,7 @@ branches on it (docs/EXTENDING.md, "Adding an experiment kind").
 
 from __future__ import annotations
 
-import multiprocessing
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import (
@@ -37,9 +35,9 @@ from typing import (
     Union,
 )
 
-from ..analysis.sanitizer import Sanitizer
 from ..energy.model import EnergyBreakdown
-from ..faults import FaultInjector, FaultSpec, ProtectionConfig
+from ..faults.protection import ProtectionConfig
+from ..faults.schedule import FaultSpec
 from ..memsys.system import MemorySystem
 from ..network.config import (
     DEFAULT_MACHINE_CONFIG,
@@ -78,6 +76,8 @@ _J = TypeVar("_J")
 def fork_context() -> Optional[multiprocessing.context.BaseContext]:
     """The ``fork`` multiprocessing context, or ``None`` where the
     platform does not offer it (then everything runs serially)."""
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return None
@@ -95,9 +95,11 @@ def map_jobs(
     merged statistics are identical either way — parallelism changes
     wall-clock time only.
     """
-    ctx = fork_context()
-    if jobs <= 1 or len(jobs_args) <= 1 or ctx is None:
+    ctx = None if jobs <= 1 or len(jobs_args) <= 1 else fork_context()
+    if ctx is None:
         return [worker(args) for args in jobs_args]
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(jobs, len(jobs_args))
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         return list(pool.map(worker, jobs_args))
@@ -136,7 +138,12 @@ def _simulate(
     # a service worker stream progress; invisible to the simulation.
     publish_run(net, observer.registry if observer is not None else None)
     try:
-        with Sanitizer(net) if job.sanitize else nullcontext():
+        guard = nullcontext()
+        if job.sanitize:
+            from ..analysis.sanitizer import Sanitizer
+
+            guard = Sanitizer(net)
+        with guard:
             outcome = phases(net, driver)
     finally:
         if observer is not None:
@@ -430,6 +437,8 @@ def run_fault_seed(job: FaultJob) -> FaultSample:
     ``warmup_cycles``) so faults hit a loaded network."""
 
     def build(net: Network) -> Tuple[FaultInjector, OpenLoopSource]:
+        from ..faults.injector import FaultInjector
+
         schedule = job.fault.schedule(
             net.mesh,
             start=job.warmup_cycles,

@@ -204,6 +204,12 @@ class NetworkConfig:
                 f"data_bits must be >= 1 (got {self.data_bits}): flit "
                 "width scales every energy term, negative joules included"
             )
+        for name in ("control_packet_flits", "data_packet_flits"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1 (got {getattr(self, name)}): "
+                    "every packet carries at least its head flit"
+                )
         for name in ("baseline_vcs", "afc_vcs"):
             vcs = getattr(self, name)
             if len(vcs) != len(VirtualNetwork):

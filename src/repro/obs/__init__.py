@@ -26,6 +26,7 @@ The metrics primitives import eagerly (the stats layer uses
 lazily so ``import repro`` does not pay for them.
 """
 
+from .._lazy import lazy_exports
 from .metrics import (
     LATENCY_BUCKETS,
     Counter,
@@ -51,26 +52,17 @@ __all__ = [
     "clear_run",
 ]
 
-_LAZY = {
-    "FlitTracer": "trace",
-    "Observability": "hub",
-    "ObservabilityOptions": "hub",
-    "PipelineProfiler": "profiler",
-    "TelemetryLog": "telemetry",
-    "LiveSeedPublisher": "telemetry",
-    "publish_run": "telemetry",
-    "clear_run": "telemetry",
-    "build_dashboard": "dashboard",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "FlitTracer": "trace",
+        "Observability": "hub",
+        "ObservabilityOptions": "hub",
+        "PipelineProfiler": "profiler",
+        "TelemetryLog": "telemetry",
+        "LiveSeedPublisher": "telemetry",
+        "publish_run": "telemetry",
+        "clear_run": "telemetry",
+        "build_dashboard": "dashboard",
+    },
+)

@@ -20,21 +20,12 @@ The pieces, bottom-up:
 
 See ``docs/SERVICE.md`` for the protocol, the store layout, and the
 cache-correctness contract.
+
+Every name resolves lazily: a simulation process that only needs
+``result_to_dict`` must not import asyncio and the server with it.
 """
 
-from .canonical import canonical_json, canonicalize, content_key
-from .client import ServiceClient, ServiceError
-from .jobs import KINDS, JobSpec
-from .protocol import ServiceServer, drain
-from .queue import ExperimentService, JobState
-from .serialize import (
-    result_from_dict,
-    result_to_dict,
-    sample_from_dict,
-    sample_to_dict,
-)
-from .store import DEFAULT_STORE_PATH, ResultStore
-from .workers import SeedOutcome, run_seed_unit
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_STORE_PATH",
@@ -57,3 +48,28 @@ __all__ = [
     "sample_from_dict",
     "sample_to_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "canonical_json": "canonical",
+        "canonicalize": "canonical",
+        "content_key": "canonical",
+        "ServiceClient": "client",
+        "ServiceError": "client",
+        "KINDS": "jobs",
+        "JobSpec": "jobs",
+        "ServiceServer": "protocol",
+        "drain": "protocol",
+        "ExperimentService": "queue",
+        "JobState": "queue",
+        "result_from_dict": "serialize",
+        "result_to_dict": "serialize",
+        "sample_from_dict": "serialize",
+        "sample_to_dict": "serialize",
+        "DEFAULT_STORE_PATH": "store",
+        "ResultStore": "store",
+        "SeedOutcome": "workers",
+        "run_seed_unit": "workers",
+    },
+)

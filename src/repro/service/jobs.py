@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
-from ..faults import FaultSpec, ProtectionConfig
+from ..faults.protection import ProtectionConfig
+from ..faults.schedule import FaultSpec
 from ..harness.experiment import KINDS as _REGISTRY
 from ..harness.experiment import ExperimentRunner, kind_entry
 from ..network.config import Design, NetworkConfig

@@ -29,6 +29,7 @@ import time  # simlint: disable=wallclock
 import threading
 import traceback
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, List, Optional
 
 from ..harness.experiment import fork_context
@@ -37,6 +38,22 @@ from .jobs import JobSpec
 from .serialize import sample_to_dict
 
 __all__ = ["SeedOutcome", "run_seed_unit"]
+
+#: Everything a seed unit of any kind runs: the simulation stack
+#: (through the harness), then what the harness imports only on first
+#: use — the probes and the sanitizer of an observed or sanitized run,
+#: the injector of a faulted one.  Imported here, before the first
+#: fork, so each forked worker inherits these modules instead of
+#: importing (and, without a bytecode cache, compiling) them per unit.
+PRELOAD = (
+    "repro.harness.experiment",
+    "repro.analysis.probes",
+    "repro.analysis.sanitizer",
+    "repro.faults.injector",
+    "repro.faults.reroute",
+)
+for _name in PRELOAD:
+    import_module(_name)
 
 #: Seconds between heartbeat bumps inside a worker.
 BEAT_INTERVAL = 0.2

@@ -182,6 +182,10 @@ class TestKnobValidation:
                 "thresholds",
                 {RouterClass.CENTER: ContentionThresholds(2.2, 1.7)},
             ),
+            # Built fine, then the first closed-loop packet died with
+            # "packet must have >= 1 flit" (in a worker, under submit).
+            ("control_packet_flits", 0),
+            ("data_packet_flits", -3),
         ],
     )
     def test_rejected_with_the_field_named(self, field, value):
@@ -190,7 +194,8 @@ class TestKnobValidation:
 
     def test_legal_edge_values_accepted(self):
         cfg = NetworkConfig(
-            eject_bandwidth=1, load_window=1, baseline_vc_depth=1
+            eject_bandwidth=1, load_window=1, baseline_vc_depth=1,
+            control_packet_flits=1, data_packet_flits=1,
         )
         assert cfg.inject_bandwidth == 1
 

@@ -137,6 +137,46 @@ def test_fault_event_validation():
         FaultEvent(5, FaultKind.LINK_KILL, 0)  # missing endpoint b
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # Each used to construct, get a job key, and fail only inside
+        # the worker ("Sample larger than population or is negative",
+        # a FaultEvent error) or in the JSON encoder (NaN).
+        ("link_kills", -1),
+        ("router_kills", -1),
+        ("flap_duration", -5),
+        ("flap_duration", 0),
+        ("credit_loss_burst", -3),
+        ("bit_error_rate", -2.0),
+        ("link_flap_rate", -1.0),
+        ("credit_loss_rate", float("inf")),
+        ("bit_error_rate", float("nan")),
+    ],
+)
+def test_fault_spec_rejects_illegal_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        FaultSpec(**{field: value})
+
+
+def test_illegal_fault_spec_gets_no_job_key():
+    from repro.service import JobSpec
+
+    wire = JobSpec(kind="faulted").to_dict()
+    wire["fault"] = {**wire["fault"], "link_kills": -1}
+    with pytest.raises(ValueError, match="link_kills"):
+        JobSpec.from_dict(wire)
+
+
+def test_fault_spec_defaults_and_edges_accepted():
+    assert FaultSpec() == FaultSpec(
+        seed=0, link_flap_rate=0.0, flap_duration=30, bit_error_rate=0.0,
+        credit_loss_rate=0.0, credit_loss_burst=4, link_kills=0,
+        router_kills=0,
+    )
+    FaultSpec(flap_duration=1, credit_loss_burst=1)
+
+
 def test_injector_rejects_unknown_link():
     net = Network(SMALL, Design.AFC, seed=0)
     injector = FaultInjector(

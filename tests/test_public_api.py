@@ -13,12 +13,23 @@ PUBLIC_MODULES = [
     "repro.analysis",
     "repro.core",
     "repro.energy",
+    "repro.faults",
     "repro.harness",
     "repro.memsys",
     "repro.network",
     "repro.obs",
     "repro.routers",
+    "repro.service",
     "repro.traffic",
+]
+
+#: Packages whose exports resolve on first access (PEP 562).
+LAZY_PACKAGES = [
+    "repro.analysis",
+    "repro.core",
+    "repro.faults",
+    "repro.obs",
+    "repro.service",
 ]
 
 
@@ -105,5 +116,104 @@ def test_simulation_processes_do_not_load_the_linter():
         "assert 'repro.analysis.simlint' in sys.modules\n"
         "assert isinstance(lint_paths([]), LintReport)\n"
     )
+    proc = run_python("-c", program)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_lazy_name_is_listed_and_resolves():
+    """In a fresh interpreter, before anything resolved it, ``dir``
+    lists every exported name of a lazy package, and each resolves to
+    the object its defining submodule holds (a typo in a lazy name map
+    fails here)."""
+    program = (
+        "import importlib\n"
+        f"for name in {LAZY_PACKAGES!r}:\n"
+        "    package = importlib.import_module(name)\n"
+        "    listed = dir(package)\n"
+        "    for export in package.__all__:\n"
+        "        assert export in listed, (name, export)\n"
+        "        value = getattr(package, export)\n"
+        "        assert vars(package)[export] is value, (name, export)\n"
+        "    try:\n"
+        "        package.no_such_name\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(name)\n"
+    )
+    proc = run_python("-c", program)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_simulation_processes_import_only_the_simulation():
+    """A process that builds and runs simulations, and encodes their
+    results, imports neither the service's server nor the fault
+    injector, the sanitizer, the threshold search or asyncio."""
+    absent = [
+        "asyncio",
+        "ssl",
+        "multiprocessing",
+        "concurrent.futures",
+        "repro.faults.injector",
+        "repro.analysis.sanitizer",
+        "repro.core.threshold_search",
+        "repro.service.protocol",
+        "repro.service.queue",
+        "repro.service.client",
+        "repro.service.workers",
+    ]
+    program = (
+        "import sys\n"
+        "import repro.harness\n"
+        "from repro.service import result_to_dict\n"
+        f"loaded = [m for m in {absent!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_python("-c", program)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_seed_workers_import_nothing_after_fork():
+    """``repro serve`` imports, before its first fork, every module a
+    seed unit runs (``repro.service.workers.PRELOAD``): a worker of any
+    kind, sanitized or observed, adds nothing to ``sys.modules``, so no
+    forked worker imports (or compiles) a module per unit."""
+    program = """
+import sys, tempfile
+
+import asyncio
+import repro.cli
+from repro.service import (
+    ExperimentService, JobSpec, ResultStore, ServiceServer, drain,
+)
+
+from repro.harness.experiment import KINDS, fork_context
+from repro.obs.hub import ObservabilityOptions
+from repro.service.workers import _seed_worker_main
+
+observed = ObservabilityOptions(
+    trace=True, metrics=True, profile=True, probe_every=50
+)
+store = ResultStore(tempfile.mkdtemp())
+ctx = fork_context()
+units = []
+for kind in KINDS:
+    spec = JobSpec(
+        kind=kind, warmup_cycles=50, measure_cycles=150, metrics=True
+    )
+    units.append((spec, ctx.Pipe(duplex=False), ctx.Value("d", 0.0)))
+before = set(sys.modules)
+for spec, (receiver, sender), heartbeat in units:
+    _seed_worker_main(
+        sender, heartbeat, spec.to_dict(), 0,
+        live_path=store.live_path(spec.key(), 0), live_interval=0.01,
+    )
+    verdict, payload = receiver.recv()
+    assert verdict == "ok", payload
+    spec.run(sanitize=True)
+    spec.run(obs=observed)
+    added = sorted(set(sys.modules) - before)
+    assert not added, (spec.kind, added)
+"""
     proc = run_python("-c", program)
     assert proc.returncode == 0, proc.stderr
