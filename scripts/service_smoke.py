@@ -9,11 +9,14 @@ process:
 3. SIGKILL a worker process mid-run — the service must retry the lost
    seed and still finish the job;
 4. resubmit after completion — a cache hit, zero extra seed units;
-5. drain one small job of every other experiment kind, so that every
+5. watch one running job — a seed's heartbeat snapshot must reach the
+   stream (a non-terminal frame with a live seed past cycle 0) before
+   the terminal frame;
+6. drain one small job of every other experiment kind, so that every
    kind runs in a forked worker of a real server;
-6. restart the server over the same store — the result survives and
+7. restart the server over the same store — the result survives and
    still answers as a cache hit;
-7. shut down cleanly.
+8. shut down cleanly.
 
 Exit 0 = every property held.  Uses wall-clock timeouts only to bound
 the smoke itself; every simulation result is deterministic.
@@ -67,6 +70,8 @@ OTHER_KINDS = (
         "fault": {"link_flap_rate": 4.0, "bit_error_rate": 2.0},
     },
 )
+#: Long enough (~1.5 s a seed) for several 0.5 s worker beats.
+WATCH_SPEC = {**SPEC, "seeds": 1, "measure_cycles": 15000}
 DEADLINE = 300.0
 
 
@@ -146,6 +151,26 @@ def main() -> int:
             assert counters["cache_hits"] == 1, counters
             assert counters["seed_units_run"] == units_after_first
             log("resubmission answered from the store, zero extra work")
+
+            # -- watch a running job: live progress before the end ---
+            watched = client.submit(WATCH_SPEC)["key"]
+            frames = [
+                frame["snapshot"]
+                for frame in client.watch(watched, interval=0.1)
+            ]
+            assert frames[-1]["status"]["state"] == "done", frames[-1]
+            live = [
+                seed["cycle"]
+                for snapshot in frames[:-1]
+                for seed in (snapshot["status"].get("live") or {}).values()
+            ]
+            assert any(cycle > 0 for cycle in live), (
+                f"no live seed in {len(frames)} frames"
+            )
+            log(
+                f"watched {watched[:12]}: {len(frames)} frames, live "
+                f"seed reached cycle {max(live)} before the end"
+            )
 
             # -- every other kind drains through a forked worker -----
             kinds = [SPEC["kind"]] + [spec["kind"] for spec in OTHER_KINDS]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, List, Optional, Sequence
@@ -88,6 +89,15 @@ def _nonneg_float(value: str) -> float:
     parsed = float(value)
     if parsed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return parsed
+
+
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not 0 < parsed < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {value}"
+        )
     return parsed
 
 
@@ -712,7 +722,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed_timeout=args.seed_timeout,
         heartbeat_timeout=args.heartbeat_timeout,
         retries=args.retries,
-        live_interval=args.live_interval,
     )
 
     def _write_telemetry() -> None:
@@ -865,7 +874,7 @@ def _watch_line(snapshot: dict) -> str:
         value = status.get(name)
         if isinstance(value, (int, float)):
             parts.append(f"{label}={value:.1f}")
-    live = snapshot.get("live") or {}
+    live = status.get("live") or {}
     for index, seed in sorted(live.items()):
         parts.append(f"seed{index}@cycle={seed.get('cycle', '?')}")
     parts.append(f"queue={gauges.get('queue_depth', '?')}")
@@ -1384,17 +1393,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--seed-timeout",
-        type=float,
+        type=_positive_float,
         default=600.0,
         help="wall-clock seconds one seed may take before its worker "
         "is killed and retried",
     )
     serve.add_argument(
         "--heartbeat-timeout",
-        type=float,
+        type=_positive_float,
         default=30.0,
-        help="seconds without a worker heartbeat before it counts as "
-        "stalled",
+        help="seconds without a message from a worker before it counts "
+        "as stalled",
     )
     serve.add_argument(
         "--retries",
@@ -1409,15 +1418,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "batch mode: run every job spec in FILE ('-' = stdin) to "
             "completion, print the records as JSON, and exit"
-        ),
-    )
-    serve.add_argument(
-        "--live-interval",
-        type=float,
-        default=0.5,
-        help=(
-            "seconds between worker live-progress snapshots (feeds "
-            "repro watch; 0 disables the relay)"
         ),
     )
     serve.add_argument(

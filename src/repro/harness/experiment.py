@@ -134,8 +134,8 @@ def _simulate(
     observer = None
     if job.obs is not None and job.obs.enabled:
         observer = Observability(net, job.obs).attach()
-    # One attribute rebind per run: lets a LiveSeedPublisher thread in
-    # a service worker stream progress; invisible to the simulation.
+    # One attribute rebind per run: a service worker's beat thread
+    # snapshots it into each heartbeat; invisible to the simulation.
     publish_run(net, observer.registry if observer is not None else None)
     try:
         guard = nullcontext()

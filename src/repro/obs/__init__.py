@@ -13,9 +13,9 @@ docs/OBSERVABILITY.md):
   stages and engine phases per cycle bucket.
 
 The service telemetry plane also lives here: :class:`TelemetryLog`
-(job-lifecycle spans with Chrome trace export), the worker live relay
-(:class:`LiveSeedPublisher` / :func:`publish_run`), and the
-``repro dash`` generator (:func:`build_dashboard`).
+(job-lifecycle spans with Chrome trace export), the current run a
+seed worker's heartbeat messages snapshot (:func:`publish_run`), and
+the ``repro dash`` generator (:func:`build_dashboard`).
 
 When no :class:`Observability` hub is attached, every hook in the
 simulator stays ``None`` and results are bit-identical to an
@@ -41,7 +41,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
-    "LiveSeedPublisher",
     "MetricsRegistry",
     "Observability",
     "ObservabilityOptions",
@@ -60,7 +59,6 @@ __getattr__, __dir__ = lazy_exports(
         "ObservabilityOptions": "hub",
         "PipelineProfiler": "profiler",
         "TelemetryLog": "telemetry",
-        "LiveSeedPublisher": "telemetry",
         "publish_run": "telemetry",
         "clear_run": "telemetry",
         "build_dashboard": "dashboard",

@@ -1,4 +1,4 @@
-"""Service telemetry: job-lifecycle spans and the worker live relay.
+"""Service telemetry: job-lifecycle spans and the worker's live view.
 
 Two halves, both stdlib-only:
 
@@ -16,25 +16,21 @@ Two halves, both stdlib-only:
   supervision threads) and fan out to asyncio subscribers for the
   protocol's streaming ``events`` verb.
 
-* the **live relay** — how a forked seed worker streams progress out
-  without touching the simulation's hot path.  The harness publishes
-  the per-process current run (:func:`publish_run`: the network plus
-  its metrics registry, one attribute rebind per seed run, nothing
-  per cycle); a :class:`LiveSeedPublisher` thread inside the worker
-  periodically snapshots it (:func:`live_snapshot`) and atomically
-  replaces a per-seed file the service merges into ``watch``
-  responses.  Snapshots are pure reads of monotone accumulators — a
-  racing simulation step can at worst make one snapshot internally
-  stale, never corrupt the run — and the atomic write
-  (temp + ``os.replace``) means a reader sees a whole snapshot or
-  none (:func:`read_live_snapshot`).
+* the **current run** — the harness↔worker contract that lets a forked
+  seed worker report progress without touching the simulation's hot
+  path.  The harness publishes the per-process current run
+  (:func:`publish_run`: the network plus its metrics registry, one
+  attribute rebind per seed run, nothing per cycle); the worker's beat
+  thread (:mod:`repro.service.workers`) snapshots it
+  (:func:`live_snapshot`) into each heartbeat message on the result
+  pipe.  Snapshots are pure reads of monotone accumulators — a racing
+  simulation step can at worst make one snapshot internally stale,
+  never corrupt the run.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time  # simlint: disable=wallclock
 from pathlib import Path
@@ -42,28 +38,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "TelemetryLog",
-    "LiveSeedPublisher",
     "publish_run",
     "clear_run",
     "current_run",
     "live_snapshot",
-    "read_live_snapshot",
 ]
-
-#: Lifecycle event kinds a service emits (reference for consumers; the
-#: log itself accepts any kind string).
-EVENT_KINDS = (
-    "submitted",
-    "queued",
-    "dispatched",
-    "seed-started",
-    "heartbeat",
-    "retry",
-    "shed",
-    "seed-finished",
-    "completed",
-    "failed",
-)
 
 
 class TelemetryLog:
@@ -312,7 +291,7 @@ class TelemetryLog:
                     1,
                     seed_tid(key, index),
                     t,
-                    {"key": key, "age": event.get("age")},
+                    {"key": key, "cycle": event.get("cycle")},
                 )
             elif kind == "seed-finished":
                 index = int(event.get("index", 0))
@@ -351,7 +330,7 @@ class TelemetryLog:
         Path(path).write_text(json.dumps(self.chrome_trace()))
 
 
-# -- per-process current run (the worker side of the live relay) ----------
+# -- per-process current run (what a worker's beats snapshot) -------------
 
 #: The run currently executing in this process, as ``(network,
 #: registry-or-None)``.  Rebinding a module global is atomic under the
@@ -364,7 +343,7 @@ _current_run: Optional[tuple] = None
 
 def publish_run(net, registry=None) -> None:
     """Make ``net`` (and optionally its metrics registry) visible to a
-    :class:`LiveSeedPublisher` in this process.  One attribute rebind:
+    seed worker's beat thread in this process.  One attribute rebind:
     nothing is touched per cycle, so the simulation stays bit-identical
     and allocation-free with telemetry off or on."""
     global _current_run
@@ -402,92 +381,3 @@ def live_snapshot(net, registry=None) -> dict:
     if registry is not None:
         snap["metrics"] = registry.to_dict()
     return snap
-
-
-def read_live_snapshot(path) -> Optional[dict]:
-    """The snapshot at ``path``, or ``None`` (missing / mid-replace).
-
-    Writers go through atomic replace, so a decode error can only mean
-    a foreign file — treated as no snapshot, mirroring the store's
-    torn-tail tolerance."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
-        return None
-
-
-class LiveSeedPublisher:
-    """Periodic atomic snapshots of the process's published run.
-
-    Runs as a daemon thread inside a forked seed worker, next to the
-    heartbeat thread.  Every ``interval`` seconds it snapshots
-    :func:`current_run` and atomically replaces ``path``; a final
-    snapshot is written on :meth:`stop`.  Failures are swallowed per
-    tick (a snapshot racing a registry resize, a full disk) — the
-    relay is best-effort observability and must never take the
-    simulation down with it.
-    """
-
-    def __init__(self, path, interval: float = 0.5) -> None:
-        if interval <= 0:
-            raise ValueError("publish interval must be positive")
-        self.path = Path(path)
-        self.interval = interval
-        self.snapshots_written = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "LiveSeedPublisher":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._loop, daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(2.0)
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.write_snapshot()
-        self.write_snapshot()  # the final state, post-run
-
-    def write_snapshot(self) -> bool:
-        """Snapshot now; returns True when a file was (re)written."""
-        run = current_run()
-        if run is None:
-            return False
-        net, registry = run
-        try:
-            snap = live_snapshot(net, registry)
-            payload = json.dumps(snap, separators=(",", ":"))
-        except (RuntimeError, ValueError, TypeError):
-            # Racing the simulation thread mid-mutation (e.g. a metric
-            # table growing during iteration): skip this tick.
-            return False
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent,
-                prefix=f".{self.path.name}-",
-                suffix=".tmp",
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except FileNotFoundError:
-                    pass
-                raise
-        except OSError:
-            return False
-        self.snapshots_written += 1
-        return True

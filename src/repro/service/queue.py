@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..harness.experiment import _merge_observability
 from ..obs.telemetry import TelemetryLog
 from .jobs import JobSpec
 from .serialize import result_to_dict, sample_from_dict
@@ -93,6 +95,9 @@ class JobState:
     #: Live worker pids by seed index (for ``repro queue`` and the
     #: kill-a-worker smoke tests).
     workers: Dict[int, int] = field(default_factory=dict)
+    #: Latest heartbeat snapshot of each seed still running, by seed
+    #: index (:func:`repro.obs.telemetry.live_snapshot`).
+    live: Dict[int, dict] = field(default_factory=dict)
     #: How many submissions this job absorbed (1 + attached dupes).
     submissions: int = 1
     error: Optional[str] = None
@@ -132,8 +137,17 @@ class ExperimentService:
         retries: int = 2,
         on_worker_spawn: Optional[Callable[[int, int], None]] = None,
         telemetry: Optional[TelemetryLog] = None,
-        live_interval: float = 0.5,
     ) -> None:
+        if not 0 < heartbeat_timeout < math.inf:
+            raise ValueError(
+                "heartbeat_timeout must be a positive finite number of "
+                f"seconds (got {heartbeat_timeout})"
+            )
+        if seed_timeout is not None and not 0 < seed_timeout < math.inf:
+            raise ValueError(
+                "seed_timeout must be a positive finite number of "
+                f"seconds or None (got {seed_timeout})"
+            )
         self.store = store
         self.jobs = max(1, jobs)
         self.queue_limit = queue_limit
@@ -146,8 +160,6 @@ class ExperimentService:
         #: Lifecycle event log — always on (events are tiny dicts, far
         #: off the simulation hot path); injectable for clock control.
         self.telemetry = telemetry if telemetry is not None else TelemetryLog()
-        #: Seconds between worker live snapshots; <= 0 disables the relay.
-        self.live_interval = live_interval
         self._heap: List = []  # (-priority, seq, key)
         self._states: Dict[str, JobState] = {}
         self._seq = 0
@@ -251,15 +263,11 @@ class ExperimentService:
 
         Always carries ``progress`` (done/total seeds) and — as soon as
         any seed has reported anything — the p50/p95/p99 packet-latency
-        fields, live or finished alike."""
+        fields, live or finished alike (see :meth:`_progress`)."""
         state = self._states.get(key)
         if state is not None:
             out = state.snapshot()
-            out.update(self._partial_stats(state))
-            if state.spec.metrics and state.state == "running":
-                metrics = self._partial_metrics(state)
-                if metrics is not None:
-                    out["metrics"] = metrics
+            out.update(self._progress(state))
             return out
         record = self.store.get(key)
         if record is not None:
@@ -272,34 +280,39 @@ class ExperimentService:
             return out
         return {"key": key, "state": "unknown"}
 
-    def _partial_stats(self, state: JobState) -> dict:
-        """Latency percentiles of a job in flight: seed-mean over the
-        checkpointed samples plus the live snapshots of seeds still
-        running (exactly the figures the finished aggregate reports,
-        computed over what exists so far)."""
+    def _progress(self, state: JobState) -> dict:
+        """What a job has computed so far, folded like its aggregate.
+
+        A finished job reports its aggregate's percentiles.  Otherwise
+        the rows are the checkpointed samples in seed order, then — only
+        while the job runs — the heartbeat snapshots of the seeds still
+        running, in seed order: the percentiles are their seed-mean and,
+        for a metrics job, ``metrics`` is their merged registry, exactly
+        as the finished aggregate folds them.  A running job also lists
+        each live seed's snapshot (registry omitted) under ``live``."""
         if state.state == "done" and state.record is not None:
             return _percentiles_of(state.record.get("result") or {})
         partials = self.store.partial_seeds(state.key)
         rows = [partials[index] for index in sorted(partials)]
-        for index, snap in sorted(
-            self.store.live_seeds(state.key).items()
-        ):
-            if index not in partials:
-                rows.append(snap)
-        return _mean_percentiles(rows)
-
-    def _partial_metrics(self, state: JobState) -> Optional[dict]:
-        """Merged metrics of the seeds checkpointed so far — the
-        streaming view of a running job's registry."""
-        from ..harness.experiment import _merge_observability
-
-        partials = self.store.partial_seeds(state.key)
-        payloads = [
-            partials[index].get("observability")
-            for index in sorted(partials)
-        ]
-        merged = _merge_observability(payloads)
-        return None if merged is None else merged.get("metrics")
+        if state.state != "running":
+            return _mean_percentiles(rows)
+        # A snapshot's ``metrics`` is a registry, as in the samples'
+        # observability payloads.
+        payloads = [row.get("observability") for row in rows]
+        live = {}
+        for index, snap in sorted(dict(state.live).items()):
+            live[str(index)] = {
+                name: value for name, value in snap.items()
+                if name != "metrics"
+            }
+            rows.append(snap)
+            payloads.append(snap)
+        out = {"live": live, **_mean_percentiles(rows)}
+        if state.spec.metrics:
+            merged = _merge_observability(payloads)
+            if merged is not None:
+                out["metrics"] = merged["metrics"]
+        return out
 
     def gauges(self) -> dict:
         """The service's point-in-time load gauges (for ``watch`` and
@@ -323,7 +336,7 @@ class ExperimentService:
 
         def enriched(s: JobState) -> dict:
             snap = s.snapshot()
-            snap.update(self._partial_stats(s))
+            snap.update(self._progress(s))
             return snap
 
         return {
@@ -339,62 +352,15 @@ class ExperimentService:
         }
 
     def watch_snapshot(self, key: str) -> dict:
-        """One frame of the ``repro watch`` stream for a job.
-
-        Combines the job's status (progress + percentiles), the
-        service gauges, the per-seed live relay snapshots, and — when
-        the job records metrics — the merged registry built from
-        checkpointed seeds first and live seeds after, in seed order:
-        the exact ``merge`` semantics the finished aggregate uses, so
-        the stream converges on the stored result."""
-        status = self.status(key)
-        out = {
+        """One frame of the ``repro watch`` stream for a job: its
+        :meth:`status` (progress, percentiles, live seeds and, for a
+        metrics job, the merged registry) plus the service gauges."""
+        return {
             "key": key,
             "t": round(self.telemetry.now(), 6),
-            "status": status,
+            "status": self.status(key),
             "gauges": self.gauges(),
         }
-        state = self._states.get(key)
-        if state is not None and state.state in ("queued", "running"):
-            live = self.store.live_seeds(key)
-            out["live"] = {
-                str(index): {
-                    name: value
-                    for name, value in snap.items()
-                    if name != "metrics"
-                }
-                for index, snap in sorted(live.items())
-            }
-            if state.spec.metrics:
-                merged = self._merged_live_metrics(state, live)
-                if merged is not None:
-                    out["metrics"] = merged
-        return out
-
-    def _merged_live_metrics(
-        self, state: JobState, live: Dict[int, dict]
-    ) -> Optional[dict]:
-        """Checkpointed registries merged in seed order, then live
-        registries of not-yet-checkpointed seeds in seed order."""
-        from ..obs.metrics import MetricsRegistry
-
-        partials = self.store.partial_seeds(state.key)
-        payloads = []
-        for index in sorted(partials):
-            obs = partials[index].get("observability") or {}
-            if obs.get("metrics") is not None:
-                payloads.append(obs["metrics"])
-        for index in sorted(live):
-            if index in partials:
-                continue
-            if live[index].get("metrics") is not None:
-                payloads.append(live[index]["metrics"])
-        if not payloads:
-            return None
-        merged = MetricsRegistry.from_dict(payloads[0])
-        for payload in payloads[1:]:
-            merged.merge(MetricsRegistry.from_dict(payload))
-        return merged.to_dict()
 
     async def result(
         self, key: str, wait: bool = False, timeout: Optional[float] = None
@@ -500,7 +466,7 @@ class ExperimentService:
             if isinstance(exc, asyncio.CancelledError):
                 raise
         finally:
-            self.store.clear_live(state.key)
+            state.live.clear()
             self._active -= 1
             if self._wakeup is not None:
                 self._wakeup.set()
@@ -534,7 +500,9 @@ class ExperimentService:
         assert self._slots is not None
         async with self._slots:
             # Both callbacks fire on the supervising worker thread —
-            # TelemetryLog.record is thread-safe by contract.
+            # TelemetryLog.record is thread-safe by contract, and
+            # ``state.live`` changes by single item assignments that
+            # readers see through a copy (:meth:`_progress`).
             def on_spawn(pid: int, attempt: int) -> None:
                 if attempt > 1:
                     self.counters["worker_crashes"] += 1
@@ -546,6 +514,7 @@ class ExperimentService:
                         pid=pid,
                     )
                 state.workers[index] = pid
+                state.live.pop(index, None)  # a retry starts afresh
                 self.telemetry.record(
                     "seed-started",
                     key=state.key,
@@ -556,21 +525,25 @@ class ExperimentService:
                 if self.on_worker_spawn is not None:
                     self.on_worker_spawn(pid, attempt)
 
-            def on_beat(pid: int, age: float) -> None:
+            last_heartbeat = -math.inf
+
+            def on_beat(pid: int, snapshot: Optional[dict]) -> None:
+                nonlocal last_heartbeat
+                if snapshot is not None:
+                    state.live[index] = snapshot
+                now = self.telemetry.now()
+                if now - last_heartbeat < 1.0:
+                    return  # telemetry keeps at most one event a second
+                last_heartbeat = now
                 self.telemetry.record(
                     "heartbeat",
                     key=state.key,
                     index=index,
                     pid=pid,
-                    age=round(age, 3),
+                    cycle=None if snapshot is None else snapshot["cycle"],
                 )
 
             self.counters["seed_units_run"] += 1
-            live_path = (
-                self.store.live_path(state.key, index)
-                if self.live_interval > 0
-                else None
-            )
             outcome: SeedOutcome = await asyncio.to_thread(
                 run_seed_unit,
                 state.spec.to_dict(),
@@ -580,8 +553,6 @@ class ExperimentService:
                 retries=self.retries,
                 on_spawn=on_spawn,
                 on_beat=on_beat,
-                live_path=live_path,
-                live_interval=self.live_interval,
             )
             state.workers.pop(index, None)
             if not outcome.ok:
@@ -600,7 +571,7 @@ class ExperimentService:
             assert outcome.sample is not None
             self.store.checkpoint_seed(state.key, index, outcome.sample)
             state.completed_seeds += 1
-            self.store.clear_live(state.key, index)
+            state.live.pop(index, None)
             self.telemetry.record(
                 "seed-finished",
                 key=state.key,
@@ -612,5 +583,5 @@ class ExperimentService:
                 state,
                 "seed",
                 seed_index=index,
-                **self._partial_stats(state),
+                **_percentiles_of(self._progress(state)),
             )

@@ -6,8 +6,6 @@ Layout (under ``~/.repro/store`` by default, or any ``--store PATH``)::
       objects/<key[:2]>/<key>.json   # one finished result per job key
       partials/<key>.jsonl           # per-seed checkpoints of a job
                                      # that is (or was) in flight
-      live/<key>.<index>.json        # latest in-flight snapshot of a
-                                     # running seed (the live relay)
       series/<key>.jsonl             # per-job progress time series,
                                      # kept alongside the result
 
@@ -16,12 +14,9 @@ mid-write can never leave a truncated record where a reader expects a
 result.  Partials are append-only JSON lines flushed+fsynced per seed;
 a worker crash can at worst leave a truncated *final* line, which the
 reader detects and drops — every intact line is a completed seed that
-is never recomputed.  Live snapshots are atomic whole-file replaces
-(written by :class:`~repro.obs.telemetry.LiveSeedPublisher` threads in
-the workers, cleared by the service when the seed checkpoints); series
-rows share the partials' append + torn-tail discipline but are *not*
-cleared on completion — they are the job's persistent progress record
-(``repro dash`` reads them).
+is never recomputed.  Series rows share the partials' append +
+torn-tail discipline but are *not* cleared on completion — they are
+the job's persistent progress record (``repro dash`` reads them).
 
 A record is ``{"key", "kind", "version", "spec", "result"}``:
 ``spec`` the submitted job description, ``result`` the exact payload of
@@ -52,11 +47,9 @@ class ResultStore:
         self.root = Path(root).expanduser()
         self._objects = self.root / "objects"
         self._partials = self.root / "partials"
-        self._live = self.root / "live"
         self._series = self.root / "series"
         self._objects.mkdir(parents=True, exist_ok=True)
         self._partials.mkdir(parents=True, exist_ok=True)
-        self._live.mkdir(parents=True, exist_ok=True)
         self._series.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
@@ -169,43 +162,6 @@ class ResultStore:
             os.unlink(self._partial_path(key))
         except FileNotFoundError:
             pass
-
-    # -- live seed snapshots (the worker relay) --------------------------
-    def live_path(self, key: str, index: int) -> Path:
-        """Where a worker's :class:`~repro.obs.telemetry.
-        LiveSeedPublisher` drops seed ``index``'s snapshot."""
-        return self._live / f"{self._check_key(key)}.{int(index)}.json"
-
-    def live_seeds(self, key: str) -> Dict[int, dict]:
-        """Current live snapshots by seed index (undecodable or
-        mid-replace files are simply absent — atomic writes make this
-        a read of whole snapshots only)."""
-        from ..obs.telemetry import read_live_snapshot
-
-        self._check_key(key)
-        out: Dict[int, dict] = {}
-        for path in sorted(self._live.glob(f"{key}.*.json")):
-            try:
-                index = int(path.name[len(key) + 1 : -len(".json")])
-            except ValueError:
-                continue
-            snap = read_live_snapshot(path)
-            if snap is not None:
-                out[index] = snap
-        return out
-
-    def clear_live(self, key: str, index: Optional[int] = None) -> None:
-        """Drop one seed's live snapshot, or all of a job's."""
-        self._check_key(key)
-        if index is not None:
-            paths = [self.live_path(key, index)]
-        else:
-            paths = list(self._live.glob(f"{key}.*.json"))
-        for path in paths:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
 
     # -- per-job progress series -----------------------------------------
     def _series_path(self, key: str) -> Path:

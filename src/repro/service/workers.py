@@ -1,17 +1,20 @@
 """Heartbeat-supervised seed workers.
 
 One *seed unit* — ``(JobSpec, seed index)`` — runs in a forked child
-process.  The child sends its finished sample dict back over a pipe; a
-daemon thread inside it bumps a shared heartbeat value every
-``beat_interval`` seconds, independent of how deep the simulator is in
-its cycle loop.  The supervising thread in the service process watches
-three failure signals:
+process with one pipe back to its supervisor.  A daemon thread in the
+child sends ``("beat", snapshot)`` every :data:`BEAT_INTERVAL` seconds,
+independent of how deep the simulator is in its cycle loop; the
+snapshot is :func:`~repro.obs.telemetry.live_snapshot` of the run the
+harness publishes (``None`` before it starts).  The last message is
+the verdict, ``("ok", sample)`` or ``("error", traceback)``.  The
+supervising thread in the service process treats any message as proof
+of life and watches three failure signals:
 
 * **crash** — the child died (SIGKILL'd, OOM'd, segfaulted) without
-  delivering a sample; the unit is retried in a fresh child;
-* **stall** — the child is alive but its heartbeat stopped advancing
-  (stopped/livelocked process); the child is killed and the unit
-  retried;
+  delivering a verdict; the unit is retried in a fresh child;
+* **stall** — the child is alive but sent nothing for
+  ``heartbeat_timeout`` seconds (stopped/livelocked process); the
+  child is killed and the unit retried;
 * **timeout** — the per-unit wall-clock deadline passed; the child is
   killed; retried like a crash (a deadline on a loaded box is an
   environmental failure, not a property of the spec).
@@ -33,7 +36,7 @@ from importlib import import_module
 from typing import Callable, List, Optional
 
 from ..harness.experiment import fork_context
-from ..obs.telemetry import LiveSeedPublisher
+from ..obs.telemetry import current_run, live_snapshot
 from .jobs import JobSpec
 from .serialize import sample_to_dict
 
@@ -55,8 +58,8 @@ PRELOAD = (
 for _name in PRELOAD:
     import_module(_name)
 
-#: Seconds between heartbeat bumps inside a worker.
-BEAT_INTERVAL = 0.2
+#: Seconds between beat messages from a worker.
+BEAT_INTERVAL = 0.5
 #: Pipe poll granularity in the supervisor.
 _POLL_INTERVAL = 0.05
 
@@ -84,44 +87,50 @@ def _execute_seed(spec: JobSpec, index: int) -> dict:
     return sample_to_dict(spec.run_seed(index))
 
 
-def _seed_worker_main(
-    conn, heartbeat, spec_dict, index, live_path=None, live_interval=0.5
-) -> None:
-    """Child entry: beat, simulate, send exactly one message.
+def _beat(conn, lock: threading.Lock, stop: threading.Event) -> None:
+    """The worker's beat loop: every :data:`BEAT_INTERVAL` seconds,
+    send ``("beat", snapshot)`` of the published run, or ``None``.
 
-    With ``live_path`` set a :class:`LiveSeedPublisher` thread runs
-    alongside the heartbeat, periodically snapshotting the run the
-    harness publishes (:func:`repro.obs.telemetry.publish_run`) into
-    the store's live directory — the worker half of ``repro watch``.
-    """
+    Snapshots are pure reads of monotone accumulators, so a racing
+    simulation step can at worst make one internally stale, never
+    perturb the run.  ``stop`` is set under ``lock`` before the
+    verdict is sent, so no beat can follow it."""
+    while not stop.wait(BEAT_INTERVAL):
+        run = current_run()
+        try:
+            snapshot = live_snapshot(*run) if run is not None else None
+        except (RuntimeError, ValueError, TypeError):
+            # Racing the simulation mid-mutation (e.g. a metric table
+            # growing during iteration): this beat carries no snapshot.
+            snapshot = None
+        with lock:
+            if stop.is_set():
+                return
+            try:
+                conn.send(("beat", snapshot))
+            except OSError:  # supervisor already gone
+                return
+
+
+def _seed_worker_main(conn, spec_dict, index) -> None:
+    """Child entry: beat, simulate, end with exactly one verdict."""
+    lock = threading.Lock()
     stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.is_set():
-            heartbeat.value = time.monotonic()
-            stop.wait(BEAT_INTERVAL)
-
-    threading.Thread(target=beat, daemon=True).start()
-    publisher = None
-    if live_path is not None and live_interval > 0:
-        publisher = LiveSeedPublisher(live_path, live_interval).start()
+    threading.Thread(
+        target=_beat, args=(conn, lock, stop), daemon=True
+    ).start()
     try:
         spec = JobSpec.from_dict(spec_dict)
-        sample = _execute_seed(spec, index)
-        if publisher is not None:
-            publisher.stop()  # flush the final snapshot pre-send
-            publisher = None
-        conn.send(("ok", sample))
+        message = ("ok", _execute_seed(spec, index))
     except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc(limit=20)))
-        except (BrokenPipeError, OSError):  # supervisor already gone
-            pass
-    finally:
-        if publisher is not None:
-            publisher.stop()
+        message = ("error", traceback.format_exc(limit=20))
+    with lock:
         stop.set()
-        conn.close()
+        try:
+            conn.send(message)
+        except OSError:  # supervisor already gone
+            pass
+    conn.close()
 
 
 def _kill(proc) -> None:
@@ -138,20 +147,15 @@ def run_seed_unit(
     heartbeat_timeout: float = 30.0,
     retries: int = 2,
     on_spawn: Optional[Callable[[int, int], None]] = None,
-    on_beat: Optional[Callable[[int, float], None]] = None,
-    live_path=None,
-    live_interval: float = 0.5,
+    on_beat: Optional[Callable[[int, Optional[dict]], None]] = None,
 ) -> SeedOutcome:
     """Run one seed unit under supervision (blocking).
 
     ``on_spawn(pid, attempt)`` fires after each worker starts — the
     service uses it to publish worker pids (``repro queue``), and the
     crash-recovery tests use it to SIGKILL the worker mid-run.
-    ``on_beat(pid, age)`` fires roughly once per second while the
-    worker's heartbeat is advancing (the service turns these into
-    telemetry ``heartbeat`` events).  ``live_path`` makes the child
-    publish periodic live snapshots there (see
-    :func:`_seed_worker_main`).
+    ``on_beat(pid, snapshot)`` fires on every beat message, with the
+    worker's live snapshot or ``None`` (see :func:`_beat`).
     """
     ctx = fork_context()
     if ctx is None:  # pragma: no cover - non-fork platforms
@@ -169,17 +173,9 @@ def run_seed_unit(
     for attempt in range(1, retries + 2):
         outcome.attempts = attempt
         parent_conn, child_conn = ctx.Pipe(duplex=False)
-        heartbeat = ctx.Value("d", time.monotonic())
         proc = ctx.Process(
             target=_seed_worker_main,
-            args=(
-                child_conn,
-                heartbeat,
-                spec_dict,
-                index,
-                live_path,
-                live_interval,
-            ),
+            args=(child_conn, spec_dict, index),
             daemon=True,
         )
         proc.start()
@@ -190,43 +186,39 @@ def run_seed_unit(
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        message = None
+        verdict = None
         status = "crashed"
-        last_beat_report = time.monotonic()
+        last_message = time.monotonic()
         try:
             while True:
                 if parent_conn.poll(_POLL_INTERVAL):
                     try:
-                        message = parent_conn.recv()
+                        kind, payload = parent_conn.recv()
                     except (EOFError, OSError):
-                        message = None  # died mid-send: a crash
-                    break
-                if not proc.is_alive():
-                    # Raced against delivery: drain any final message.
+                        break  # died mid-send: a crash
+                    last_message = time.monotonic()
+                    if kind != "beat":
+                        verdict = (kind, payload)
+                        break
+                    if on_beat is not None:
+                        on_beat(proc.pid or 0, payload)
+                elif not proc.is_alive():
                     if parent_conn.poll(0):
-                        try:
-                            message = parent_conn.recv()
-                        except (EOFError, OSError):
-                            message = None
+                        continue  # raced against delivery: read it
                     break
                 now = time.monotonic()
-                if on_beat is not None and now - last_beat_report >= 1.0:
-                    last_beat_report = now
-                    on_beat(proc.pid or 0, now - heartbeat.value)
-                if now - heartbeat.value > heartbeat_timeout:
+                if now - last_message > heartbeat_timeout:
                     status = "stalled"
-                    _kill(proc)
                     break
                 if deadline is not None and now > deadline:
                     status = "timeout"
-                    _kill(proc)
                     break
         finally:
             _kill(proc)
             parent_conn.close()
-        if message is not None:
-            verdict, payload = message
-            if verdict == "ok":
+        if verdict is not None:
+            kind, payload = verdict
+            if kind == "ok":
                 outcome.status = "ok"
                 outcome.sample = payload
                 return outcome

@@ -179,7 +179,7 @@ def test_seed_workers_import_nothing_after_fork():
     kind, sanitized or observed, adds nothing to ``sys.modules``, so no
     forked worker imports (or compiles) a module per unit."""
     program = """
-import sys, tempfile
+import sys, threading
 
 import asyncio
 import repro.cli
@@ -189,26 +189,38 @@ from repro.service import (
 
 from repro.harness.experiment import KINDS, fork_context
 from repro.obs.hub import ObservabilityOptions
-from repro.service.workers import _seed_worker_main
+from repro.service import workers
 
 observed = ObservabilityOptions(
     trace=True, metrics=True, profile=True, probe_every=50
 )
-store = ResultStore(tempfile.mkdtemp())
+workers.BEAT_INTERVAL = 0.005
 ctx = fork_context()
+
+
+def read_all(receiver, messages):
+    try:
+        while True:
+            messages.append(receiver.recv())
+    except EOFError:
+        pass
+
+
 units = []
 for kind in KINDS:
     spec = JobSpec(
         kind=kind, warmup_cycles=50, measure_cycles=150, metrics=True
     )
-    units.append((spec, ctx.Pipe(duplex=False), ctx.Value("d", 0.0)))
+    units.append((spec, ctx.Pipe(duplex=False)))
 before = set(sys.modules)
-for spec, (receiver, sender), heartbeat in units:
-    _seed_worker_main(
-        sender, heartbeat, spec.to_dict(), 0,
-        live_path=store.live_path(spec.key(), 0), live_interval=0.01,
-    )
-    verdict, payload = receiver.recv()
+for spec, (receiver, sender) in units:
+    messages = []
+    reader = threading.Thread(target=read_all, args=(receiver, messages))
+    reader.start()
+    workers._seed_worker_main(sender, spec.to_dict(), 0)
+    reader.join()
+    assert all(kind == "beat" for kind, _ in messages[:-1]), messages
+    verdict, payload = messages[-1]
     assert verdict == "ok", payload
     spec.run(sanitize=True)
     spec.run(obs=observed)

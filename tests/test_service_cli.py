@@ -47,6 +47,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["status"])
 
+    @pytest.mark.parametrize(
+        "flag", ["--heartbeat-timeout", "--seed-timeout"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_serve_timeouts_must_be_positive_and_finite(
+        self, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a positive finite number" in (
+            capsys.readouterr().err
+        )
+
 
 class TestRunJson:
     def test_run_json_carries_config_hash_and_version(self, capsys):

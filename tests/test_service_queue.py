@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
+import sys
+
+import pytest
 
 from repro.harness.experiment import ExperimentRunner
 from repro.network.config import Design, NetworkConfig
@@ -27,6 +31,7 @@ from repro.service import (
     drain,
     result_from_dict,
     result_to_dict,
+    sample_to_dict,
 )
 
 FAST = dict(warmup_cycles=100, measure_cycles=300)
@@ -184,6 +189,71 @@ def test_priorities_order_dispatch(tmp_path):
     # All three submissions land before the dispatcher wakes (submit
     # never yields), so priority decides first and FIFO breaks the tie.
     assert order == [12, 10, 11]
+
+
+@pytest.mark.parametrize("field", ["heartbeat_timeout", "seed_timeout"])
+@pytest.mark.parametrize(
+    "value", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"]
+)
+def test_bad_timeouts_are_rejected_naming_the_field(tmp_path, field, value):
+    """A zero timeout stalls every worker at once; ``nan`` makes every
+    comparison false and so turns stall and deadline detection off."""
+    with pytest.raises(ValueError, match=field):
+        ExperimentService(ResultStore(tmp_path), **{field: value})
+
+
+def test_no_seed_timeout_means_no_deadline(tmp_path):
+    service = ExperimentService(ResultStore(tmp_path), seed_timeout=None)
+    assert service.seed_timeout is None
+
+
+def test_concurrent_beats_are_never_lost(tmp_path, monkeypatch):
+    """Seed supervisors write ``JobState.live`` from their own threads
+    while the event loop folds it for ``status``.  With more
+    supervisors than cores and a tiny switch interval, every seed's
+    latest beat is the one the service holds, no fold trips over a
+    writer, and nothing is left once the job ends."""
+    from repro.service import queue as queue_mod
+    from repro.service.workers import SeedOutcome
+
+    spec = fast_spec(seeds=4)
+    key = spec.key()
+    samples = [sample_to_dict(spec.run_seed(i)) for i in range(spec.seeds)]
+    service = ExperimentService(ResultStore(tmp_path), jobs=spec.seeds)
+    lost = []
+
+    def beating_unit(spec_dict, index, *, on_spawn, on_beat, **kwargs):
+        on_spawn(1000 + index, 1)
+        state = service._states[key]
+        for cycle in range(1, 2001):
+            on_beat(1000 + index, {"cycle": cycle, "throughput": 0.1})
+            if state.live.get(index, {}).get("cycle") != cycle:
+                lost.append((index, cycle))
+        return SeedOutcome(status="ok", sample=samples[index], attempts=1)
+
+    monkeypatch.setattr(queue_mod, "run_seed_unit", beating_unit)
+
+    async def scenario():
+        await service.start()
+        try:
+            service.submit(spec)
+            folds = 0
+            while service.status(key)["state"] in ("queued", "running"):
+                folds += 1
+                await asyncio.sleep(0)
+            return folds
+        finally:
+            await service.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        folds = asyncio.run(asyncio.wait_for(scenario(), 60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert folds > 0 and lost == []
+    assert service.status(key)["state"] == "done"
+    assert service._states[key].live == {}
 
 
 def test_status_reports_lifecycle(tmp_path):

@@ -22,16 +22,21 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.harness.experiment import ExperimentRunner, fork_context
 from repro.network.config import Design, NetworkConfig
 from repro.service import (
     ExperimentService,
     JobSpec,
     ResultStore,
+    ServiceClient,
     drain,
     result_to_dict,
     run_seed_unit,
@@ -295,3 +300,70 @@ def test_sigkill_plus_checkpoint_resume_metrics_bit_identical(tmp_path):
     # Explicitly pin the merged registry, not just the whole record.
     got_metrics = results[0]["result"]["observability"]["metrics"]
     assert got_metrics == expected["observability"]["metrics"]
+
+
+def test_a_killed_servers_seed_leaves_no_live_progress(tmp_path):
+    """A ``repro serve`` SIGKILLed mid-seed must not haunt the next
+    service on its store: the resubmitted job, still queued, reports no
+    live seed and no percentile its checkpoints cannot account for."""
+    spec = JobSpec(
+        kind="open_loop",
+        width=4,
+        height=4,
+        rate=0.25,
+        seeds=2,
+        warmup_cycles=500,
+        measure_cycles=12_000,
+    )
+    store_dir = tmp_path / "store"
+    src_dir = str(Path(repro.__file__).parent.parent)
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--store", str(store_dir), "--jobs", "1",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # one killpg reaches its workers too
+        env={
+            **os.environ,
+            "PYTHONPATH": src_dir + os.pathsep
+            + os.environ.get("PYTHONPATH", ""),
+        },
+    )
+    try:
+        line = server.stdout.readline().strip()
+        assert line.startswith("serving on "), line
+        port = int(line.rsplit(":", 1)[1])
+        with ServiceClient(host="127.0.0.1", port=port) as client:
+            key = client.submit(spec.to_dict())["key"]
+            # Seed 0 is running and has reported progress.
+            deadline = time.monotonic() + 120
+            while "p50_packet_latency" not in client.status(key):
+                assert time.monotonic() < deadline, "no progress seen"
+                time.sleep(0.02)
+    finally:
+        os.killpg(server.pid, signal.SIGKILL)
+        server.wait(timeout=30)
+        server.stdout.close()
+
+    store = ResultStore(store_dir)
+    service = ExperimentService(store, jobs=1)  # never started
+    assert service.submit(spec)["status"] == "queued"
+    status = service.status(key)
+    frame = service.watch_snapshot(key)
+    assert status["state"] == "queued"
+    partials = store.partial_seeds(key)
+    names = (
+        "p50_packet_latency", "p95_packet_latency", "p99_packet_latency"
+    )
+    expected = {
+        name: sum(partials[i][name] for i in partials) / len(partials)
+        for name in names
+        if partials
+    }
+    assert {name: status[name] for name in names if name in status} == (
+        expected
+    )
+    assert "live" not in status
+    assert "live" not in frame and frame["status"] == status

@@ -1,26 +1,31 @@
-"""The service telemetry plane: lifecycle spans, the worker live
-relay, the streaming ``watch``/``events`` verbs, and ``repro dash``.
+"""The service telemetry plane: lifecycle spans, the worker's beat
+messages, the streaming ``watch``/``events`` verbs, and ``repro dash``.
 
 Three layers, pinned separately:
 
 * :class:`TelemetryLog` with an injected clock — deterministic
   timestamps, so the Chrome trace-event export is asserted span by
   span;
-* the live relay (``publish_run`` → :class:`LiveSeedPublisher` →
-  ``read_live_snapshot``) against a fake network — no simulation
-  needed to pin the atomic-file protocol — and once against a real
-  run, whose fingerprint the side thread must not change;
+* the worker's beat loop (``publish_run`` → ``workers._beat`` →
+  ``("beat", live_snapshot)`` on the pipe) against a fake network and
+  a recording connection — no simulation needed to pin the message
+  protocol — and once against a real run, whose fingerprint the side
+  thread must not change;
 * the full service: drain-mode lifecycle events + durable series +
   always-on status percentiles, then the streaming verbs end-to-end
-  over a real unix socket (server thread, blocking client), then the
-  dashboard generator and its CLI.
+  over a real unix socket (server thread, blocking client) — live
+  progress of a running seed included — then the dashboard generator
+  and its CLI.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -30,17 +35,19 @@ from repro.harness.experiment import fork_context
 from repro.network.flit import reset_packet_ids
 from repro.obs.hub import Observability, ObservabilityOptions
 from repro.obs.telemetry import (
-    LiveSeedPublisher,
     TelemetryLog,
     clear_run,
     live_snapshot,
     publish_run,
-    read_live_snapshot,
 )
-from repro.service import JobSpec, ResultStore, drain
+from repro.service import JobSpec, ResultStore, drain, workers
 from repro.traffic.synthetic import uniform_random_traffic
 
 FAST = dict(warmup_cycles=100, measure_cycles=300)
+#: A seed long enough (~0.3 s) to be seen mid-run at 20 ms beats.
+LONG = dict(
+    width=4, height=4, rate=0.25, warmup_cycles=200, measure_cycles=2000
+)
 
 KEY = "ab" * 32  # a syntactically valid job key for store-level tests
 
@@ -144,7 +151,7 @@ class TestChromeTrace:
         clock.advance(0.1)
         log.record("seed-started", key=KEY, index=0, attempt=1, pid=41)
         clock.advance(0.4)
-        log.record("heartbeat", key=KEY, index=0, pid=41, age=0.4)
+        log.record("heartbeat", key=KEY, index=0, pid=41, cycle=1200)
         clock.advance(0.5)
         log.record("retry", key=KEY, index=0, attempt=2, pid=42)
         log.record("seed-started", key=KEY, index=0, attempt=2, pid=42)
@@ -185,6 +192,8 @@ class TestChromeTrace:
             e["name"] for e in trace if e.get("ph") == "i"
         }
         assert {"submitted", "retry", "heartbeat"} <= instants
+        beat = next(e for e in trace if e["name"] == "heartbeat")
+        assert beat["args"] == {"key": KEY, "cycle": 1200}
 
     def test_process_metadata_names_both_lanes(self):
         trace = self.lifecycle_log().chrome_trace()["traceEvents"]
@@ -201,7 +210,7 @@ class TestChromeTrace:
         assert data["traceEvents"]
 
 
-# -- the live relay --------------------------------------------------------
+# -- the worker's beat loop ------------------------------------------------
 
 
 class FakeStats:
@@ -224,6 +233,44 @@ class FakeRegistry:
         return {"counters": {"x": 1}}
 
 
+class RecordingConn:
+    """Stands in for the worker's end of the pipe."""
+
+    def __init__(self) -> None:
+        self.sent = []
+
+    def send(self, message) -> None:
+        self.sent.append(message)
+
+
+@contextlib.contextmanager
+def beating(monkeypatch, interval):
+    """Run the worker's beat loop on a side thread; yields the list of
+    messages it has sent so far, and stops it the way a worker does
+    before its verdict."""
+    monkeypatch.setattr(workers, "BEAT_INTERVAL", interval)
+    conn = RecordingConn()
+    lock, stop = threading.Lock(), threading.Event()
+    thread = threading.Thread(
+        target=workers._beat, args=(conn, lock, stop)
+    )
+    thread.start()
+    try:
+        yield conn.sent
+    finally:
+        with lock:
+            stop.set()
+        thread.join(10)
+        assert not thread.is_alive(), "the beat loop did not stop"
+
+
+def wait_for_beat(sent) -> None:
+    deadline = time.monotonic() + 10
+    while not sent and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert sent, "the beat loop sent nothing"
+
+
 class TestLiveRelay:
     def teardown_method(self):
         clear_run()
@@ -236,53 +283,45 @@ class TestLiveRelay:
         snap = live_snapshot(FakeNet(), FakeRegistry())
         assert snap["metrics"] == {"counters": {"x": 1}}
 
-    def test_publisher_without_a_published_run_writes_nothing(
-        self, tmp_path
+    def test_beat_without_a_published_run_carries_no_snapshot(
+        self, monkeypatch
     ):
         clear_run()
-        pub = LiveSeedPublisher(tmp_path / "live.json", interval=0.05)
-        assert pub.write_snapshot() is False
-        assert not (tmp_path / "live.json").exists()
+        with beating(monkeypatch, 0.005) as sent:
+            wait_for_beat(sent)
+        assert set(sent) == {("beat", None)}
 
-    def test_publisher_round_trips_through_the_atomic_file(
-        self, tmp_path
-    ):
-        path = tmp_path / "live.json"
+    def test_beat_carries_the_published_snapshot(self, monkeypatch):
         publish_run(FakeNet(), FakeRegistry())
-        pub = LiveSeedPublisher(path, interval=0.05)
-        assert pub.write_snapshot() is True
-        snap = read_live_snapshot(path)
-        assert snap is not None
-        assert snap["cycle"] == 4567
-        assert snap["metrics"] == {"counters": {"x": 1}}
-        # No temp droppings: the write is temp + os.replace.
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "live.json"
-        ]
+        with beating(monkeypatch, 0.005) as sent:
+            wait_for_beat(sent)
+        assert sent[0] == ("beat", live_snapshot(FakeNet(), FakeRegistry()))
 
-    def test_publisher_thread_writes_final_snapshot_on_stop(
-        self, tmp_path
-    ):
-        path = tmp_path / "live.json"
-        publish_run(FakeNet())
-        pub = LiveSeedPublisher(path, interval=0.02).start()
-        pub.stop()
-        assert pub.snapshots_written >= 1
-        assert read_live_snapshot(path)["cycle"] == 4567
+    def test_the_verdict_is_the_last_message(self, monkeypatch):
+        """Beats run while the seed does; the verdict ends the pipe."""
+        monkeypatch.setattr(workers, "BEAT_INTERVAL", 0.005)
 
-    def test_read_live_snapshot_tolerates_missing_and_foreign_files(
-        self, tmp_path
-    ):
-        assert read_live_snapshot(tmp_path / "nope.json") is None
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("{not json")
-        assert read_live_snapshot(garbage) is None
+        def slow_seed(spec, index):
+            time.sleep(0.1)
+            return {"seed_index": index}
 
-    def test_streamed_real_run_is_bit_identical(self, tmp_path):
-        """The relay reads a *running* simulation from a side thread:
-        a 4x4 AFC run snapshotted every 20 ms, metrics registry
-        included, finishes with the plain run's fingerprint."""
-        path = tmp_path / "live.json"
+        monkeypatch.setattr(workers, "_execute_seed", slow_seed)
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        spec = JobSpec(kind="open_loop", rate=0.2, seeds=1, **FAST)
+        workers._seed_worker_main(sender, spec.to_dict(), 0)
+        messages = []
+        with pytest.raises(EOFError):  # the worker closed its end
+            while True:
+                messages.append(receiver.recv())
+        assert messages[-1] == ("ok", {"seed_index": 0})
+        beats = messages[:-1]
+        assert beats and set(beats) == {("beat", None)}
+
+    def test_streamed_real_run_is_bit_identical(self, monkeypatch):
+        """The beat loop reads a *running* simulation from a side
+        thread: a 4x4 AFC run snapshotted every 20 ms, metrics
+        registry included, finishes with the plain run's
+        fingerprint."""
 
         def run(streamed):
             reset_packet_ids()
@@ -292,47 +331,37 @@ class TestLiveRelay:
             source = uniform_random_traffic(
                 net, 0.3, seed=5, source_queue_limit=300
             )
-            if streamed:
-                observer = Observability(
-                    net, ObservabilityOptions(metrics=True)
-                ).attach()
-                publish_run(net, observer.registry)
-                publisher = LiveSeedPublisher(path, interval=0.02).start()
-            source.run(1_500)
-            net.drain()
-            if streamed:
-                publisher.stop()
-                observer.detach()
-                # A mid-run snapshot and the final one on stop().
-                assert publisher.snapshots_written >= 2
-                assert read_live_snapshot(path)["cycle"] == net.cycle
+            if not streamed:
+                source.run(1_500)
+                net.drain()
+                return fingerprint(net, source)
+            observer = Observability(
+                net, ObservabilityOptions(metrics=True)
+            ).attach()
+            publish_run(net, observer.registry)
+            with beating(monkeypatch, 0.02) as sent:
+                source.run(1_500)
+                net.drain()
+            observer.detach()
+            clear_run()
+            snaps = [snap for _, snap in sent if snap is not None]
+            assert len(snaps) >= 2, "the run must be seen mid-flight"
+            cycles = [snap["cycle"] for snap in snaps]
+            assert cycles == sorted(cycles) and cycles[-1] <= net.cycle
+            assert all("metrics" in snap for snap in snaps)
             return fingerprint(net, source)
 
         assert run(streamed=True) == run(streamed=False)
 
-    def test_zero_interval_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            LiveSeedPublisher(tmp_path / "x.json", interval=0.0)
-
 
 class TestStoreLiveAndSeries:
-    def test_live_seeds_round_trip_and_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        publish_run(FakeNet())
-        try:
-            for index in (0, 1):
-                LiveSeedPublisher(
-                    store.live_path(KEY, index), interval=0.05
-                ).write_snapshot()
-        finally:
-            clear_run()
-        live = store.live_seeds(KEY)
-        assert sorted(live) == [0, 1]
-        assert live[0]["cycle"] == 4567
-        store.clear_live(KEY, 0)
-        assert sorted(store.live_seeds(KEY)) == [1]
-        store.clear_live(KEY)
-        assert store.live_seeds(KEY) == {}
+    def test_store_keeps_no_live_area(self, tmp_path):
+        """Live progress travels on the worker's pipe and is held in
+        memory; the store keeps only durable data."""
+        ResultStore(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "objects", "partials", "series",
+        ]
 
     def test_series_appends_and_drops_the_torn_tail(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -362,7 +391,7 @@ class TestServiceLifecycle:
         from repro.service import ExperimentService
 
         store = ResultStore(tmp_path)
-        service = ExperimentService(store, jobs=2, live_interval=0.05)
+        service = ExperimentService(store, jobs=2)
         results, counters = asyncio.run(drain(service, [spec]))
         return store, service, results, counters
 
@@ -398,8 +427,9 @@ class TestServiceLifecycle:
         assert rows[-1]["p99_packet_latency"] == pytest.approx(
             results[0]["result"]["p99_packet_latency"]
         )
-        # ...and the live relay left nothing behind.
-        assert store.live_seeds(key) == {}
+        # ...and no live snapshot outlives the job.
+        assert service._states[key].live == {}
+        assert "live" not in service.status(key)
 
     def test_status_carries_progress_and_percentiles(self, tmp_path):
         from repro.service import ExperimentService
@@ -448,9 +478,7 @@ class TestStreamingVerbs:
         def serve():
             async def body():
                 service = ExperimentService(
-                    ResultStore(tmp_path / "store"),
-                    jobs=1,
-                    live_interval=0.05,
+                    ResultStore(tmp_path / "store"), jobs=1
                 )
                 server = ServiceServer(service, socket_path=sock)
                 await server.start()
@@ -494,6 +522,65 @@ class TestStreamingVerbs:
         assert "gauges" in last["snapshot"]
         # Non-terminal frames are not marked done.
         assert all(f["done"] is False for f in frames[:-1])
+
+    def test_watch_sees_a_running_seed_before_it_checkpoints(
+        self, live_server, monkeypatch
+    ):
+        """Forked workers inherit the patched beat interval: a running
+        seed's heartbeat snapshot reaches ``status`` — and so every
+        ``watch`` frame — before the seed checkpoints."""
+        from repro.service import ServiceClient
+
+        monkeypatch.setattr(workers, "BEAT_INTERVAL", 0.02)
+        spec = fast_spec(seeds=1, **LONG)
+        with ServiceClient(socket_path=live_server) as client:
+            key = client.submit(spec.to_dict())["key"]
+            frames = list(client.watch(key, interval=0.02))
+        assert frames[-1]["done"] is True
+        assert set(frames[-1]["snapshot"]) == {
+            "key", "t", "status", "gauges",
+        }, "one view: no top-level live or metrics copies"
+        running = [
+            f["snapshot"]["status"] for f in frames
+            if f["snapshot"]["status"].get("live")
+        ]
+        assert running, "no frame saw the running seed"
+        status = running[0]
+        assert status["state"] == "running"
+        assert status["progress"]["done"] == 0
+        assert status["live"]["0"]["cycle"] > 0
+        for name in (
+            "p50_packet_latency", "p95_packet_latency",
+            "p99_packet_latency",
+        ):
+            assert isinstance(status[name], float)
+        assert "metrics" not in status  # not a metrics job
+
+    def test_status_merges_a_running_metrics_seed(
+        self, live_server, monkeypatch
+    ):
+        """With no seed checkpointed yet, a metrics job's ``status``
+        already carries the registry merged from the live seed."""
+        from repro.service import ServiceClient
+
+        monkeypatch.setattr(workers, "BEAT_INTERVAL", 0.02)
+        spec = fast_spec(seeds=1, metrics=True, **LONG)
+        with ServiceClient(socket_path=live_server) as client:
+            key = client.submit(spec.to_dict())["key"]
+            deadline = time.monotonic() + 60
+            status = client.status(key)
+            while not status.get("live") and time.monotonic() < deadline:
+                if status["state"] not in ("queued", "running"):
+                    break
+                time.sleep(0.01)
+                status = client.status(key)
+            done = client.result(key, wait=True, timeout=60)
+        assert done["status"] == "done"
+        assert status.get("live"), status
+        assert status["progress"]["done"] == 0
+        assert "metrics" not in status["live"]["0"]
+        counters = status["metrics"]["counters"]
+        assert counters and sum(counters.values()) > 0
 
     def test_watch_max_snapshots_truncates(self, live_server):
         from repro.service import ServiceClient
