@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Python function calls per flit hop: a noise-free cost gate.
+"""Python calls per flit hop and per router built: a noise-free cost gate.
 
 Wall-clock gates on shared runners need a wide floor (CI's
 ``BENCH_MIN_RATIO`` is 0.6) and cannot see a 20 % loss.  The number of
@@ -17,14 +17,22 @@ CMP under the ``apache`` workload for 1 500 cycles (Fig. 2's loop:
 memsys, NI and every router family).  The run happens under
 ``sys.setprofile`` and the ``call`` events (python functions and
 generator resumptions; C functions are not counted) are divided by the
-flit hops the run dispatched.  ``--reference FILE`` embeds the rows of
-an archive written by this script elsewhere (e.g. at the parent commit)
-for side-by-side reading; ``--check`` never looks at them.
+flit hops the run dispatched.
+
+Each construction row builds ``Network(NetworkConfig(width=w,
+height=w), design)`` for one datapath at w = 8 and w = 16 and divides
+the calls by the w x w routers built.  Every ``functools`` cache of the
+loaded ``repro`` modules (route tables, port tables, interned credits)
+is emptied first, so a row counts the tables construction fills and
+repeats exactly whatever ran before it.  ``--reference FILE`` embeds the
+rows of an archive written by this script elsewhere (e.g. at the parent
+commit) for side-by-side reading; ``--check`` never looks at them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -40,6 +48,8 @@ CYCLES = 300
 CLOSED_WORKLOAD = "apache"
 CLOSED_CYCLES = 1500
 SEED = 11
+BUILD_DESIGNS = ("backpressured", "backpressureless", "afc")
+BUILD_WIDTHS = (8, 16)
 #: ``--check`` fails when a row is off its archived value by more,
 #: either way.
 TOLERANCE = 0.05
@@ -102,20 +112,75 @@ def measure_closed(design) -> Dict[str, object]:
     return row(design.value, {"workload": CLOSED_WORKLOAD}, calls, net)
 
 
+_CACHE_TYPE = type(functools.lru_cache(maxsize=None)(len))
+
+
+def clear_repro_caches() -> None:
+    """Empty every ``functools`` cache held by a loaded ``repro`` module."""
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for value in list(vars(module).values()):
+                if isinstance(value, _CACHE_TYPE):
+                    value.cache_clear()
+
+
+def measure_build(design_name: str, width: int) -> Dict[str, object]:
+    from repro import Design, Network, NetworkConfig
+
+    design = Design(design_name)
+    config = NetworkConfig(width=width, height=width)
+    # Import whatever construction imports lazily, outside the count.
+    Network(NetworkConfig(width=2, height=2), design, seed=SEED)
+    clear_repro_caches()
+    calls = count_calls(lambda: Network(config, design, seed=SEED))
+    routers = width * width
+    return {
+        "design": design_name,
+        "build": f"{width}x{width}",
+        "calls": calls,
+        "routers": routers,
+        "calls_per_router": round(calls / routers, 3),
+    }
+
+
 def measure_all() -> List[Dict[str, object]]:
     from repro.harness import MAIN_DESIGNS
 
-    return [
-        measure(design, rate) for design in DESIGNS for rate in RATES
-    ] + [measure_closed(design) for design in MAIN_DESIGNS]
+    return (
+        [measure(design, rate) for design in DESIGNS for rate in RATES]
+        + [measure_closed(design) for design in MAIN_DESIGNS]
+        + [
+            measure_build(design, width)
+            for design in BUILD_DESIGNS
+            for width in BUILD_WIDTHS
+        ]
+    )
 
 
 def row_key(row: Dict[str, object]) -> tuple:
-    return row["design"], row.get("rate"), row.get("workload")
+    return row["design"], row.get("rate"), row.get("workload"), row.get("build")
+
+
+def gated(row: Dict[str, object]) -> float:
+    """The number ``--check`` holds to its archived value."""
+    return row["calls_per_router" if "build" in row else "calls_per_flit_hop"]
 
 
 def label(row: Dict[str, object]) -> str:
-    return f"{row['design']} @ {row.get('rate') or row.get('workload')}"
+    case = row.get("rate") or row.get("workload") or f"build {row['build']}"
+    return f"{row['design']} @ {case}"
+
+
+def describe(row: Dict[str, object]) -> str:
+    if "build" in row:
+        return (
+            f"{row['calls_per_router']:8.3f} calls/router  "
+            f"({row['calls']} calls, {row['routers']} routers)"
+        )
+    return (
+        f"{row['calls_per_flit_hop']:8.3f} calls/hop  "
+        f"({row['calls']} calls, {row['flit_hops']} hops)"
+    )
 
 
 def main(argv=None) -> int:
@@ -129,21 +194,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rows = measure_all()
     for entry in rows:
-        print(
-            f"{label(entry):>34}  "
-            f"{entry['calls_per_flit_hop']:8.3f} calls/hop  "
-            f"({entry['calls']} calls, {entry['flit_hops']} hops)"
-        )
+        print(f"{label(entry):>34}  {describe(entry)}")
     if args.check:
         archived = {
-            row_key(entry): entry["calls_per_flit_hop"]
+            row_key(entry): gated(entry)
             for entry in json.loads(ARCHIVE.read_text())["rows"]
         }
         failed = False
         for entry in rows:
-            now = entry["calls_per_flit_hop"]
+            now = gated(entry)
             was = archived[row_key(entry)]
-            line = f"{label(entry)}: {now} calls/hop, archived {was}"
+            unit = "calls/router" if "build" in entry else "calls/hop"
+            line = f"{label(entry)}: {now} {unit}, archived {was}"
             if now > was * (1.0 + TOLERANCE):
                 print(f"OVER BUDGET (+{TOLERANCE:.0%}): {line}")
                 failed = True
@@ -157,6 +219,7 @@ def main(argv=None) -> int:
         "mesh": f"{WIDTH}x{WIDTH}",
         "cycles": CYCLES,
         "closed_loop": f"3x3, {CLOSED_WORKLOAD}, {CLOSED_CYCLES} cycles",
+        "construction": "calls per router, repro caches cleared",
         "seed": SEED,
         "tolerance": TOLERANCE,
         "rows": rows,

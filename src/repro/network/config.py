@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Dict, Tuple
 
 from .flit import VirtualNetwork
-from .topology import Mesh, RouterClass
+from .topology import Mesh, RouterClass, mesh_side
 
 
 class Design(Enum):
@@ -190,6 +190,10 @@ class NetworkConfig:
     )
 
     def __post_init__(self) -> None:
+        for name in ("width", "height"):
+            object.__setattr__(
+                self, name, mesh_side(name, getattr(self, name))
+            )
         if self.link_latency < 1:
             raise ValueError("link latency must be >= 1 cycle")
         if self.gossip_threshold < 2 * self.link_latency:

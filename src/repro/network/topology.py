@@ -9,6 +9,7 @@ classification that AFC's contention thresholds are keyed on.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -71,6 +72,23 @@ class RouterClass(IntEnum):
     CENTER = 2
 
 
+def mesh_side(name: str, value: object) -> int:
+    """``value`` as a mesh side length: an integer (anything
+    ``operator.index`` accepts, except ``bool``) of at least 2.
+
+    Raises ``ValueError`` naming the field ``name`` and the value.
+    """
+    try:
+        side = operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        side = None
+    if side is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+    if side < 2:
+        raise ValueError(f"mesh must be at least 2x2, got {name}={side}")
+    return side
+
+
 @dataclass(frozen=True)
 class Mesh:
     """A ``width`` x ``height`` 2-D mesh.
@@ -82,8 +100,10 @@ class Mesh:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 2 or self.height < 2:
-            raise ValueError("mesh must be at least 2x2")
+        for name in ("width", "height"):
+            object.__setattr__(
+                self, name, mesh_side(name, getattr(self, name))
+            )
 
     # -- coordinates ------------------------------------------------------
     @property

@@ -30,7 +30,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..network.config import Design, NetworkConfig
 from ..network.energy_hooks import EnergyMeter
@@ -53,6 +54,49 @@ def vc_ranges(vcs: Sequence[int]) -> Dict[VirtualNetwork, range]:
         ranges[vnet] = range(start, start + count)
         start += count
     return ranges
+
+
+class _PortLayout(NamedTuple):
+    """The read-only tables every port with one VC layout shares, each
+    indexed by virtual network."""
+
+    #: ``ranges[vnet]`` is ``vc_ranges(vcs)[vnet]``.
+    ranges: Tuple[range, ...]
+    #: ``alloc_scan[vnet][start]`` is the global-VC index sequence the
+    #: round-robin VC allocation scan visits from pointer ``start`` —
+    #: precomputed so the per-allocation loop is modulo-free.
+    alloc_scan: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    #: ``credits[vnet][vc][is_tail]``: the interned credit an input
+    #: port returns upstream when a flit leaves VC ``vc``.
+    credits: Tuple[Tuple[Tuple[CreditMessage, CreditMessage], ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _port_layout(vcs: Tuple[int, ...]) -> _PortLayout:
+    """The shared :class:`_PortLayout` of the per-vnet VC layout ``vcs``.
+
+    Built once per layout and shared by every port of every router
+    using it; per-VC state (buffers, downstream mirrors, round-robin
+    pointers) stays per port.
+    """
+    ranges = tuple(vc_ranges(vcs).values())
+    return _PortLayout(
+        ranges=ranges,
+        alloc_scan=tuple(
+            tuple(
+                tuple(rng[(start + i) % len(rng)] for i in range(len(rng)))
+                for start in range(len(rng))
+            )
+            for rng in ranges
+        ),
+        credits=tuple(
+            tuple(
+                (credit_message(vnet, vc, False), credit_message(vnet, vc, True))
+                for vc in range(sum(vcs))
+            )
+            for vnet in VirtualNetwork
+        ),
+    )
 
 
 @dataclass(slots=True)
@@ -91,26 +135,16 @@ class _DownstreamVC:
 class _OutputPortState:
     """Credit and allocation state for one network output port."""
 
-    __slots__ = ("vc_states", "ranges", "_alloc_rr", "_alloc_scan")
+    __slots__ = ("vc_states", "_alloc_rr", "_alloc_scan")
 
     def __init__(self, vcs: Sequence[int], depth: int) -> None:
         self.vc_states = [
             _DownstreamVC(credits=depth) for _ in range(sum(vcs))
         ]
-        self.ranges = vc_ranges(vcs)
         self._alloc_rr: Dict[VirtualNetwork, int] = {
             vnet: 0 for vnet in VirtualNetwork
         }
-        #: ``_alloc_scan[vnet][start]`` is the global-VC index sequence
-        #: the round-robin scan visits from pointer ``start`` —
-        #: precomputed so the per-allocation loop is modulo-free.
-        self._alloc_scan: Dict[VirtualNetwork, Tuple[Tuple[int, ...], ...]] = {
-            vnet: tuple(
-                tuple(rng[(start + i) % len(rng)] for i in range(len(rng)))
-                for start in range(len(rng))
-            )
-            for vnet, rng in self.ranges.items()
-        }
+        self._alloc_scan = _port_layout(tuple(vcs)).alloc_scan
 
     def allocate_vc(self, vnet: VirtualNetwork) -> Optional[int]:
         """Claim a free downstream VC in ``vnet`` (round-robin scan)."""
@@ -139,22 +173,15 @@ class _InputPort:
                 VirtualChannelBuffer(vnet=vnet, depth=depth)
                 for _ in range(count)
             )
-        self.ranges = vc_ranges(vcs)
+        layout = _port_layout(tuple(vcs))
+        self.ranges = layout.ranges
         self.sa_rr = 0
         #: Bit ``i`` is set exactly while ``vcs[i].queue`` is non-empty.
         #: Route/VC allocation and switch allocation walk the set bits,
         #: so an empty port costs one test and a port holding one flit
         #: one VC visit, whatever the VC count.
         self.occupied = 0
-        #: ``credits[vnet][vc][is_tail]``: the interned credit this port
-        #: returns upstream when a flit leaves VC ``vc``.
-        self.credits = tuple(
-            tuple(
-                (credit_message(vnet, vc, False), credit_message(vnet, vc, True))
-                for vc in range(len(self.vcs))
-            )
-            for vnet in VirtualNetwork
-        )
+        self.credits = layout.credits
 
     def occupancy(self) -> int:
         return sum(len(vc.queue) for vc in self.vcs)

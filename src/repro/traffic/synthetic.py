@@ -14,6 +14,7 @@ cycle.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
@@ -84,6 +85,11 @@ class OpenLoopSource:
         self.pattern = pattern or UniformRandom(self.mesh)
         self.mix = mix
         self.rng = random.Random(f"traffic:{seed}")
+        if source_queue_limit is not None and source_queue_limit < 0:
+            raise ValueError(
+                "source_queue_limit must be >= 0 flits or None "
+                f"(got {source_queue_limit}): a negative cap offers nothing"
+            )
         #: Cap on per-node source-queue flits; once a node's queue is
         #: beyond the cap the source stops offering there (prevents
         #: unbounded memory growth when sweeping past saturation).
@@ -97,8 +103,12 @@ class OpenLoopSource:
                 raise ValueError(
                     f"need {num_nodes} per-node rates, got {len(rates)}"
                 )
-        if any(r < 0 for r in rates):
-            raise ValueError("injection rates must be non-negative")
+        bad = next((r for r in rates if not math.isfinite(r) or r < 0), None)
+        if bad is not None:
+            raise ValueError(
+                f"rate must be finite and non-negative (got {bad}): "
+                "a NaN rate would offer a packet at every node every cycle"
+            )
         mean_flits = self.mix.mean_packet_flits(self.config)
         #: Per-node probability of generating a packet each cycle.
         self._packet_prob = [r / mean_flits for r in rates]

@@ -26,6 +26,58 @@ class TestVcRanges:
         assert sorted(seen) == list(range(32))
 
 
+class TestSharedPortTables:
+    """Ports with one VC layout share their read-only tables (credit
+    table, VC ranges, VC-allocation scan orders) and nothing else."""
+
+    @staticmethod
+    def _ports(router):
+        router.finalize()
+        return (
+            list(router._input_ports.values()),
+            list(router._out_state.values()),
+        )
+
+    def test_ports_and_routers_share_the_layout_tables(self):
+        net = make_network(Design.BACKPRESSURED)
+        inputs, outputs = self._ports(net.router(4))
+        other_inputs, other_outputs = self._ports(net.router(0))
+        for port in inputs[1:] + other_inputs:
+            assert port.credits is inputs[0].credits
+            assert port.ranges is inputs[0].ranges
+        for state in outputs[1:] + other_outputs:
+            assert state._alloc_scan is outputs[0]._alloc_scan
+
+    def test_mutable_per_vc_state_is_never_shared(self):
+        net = make_network(Design.BACKPRESSURED)
+        inputs, outputs = self._ports(net.router(4))
+        other_inputs, other_outputs = self._ports(net.router(0))
+        buffers = [vc for port in inputs + other_inputs for vc in port.vcs]
+        queues = [vc.queue for vc in buffers]
+        mirrors = [s for out in outputs + other_outputs for s in out.vc_states]
+        rr = [out._alloc_rr for out in outputs + other_outputs]
+        for objects in (buffers, queues, mirrors, rr):
+            assert len({id(obj) for obj in objects}) == len(objects)
+        vc_lists = [port.vcs for port in inputs + other_inputs]
+        assert len({id(vcs) for vcs in vc_lists}) == len(vc_lists)
+
+    def test_layout_tables_match_the_layout(self):
+        from repro.network.link import credit_message
+
+        net = make_network(Design.BACKPRESSURED)
+        inputs, outputs = self._ports(net.router(4))
+        assert inputs[0].ranges == tuple(vc_ranges((2, 2, 4)).values())
+        data = outputs[0]._alloc_scan[VirtualNetwork.DATA]
+        assert data == ((4, 5, 6, 7), (5, 6, 7, 4), (6, 7, 4, 5), (7, 4, 5, 6))
+        credits = inputs[0].credits
+        assert len(credits) == len(VirtualNetwork)
+        for vnet in VirtualNetwork:
+            assert len(credits[vnet]) == 8
+            for vc, pair in enumerate(credits[vnet]):
+                assert pair[0] is credit_message(vnet, vc, False)
+                assert pair[1] is credit_message(vnet, vc, True)
+
+
 class TestZeroLoadLatency:
     def test_single_hop_packet(self):
         # 0 -> 1 is one hop: inject+SA at 0, arrive at 3, eject at 3.

@@ -103,6 +103,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkConfig(baseline_vcs=(0, 2, 4))
 
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [2.5, "4", True, 1])
+    def test_mesh_sides_checked_where_they_are_set(self, field, value):
+        # Not deep inside Network construction, and naming the field.
+        with pytest.raises(ValueError, match=field) as raised:
+            NetworkConfig(**{field: value})
+        assert str(value) in str(raised.value)
+
     def test_threshold_ordering(self):
         with pytest.raises(ValueError):
             ContentionThresholds(high=1.0, low=1.5)

@@ -34,6 +34,34 @@ class TestMeshBasics:
         with pytest.raises(ValueError):
             Mesh(3, 1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", 2.5),
+            ("height", 2.5),
+            ("width", "4"),
+            ("height", None),
+            ("width", True),
+            ("height", False),
+            ("width", 1),
+            ("height", -3),
+        ],
+    )
+    def test_rejects_bad_side_naming_the_field(self, field, value):
+        sides = {"width": 3, "height": 3, field: value}
+        with pytest.raises(ValueError, match=field) as raised:
+            Mesh(**sides)
+        assert str(value) in str(raised.value)
+
+    def test_accepts_index_integers(self):
+        class Side:
+            def __index__(self):
+                return 4
+
+        mesh = Mesh(Side(), 3)
+        assert mesh == Mesh(4, 3)
+        assert type(mesh.width) is int
+
     def test_num_nodes(self):
         assert Mesh(3, 3).num_nodes == 9
         assert Mesh(8, 8).num_nodes == 64

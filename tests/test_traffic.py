@@ -165,6 +165,30 @@ class TestOpenLoopSource:
         with pytest.raises(ValueError, match="non-negative"):
             OpenLoopSource(net, rate=[-0.1] * 9)
 
+    @pytest.mark.parametrize(
+        "rate",
+        [float("nan"), float("inf"), [0.1] * 8 + [float("nan")]],
+        ids=["nan", "inf", "per-node-nan"],
+    )
+    def test_non_finite_rate_rejected(self, rate):
+        # A NaN rate passes ``r < 0`` and ``p > 1`` and used to offer a
+        # packet at every node every cycle.
+        net = make_network(Design.BACKPRESSURED)
+        with pytest.raises(ValueError, match="rate must be finite"):
+            OpenLoopSource(net, rate=rate, seed=1)
+
+    def test_negative_source_queue_limit_rejected(self):
+        # A negative cap used to silence the source without an error.
+        net = make_network(Design.BACKPRESSURED)
+        with pytest.raises(ValueError, match="source_queue_limit"):
+            OpenLoopSource(net, rate=0.3, seed=1, source_queue_limit=-1)
+
+    def test_zero_source_queue_limit_still_offers(self):
+        net = make_network(Design.BACKPRESSURED)
+        source = OpenLoopSource(net, rate=0.3, seed=1, source_queue_limit=0)
+        source.run(100)
+        assert source.offered_packets > 0
+
     def test_source_queue_limit_caps_backlog(self):
         net = make_network(Design.BACKPRESSURELESS)
         source = OpenLoopSource(
