@@ -6,15 +6,18 @@ parent and a change"): for every seed one ledger run in the
 parent checkout and one in this checkout, the side that goes first
 alternating with the seed, and writes every metric of every run
 (end-to-end, or per-layer with ``--trace 1``) plus per-metric medians,
-quartiles and pair wins::
+quartiles, pair wins and whether a gain claim holds::
 
     python scripts/ab_pairs.py --parent /path/to/parent-checkout \\
         --workload idle_open_8x8 sat_open_8x8 --seeds 11-20 \\
         --out benchmarks/results/BENCH_lowload_ab.json
 
-The parent checkout must carry this commit's ``benchmarks/ledger/``
-(identical benchmark code on both sides).  Nothing else may be running:
-the ledger's host times are best-of-k on a two-core box.
+The archive is rewritten after every pair, and a run that exits
+non-zero is archived as a crashed run (exit code and stderr tail), so
+one crash never loses the pairs already measured.  The parent checkout
+must carry this commit's ``benchmarks/ledger/`` (identical benchmark
+code on both sides).  Nothing else may be running: the ledger's host
+times are best-of-k on a two-core box.
 """
 
 from __future__ import annotations
@@ -30,18 +33,29 @@ from typing import Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+#: Lines of a crashed run's stderr kept in the archive.
+STDERR_TAIL_LINES = 20
+
+
 def ledger_run(
     checkout: Path, workload: str, seed: int, seconds: int, trace: int
 ) -> dict:
-    """One ledger run in ``checkout``; its final JSON line."""
+    """One ledger run in ``checkout``: its digest, failure count and
+    metrics, or, if the run exits non-zero, its exit code and the tail
+    of its stderr (a crashed run, kept out of the summaries)."""
     done = subprocess.run(
         [
             sys.executable, "benchmarks/ledger/run.py",
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace),
         ],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if done.returncode != 0:
+        return {
+            "exit_code": done.returncode,
+            "stderr_tail": done.stderr.splitlines()[-STDERR_TAIL_LINES:],
+        }
     digest = next(
         part.split("=", 1)[1]
         for part in done.stdout.split()
@@ -49,6 +63,7 @@ def ledger_run(
     )
     report = json.loads(done.stdout.splitlines()[-1])
     return {
+        "exit_code": 0,
         "sim_digest": digest,
         "failed": report["failed"],
         "metrics": {
@@ -58,11 +73,19 @@ def ledger_run(
 
 
 def quartiles(values: List[float]) -> Dict[str, float]:
+    if len(values) == 1:  # the first pair of an archive in progress
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
 
 def summarise(pairs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
+    """Per metric over complete ``pairs`` (both runs finished): medians
+    and quartiles per side, pair wins, and the two readings of a gain
+    claim — ``gain_rule_met`` (the change wins at least 90 % of the
+    pairs and its median beats the parent's by more than the parent's
+    interquartile range) and ``change_better_every_run`` (the change's
+    worst run beats the parent's best)."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         parent = [pair["parent"]["metrics"][name] for pair in pairs]
@@ -71,6 +94,8 @@ def summarise(pairs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         ties = sum(c == p for p, c in zip(parent, change))
         p_stats, c_stats = quartiles(parent), quartiles(change)
+        parent_iqr = p_stats["q3"] - p_stats["q1"]
+        median_gain = sign * (c_stats["median"] - p_stats["median"])
         summary[name] = {
             "better": better[name],
             "parent": p_stats,
@@ -83,9 +108,38 @@ def summarise(pairs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
                 if p_stats["median"]
                 else None
             ),
-            "parent_iqr": p_stats["q3"] - p_stats["q1"],
+            "parent_iqr": parent_iqr,
+            "gain_rule_met": (
+                wins >= 0.9 * len(pairs) and median_gain > parent_iqr
+            ),
+            "change_better_every_run": all(
+                sign * (c - p) > 0 for c in change for p in parent
+            ),
         }
     return summary
+
+
+def workload_entry(pairs: List[dict], better: Dict[str, str]) -> dict:
+    """The archive entry of one workload's pairs so far."""
+    runs = [pair[side] for pair in pairs for side in ("parent", "change")]
+    complete = [
+        pair for pair in pairs
+        if pair["parent"]["exit_code"] == 0
+        and pair["change"]["exit_code"] == 0
+    ]
+    return {
+        "digests_equal": all(
+            pair["parent"]["sim_digest"] == pair["change"]["sim_digest"]
+            for pair in complete
+        ),
+        "failed_runs": sum(
+            run["exit_code"] != 0 or run["failed"] > 0 for run in runs
+        ),
+        "crashed_runs": sum(run["exit_code"] != 0 for run in runs),
+        "complete_pairs": len(complete),
+        "summary": summarise(complete, better) if complete else {},
+        "pairs": pairs,
+    }
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -121,7 +175,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in args.workload:
-        pairs = []
+        pairs: List[dict] = []
         for seed in parse_seeds(args.seeds):
             order = (
                 ("parent", "change") if seed % 2 == 0 else ("change", "parent")
@@ -132,21 +186,16 @@ def main(argv=None) -> int:
                     sides[side], workload, seed, args.seconds, args.trace
                 )
             pairs.append(pair)
-            print(f"{workload} seed {seed}: {' then '.join(order)}", flush=True)
-        document["workloads"][workload] = {
-            "digests_equal": all(
-                pair["parent"]["sim_digest"] == pair["change"]["sim_digest"]
-                for pair in pairs
-            ),
-            "failed_runs": sum(
-                pair[side]["failed"] > 0
-                for pair in pairs
-                for side in ("parent", "change")
-            ),
-            "summary": summarise(pairs, better),
-            "pairs": pairs,
-        }
-    args.out.write_text(json.dumps(document, indent=2) + "\n")
+            # Rewritten after every pair: a crash or an interrupt loses
+            # at most the pair in progress.
+            document["workloads"][workload] = workload_entry(pairs, better)
+            args.out.write_text(json.dumps(document, indent=2) + "\n")
+            crashed = [side for side in order if pair[side]["exit_code"]]
+            note = f" ({', '.join(crashed)} crashed)" if crashed else ""
+            print(
+                f"{workload} seed {seed}: {' then '.join(order)}{note}",
+                flush=True,
+            )
     print(f"wrote {args.out}")
     return 0
 

@@ -115,26 +115,42 @@ def _nonneg_int(value: str) -> int:
     return parsed
 
 
+def _mesh_side(value: str) -> int:
+    parsed = int(value)
+    if parsed < 2:
+        raise argparse.ArgumentTypeError(
+            f"mesh must be at least 2x2, got {value}"
+        )
+    return parsed
+
+
 def _emit_json(payload: Any) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _add_common(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
-    parser.add_argument("--width", type=int, default=3, help="mesh width")
-    parser.add_argument("--height", type=int, default=3, help="mesh height")
     parser.add_argument(
-        "--warmup", type=int, default=2_000, help="warmup cycles"
+        "--width", type=_mesh_side, default=3, help="mesh width"
     )
     parser.add_argument(
-        "--measure", type=int, default=6_000, help="measured cycles"
+        "--height", type=_mesh_side, default=3, help="mesh height"
     )
     parser.add_argument(
-        "--seeds", type=int, default=1, help="independent runs to average"
+        "--warmup", type=_nonneg_int, default=2_000, help="warmup cycles"
+    )
+    parser.add_argument(
+        "--measure", type=_positive_int, default=6_000, help="measured cycles"
+    )
+    parser.add_argument(
+        "--seeds",
+        type=_positive_int,
+        default=1,
+        help="independent runs to average",
     )
     if jobs:
         parser.add_argument(
             "--jobs",
-            type=int,
+            type=_positive_int,
             default=1,
             help=(
                 "worker processes for independent runs (1 = serial; "
@@ -1607,7 +1623,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse printed
+        return int(exc.code or 0)
     if getattr(args, "profile", False):
         import cProfile
         import pstats

@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+import weakref
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.mode_controller import Mode
 from ..network.config import Design
@@ -54,13 +56,48 @@ from .schedule import FaultEvent, FaultKind, FaultSchedule
 _FOREVER = 1 << 60
 
 
+def _mark_corrupt(net, corrupt_ids: Optional[Set[int]], flit: Flit) -> bool:
+    """Mark ``flit`` as checksum-failing; False if already marked.
+    ``corrupt_ids`` is the id table the protection guard reads, None
+    when nothing reads it (an unprotected run)."""
+    if corrupt_ids is not None:
+        fid = id(flit)
+        if fid in corrupt_ids:
+            return False
+        corrupt_ids.add(fid)
+    net.stats.record_flit_corrupted()
+    publish_fault(net, "noc_flits_corrupted_total")
+    return True
+
+
+def _lose_credit(net) -> None:
+    net.stats.record_credit_lost()
+    publish_fault(net, "noc_credits_lost_total")
+
+
 class ChannelFault:
-    """Per-channel fault state, consulted by ``Channel.send_*``."""
+    """Per-channel fault state, consulted by ``Channel.send_*``.
 
-    __slots__ = ("injector", "down_until", "corrupt_next", "drop_credits_next")
+    Held by its channel, so it keeps no reference to the injector:
+    ``corrupt(flit)`` and ``credit_lost()`` are the injector's
+    bookkeeping bound over plain state and a weak proxy of the
+    network."""
 
-    def __init__(self, injector: "FaultInjector") -> None:
-        self.injector = injector
+    __slots__ = (
+        "corrupt",
+        "credit_lost",
+        "down_until",
+        "corrupt_next",
+        "drop_credits_next",
+    )
+
+    def __init__(
+        self,
+        corrupt: Callable[[Flit], bool],
+        credit_lost: Callable[[], None],
+    ) -> None:
+        self.corrupt = corrupt
+        self.credit_lost = credit_lost
         #: Exclusive end of the current downtime (0 = link is up).
         self.down_until = 0
         #: Pending BIT_ERROR budget: corrupt this many future sends.
@@ -70,19 +107,19 @@ class ChannelFault:
 
     def on_send_flit(self, flit: Flit, cycle: int) -> None:
         if cycle < self.down_until:
-            self.injector._corrupt(flit)
+            self.corrupt(flit)
         elif self.corrupt_next > 0:
             self.corrupt_next -= 1
-            self.injector._corrupt(flit)
+            self.corrupt(flit)
 
     def on_send_credit(self, credit: CreditMessage, cycle: int) -> bool:
         """True destroys the credit message."""
         if cycle < self.down_until:
-            self.injector._credit_lost()
+            self.credit_lost()
             return True
         if self.drop_credits_next > 0:
             self.drop_credits_next -= 1
-            self.injector._credit_lost()
+            self.credit_lost()
             return True
         return False
 
@@ -95,6 +132,12 @@ class FaultInjector:
     ``protection=None`` runs the faults *unprotected*: corrupted flits
     are delivered as garbage, no retransmission, no resync, no reroute —
     the contrast case for the resilience benchmark.
+
+    The network keeps the injector alive (its ``cycle_start``
+    subscription and the channels' fault states hold it); the injector
+    holds the network only weakly, so it never outlives it and a
+    finished faulted run is freed by reference counting, detached or
+    not.
     """
 
     def __init__(
@@ -108,7 +151,7 @@ class FaultInjector:
                 "fault injection does not support the dropping design "
                 "(flit objects are destroyed mid-network)"
             )
-        self.net = net
+        self.net = weakref.proxy(net)
         self.stats = net.stats
         self.schedule = schedule
         self._events: Tuple[FaultEvent, ...] = schedule.events
@@ -129,7 +172,12 @@ class FaultInjector:
         self._patched_dead: frozenset = frozenset()
         self._resync_armed = False
         self.config = protection
-        self._track_corrupt = protection is not None
+        self._corrupt = partial(
+            _mark_corrupt,
+            self.net,
+            self._corrupt_ids if protection is not None else None,
+        )
+        self._credit_lost = partial(_lose_credit, self.net)
         self.protection: Optional[ProtectionLayer] = None
         if protection is not None:
             self.protection = ProtectionLayer(net, protection, self._corrupt_ids)
@@ -199,7 +247,7 @@ class FaultInjector:
     def _fault_for(self, channel: Channel) -> ChannelFault:
         fault = self._faults.get(channel)
         if fault is None:
-            fault = ChannelFault(self)
+            fault = ChannelFault(self._corrupt, self._credit_lost)
             self._faults[channel] = fault
             channel.fault = fault
         return fault
@@ -228,22 +276,6 @@ class FaultInjector:
             )
 
     # -- corruption / credit loss -------------------------------------------
-    def _corrupt(self, flit: Flit) -> bool:
-        """Mark ``flit`` as checksum-failing; False if already marked."""
-        if self._track_corrupt:
-            fid = id(flit)
-            ids = self._corrupt_ids
-            if fid in ids:
-                return False
-            ids.add(fid)
-        self.stats.record_flit_corrupted()
-        publish_fault(self.net, "noc_flits_corrupted_total")
-        return True
-
-    def _credit_lost(self) -> None:
-        self.stats.record_credit_lost()
-        publish_fault(self.net, "noc_credits_lost_total")
-
     def _corrupt_in_flight(self, channel: Channel, limit: Optional[int]) -> int:
         marked = 0
         for _ready, flit in channel._flits._items:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
@@ -106,10 +107,13 @@ class ProtectionLayer:
     sites next to whoever else is there (traffic tracing, say).
     Packets offered *before* installation are invisible to the ledger,
     so the injector must be created before any traffic is offered.
+    The network's subscriptions keep the layer alive; the layer holds
+    the network weakly, so a finished run is freed by reference
+    counting.
     """
 
     def __init__(self, net, config: ProtectionConfig, corrupt_ids: Set[int]) -> None:
-        self.net = net
+        self.net = weakref.proxy(net)
         self.config = config
         self.stats = net.stats
         #: id(flit) table shared with the injector — membership means

@@ -680,6 +680,25 @@ def kind_entry(name: str) -> Kind:
         ) from None
 
 
+#: Least legal value of each count a runner or a job spec takes.
+_COUNT_MINIMUMS = {
+    "seeds": 1,
+    "warmup_cycles": 0,
+    "measure_cycles": 1,
+    "jobs": 1,
+}
+
+
+def check_counts(**counts: int) -> None:
+    """Raise ``ValueError`` naming the first count below its minimum in
+    :data:`_COUNT_MINIMUMS` (a zero-seed run has nothing to fold, a
+    zero-cycle window no rate to report)."""
+    for name, value in counts.items():
+        least = _COUNT_MINIMUMS[name]
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class ExperimentRunner:
     """Builds, warms and measures simulations for one network config."""
 
@@ -696,6 +715,12 @@ class ExperimentRunner:
         obs: Optional[ObservabilityOptions] = None,
         engine: str = "active",
     ) -> None:
+        check_counts(
+            seeds=seeds,
+            warmup_cycles=warmup_cycles,
+            measure_cycles=measure_cycles,
+            jobs=jobs,
+        )
         self.config = config if config is not None else NetworkConfig()
         self.machine = machine
         self.warmup_cycles = warmup_cycles

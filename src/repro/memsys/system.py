@@ -22,6 +22,10 @@ nodes):
 * a completed fill evicts a dirty line with probability
   ``dirty_writeback_fraction`` → WB (data) C→H', answered by WB_ACK.
 
+The system holds its network, so a system held alone keeps its network
+running; the network's delivery callbacks hold the system only weakly,
+so hold the system for as long as the network runs.
+
 Execution time: performance is completed transactions per cycle within
 the measurement window; for a fixed amount of work this is exactly the
 inverse of the paper's execution-time metric.
@@ -31,13 +35,12 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from functools import partial
 from typing import Callable, DefaultDict, Dict, List, Optional
 
 from ..network.config import DEFAULT_MACHINE_CONFIG, MachineConfig
 from ..network.flit import Packet
 from ..network.reassembly import CompletedPacket
-from ..simulation import Network
+from ..simulation import Network, weak_method
 from ..traffic.workloads import WorkloadProfile
 from .core_model import Core, Transaction
 from .l2bank import BankRequest, L2Bank
@@ -77,17 +80,18 @@ class MemorySystem:
             for n in range(num_nodes)
         ]
         #: ``(bank, completion callback)`` per node, the callback bound
-        #: once here rather than per bank per cycle.
+        #: once here rather than per bank per cycle.  Like every hook
+        #: the system hands to its parts, it holds the system weakly.
         self._bank_ports = tuple(
-            (bank, partial(self._bank_complete, bank.node))
+            (bank, weak_method(self._bank_complete, bank.node))
             for bank in self.banks
         )
         self._wheel: DefaultDict[int, List[Callable[[int], None]]] = (
             defaultdict(list)
         )
         for node in range(num_nodes):
-            network.interface(node).on_packet = (
-                lambda done, _node=node: self._on_packet(_node, done)
+            network.interface(node).on_packet = weak_method(
+                self._on_packet, node
             )
         self._measure_start = network.cycle
         self.writebacks_issued = 0
@@ -290,11 +294,11 @@ class MemorySystem:
             dirty = self.cores[node].on_inv_ack(meta["tid"], cycle)
             self._after_completion(node, dirty, cycle)
         elif mtype is MessageType.WB:
-            writer = meta["requestor"]
+            # Called as ``(at)``: ``_send(WB_ACK, src, dst, cycle=at)``.
             self.schedule(
                 cycle + self.machine.l2_latency,
-                lambda at, _writer=writer, _home=node: self._send(
-                    MessageType.WB_ACK, src=_home, dst=_writer, cycle=at
+                weak_method(
+                    self._send, MessageType.WB_ACK, node, meta["requestor"]
                 ),
             )
         # WB_ACK needs no action: the write buffer entry is freed.

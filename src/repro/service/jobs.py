@@ -35,7 +35,7 @@ from typing import Any, Mapping, Optional
 from ..faults.protection import ProtectionConfig
 from ..faults.schedule import FaultSpec
 from ..harness.experiment import KINDS as _REGISTRY
-from ..harness.experiment import ExperimentRunner, kind_entry
+from ..harness.experiment import ExperimentRunner, check_counts, kind_entry
 from ..network.config import Design, NetworkConfig
 from ..obs.hub import ObservabilityOptions
 from ..traffic.workloads import WORKLOADS
@@ -95,10 +95,11 @@ class JobSpec:
             )
         if self.engine not in ("active", "vector"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.seeds < 1:
-            raise ValueError("a job needs at least one seed")
-        if self.warmup_cycles < 0 or self.measure_cycles <= 0:
-            raise ValueError("cycle counts must be sane")
+        check_counts(
+            seeds=self.seeds,
+            warmup_cycles=self.warmup_cycles,
+            measure_cycles=self.measure_cycles,
+        )
         # Rejects an illegal mesh at admission rather than in a worker.
         self.config.mesh
 

@@ -44,7 +44,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import weakref
 from bisect import insort
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core.afc_router import AfcRouter
@@ -91,6 +93,27 @@ SITES: Dict[str, Tuple[str, Callable[["Network"], Sequence]]] = {
     # on_eject / on_buffer / on_complete / on_mode_switch / on_fault).
     "flit": ("obs", lambda net: net.interfaces + net.routers),
 }
+
+
+def weak_method(method: Callable, *args) -> partial:
+    """``method``'s function over a weak proxy of its object, ``args``
+    bound first: how a part calls back into the whole that owns it
+    without keeping that whole alive.  A finished run is then freed by
+    reference counting the moment its last reference goes, not by the
+    next full garbage collection (docs/PERFORMANCE.md, "Teardown")."""
+    return partial(method.__func__, weakref.proxy(method.__self__), *args)
+
+
+def _schedule_wake(
+    asleep: List[bool], heap: List[Tuple[int, int]], node: int, at_cycle: int
+) -> None:
+    """Channel hook of a sleeping router: something is in flight toward
+    ``node``, deliverable at ``at_cycle`` (always a future cycle —
+    every pipe has latency >= 1).  Bound over the network's ``_asleep``
+    flags and ``_wake_heap`` alone, so a channel never holds the
+    network."""
+    if asleep[node]:
+        heapq.heappush(heap, (at_cycle, node))
 
 
 def _make_router(
@@ -193,7 +216,7 @@ class Network:
         self._cycle_end: Optional[tuple] = None
         for router in self.routers:
             if isinstance(router, DroppingRouter):
-                router.drop_notify = self._packet_dropped
+                router.drop_notify = weak_method(self._packet_dropped)
 
         self.channels: List[Channel] = []
         for src, direction, dst in self.mesh.links():
@@ -397,12 +420,18 @@ class Network:
 
     def _wire_active_set(self) -> None:
         """Engine-internal wiring of the active-set loop (not an
-        extension point): the static-energy cache and the NIs'
-        ``on_activity`` wake notifications."""
+        extension point): the static-energy cache, the NIs'
+        ``on_activity`` wake notifications and, per node, the channel
+        hook a sleeping router's pipes call.  None of them holds the
+        network strongly."""
         if isinstance(self.energy, OrionEnergyMeter):
             self._static_cache = StaticEnergyCache(self.energy, self.routers)
         for node, ni in enumerate(self.interfaces):
-            ni.on_activity = lambda _node=node: self._notify_activity(_node)
+            ni.on_activity = weak_method(self._notify_activity, node)
+        self._wake_hooks = [
+            partial(_schedule_wake, self._asleep, self._wake_heap, node)
+            for node in range(len(self.routers))
+        ]
 
     def _step_fast(self) -> None:
         """Active-set loop: deliver/step only the awake routers.
@@ -467,7 +496,7 @@ class Network:
         self._awake.remove(node)
         self._slept_through[node] = cycle
         router = self.routers[node]
-        hook = lambda ready, _node=node: self._schedule_wake(_node, ready)
+        hook = self._wake_hooks[node]
         for channel in router.in_channels.values():
             channel.wake_flit = hook
         for channel in router.out_channels.values():
@@ -487,13 +516,6 @@ class Network:
         for channel in router.out_channels.values():
             channel.wake_backflow = None
         router.catch_up(wake_cycle - 1 - self._slept_through[node])
-
-    def _schedule_wake(self, node: int, at_cycle: int) -> None:
-        """Channel hook: something is in flight toward a sleeping
-        router, deliverable at ``at_cycle`` (always a future cycle —
-        every pipe has latency >= 1)."""
-        if self._asleep[node]:
-            heapq.heappush(self._wake_heap, (at_cycle, node))
 
     def _notify_activity(self, node: int) -> None:
         """NI hook: ``node``'s source queue just gained flits."""

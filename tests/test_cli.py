@@ -58,6 +58,40 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep", "faults"])
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--warmup", "-5", "must be >= 0, got -5"),
+            ("--measure", "0", "must be > 0, got 0"),
+            ("--seeds", "0", "must be > 0, got 0"),
+            ("--jobs", "0", "must be > 0, got 0"),
+            ("--width", "1", "mesh must be at least 2x2, got 1"),
+            ("--height", "0", "mesh must be at least 2x2, got 0"),
+        ],
+    )
+    def test_common_counts_checked_at_parse_time(
+        self, command, flag, value, reason, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {reason}" in capsys.readouterr().err
+
+    def test_main_returns_the_usage_error_status(self, capsys):
+        assert main(["submit", "--seeds", "0"]) == 2
+        assert "argument --seeds: must be > 0" in capsys.readouterr().err
+        assert main(["run", "--help"]) == 0
+
+    def test_smallest_legal_counts_parse(self):
+        args = build_parser().parse_args(
+            ["run", "--warmup", "0", "--measure", "1", "--seeds", "1",
+             "--jobs", "1", "--width", "2", "--height", "2"]
+        )
+        assert (args.warmup, args.measure, args.width, args.height) == (
+            0, 1, 2, 2
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

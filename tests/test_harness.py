@@ -96,6 +96,36 @@ class TestDesignLists:
         assert len(ENERGY_DESIGNS_LOW_LOAD) == 5
 
 
+COUNT_ERRORS = [
+    ("seeds", 0, "seeds must be >= 1, got 0"),
+    ("warmup_cycles", -5, "warmup_cycles must be >= 0, got -5"),
+    ("measure_cycles", 0, "measure_cycles must be >= 1, got 0"),
+]
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        COUNT_ERRORS + [("jobs", 0, "jobs must be >= 1, got 0")],
+    )
+    def test_runner_names_the_bad_count(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentRunner(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", COUNT_ERRORS)
+    def test_job_spec_names_the_bad_count(self, field, value, message):
+        from repro.service.jobs import JobSpec
+
+        with pytest.raises(ValueError, match=message):
+            JobSpec(**{field: value})
+
+    def test_smallest_legal_counts_accepted(self):
+        runner = ExperimentRunner(
+            warmup_cycles=0, measure_cycles=1, seeds=1, jobs=1
+        )
+        assert (runner.seeds, runner.jobs) == (1, 1)
+
+
 class TestExperimentRunner:
     """Small-but-real runs; keep cycle counts low for test speed."""
 
