@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Python calls per flit hop and per router built: a noise-free cost gate.
+"""Python calls per flit hop and per router built, and bytes per router
+built: a noise-free cost gate.
 
 Wall-clock gates on shared runners need a wide floor (CI's
 ``BENCH_MIN_RATIO`` is 0.6) and cannot see a 20 % loss.  The number of
@@ -24,19 +25,34 @@ height=w), design)`` for one datapath at w = 8 and w = 16 and divides
 the calls by the w x w routers built.  Every ``functools`` cache of the
 loaded ``repro`` modules (route tables, port tables, interned credits)
 is emptied first, so a row counts the tables construction fills and
-repeats exactly whatever ran before it.  ``--reference FILE`` embeds the
-rows of an archive written by this script elsewhere (e.g. at the parent
-commit) for side-by-side reading; ``--check`` never looks at them.
+repeats exactly whatever ran before it.
+
+Each memory row empties the same caches, builds the same network once
+to refill them, runs ``gc.collect()`` (which also empties CPython's
+free lists, so every object of the next build is a fresh allocation),
+then builds it again under ``tracemalloc`` and divides the bytes still
+allocated while that second network is alive by its routers: what one
+more network costs the host before it holds a flit (the route and port
+tables it shares with every network of its mesh are left out).  Byte
+counts are exact and repeat run to run, but only for one CPython minor
+version: object layouts and allocation sizes change between versions,
+so a new interpreter means re-archiving.
+
+``--reference FILE`` embeds the rows of an archive written by this
+script elsewhere (e.g. at the parent commit) for side-by-side reading;
+``--check`` never looks at them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
+import tracemalloc
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARCHIVE = REPO_ROOT / "benchmarks" / "results" / "CALL_BUDGET.json"
@@ -143,6 +159,31 @@ def measure_build(design_name: str, width: int) -> Dict[str, object]:
     }
 
 
+def measure_memory(design_name: str, width: int) -> Dict[str, object]:
+    from repro import Design, Network, NetworkConfig
+
+    design = Design(design_name)
+    config = NetworkConfig(width=width, height=width)
+    clear_repro_caches()
+    Network(config, design, seed=SEED)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = Network(config, design, seed=SEED)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del net
+    routers = width * width
+    return {
+        "design": design_name,
+        "memory": f"{width}x{width}",
+        "bytes": allocated,
+        "routers": routers,
+        "bytes_per_router": round(allocated / routers, 1),
+    }
+
+
 def measure_all() -> List[Dict[str, object]]:
     from repro.harness import MAIN_DESIGNS
 
@@ -154,24 +195,53 @@ def measure_all() -> List[Dict[str, object]]:
             for design in BUILD_DESIGNS
             for width in BUILD_WIDTHS
         ]
+        + [
+            measure_memory(design, width)
+            for design in BUILD_DESIGNS
+            for width in BUILD_WIDTHS
+        ]
     )
 
 
 def row_key(row: Dict[str, object]) -> tuple:
-    return row["design"], row.get("rate"), row.get("workload"), row.get("build")
+    return (
+        row["design"],
+        row.get("rate"),
+        row.get("workload"),
+        row.get("build"),
+        row.get("memory"),
+    )
+
+
+def gated_field(row: Dict[str, object]) -> Tuple[str, str]:
+    """The field ``--check`` holds to its archived value, and its unit."""
+    if "memory" in row:
+        return "bytes_per_router", "bytes/router"
+    if "build" in row:
+        return "calls_per_router", "calls/router"
+    return "calls_per_flit_hop", "calls/hop"
 
 
 def gated(row: Dict[str, object]) -> float:
-    """The number ``--check`` holds to its archived value."""
-    return row["calls_per_router" if "build" in row else "calls_per_flit_hop"]
+    return row[gated_field(row)[0]]
 
 
 def label(row: Dict[str, object]) -> str:
-    case = row.get("rate") or row.get("workload") or f"build {row['build']}"
+    if "memory" in row:
+        case = f"memory {row['memory']}"
+    elif "build" in row:
+        case = f"build {row['build']}"
+    else:
+        case = row.get("rate") or row["workload"]
     return f"{row['design']} @ {case}"
 
 
 def describe(row: Dict[str, object]) -> str:
+    if "memory" in row:
+        return (
+            f"{row['bytes_per_router']:8.1f} bytes/router  "
+            f"({row['bytes']} bytes, {row['routers']} routers)"
+        )
     if "build" in row:
         return (
             f"{row['calls_per_router']:8.3f} calls/router  "
@@ -203,8 +273,12 @@ def main(argv=None) -> int:
         failed = False
         for entry in rows:
             now = gated(entry)
-            was = archived[row_key(entry)]
-            unit = "calls/router" if "build" in entry else "calls/hop"
+            was = archived.get(row_key(entry))
+            if was is None:
+                print(f"NOT ARCHIVED: {label(entry)}; re-archive")
+                failed = True
+                continue
+            unit = gated_field(entry)[1]
             line = f"{label(entry)}: {now} {unit}, archived {was}"
             if now > was * (1.0 + TOLERANCE):
                 print(f"OVER BUDGET (+{TOLERANCE:.0%}): {line}")
@@ -220,6 +294,11 @@ def main(argv=None) -> int:
         "cycles": CYCLES,
         "closed_loop": f"3x3, {CLOSED_WORKLOAD}, {CLOSED_CYCLES} cycles",
         "construction": "calls per router, repro caches cleared",
+        "memory": (
+            "tracemalloc bytes per router of a second build, repro caches "
+            "cleared, after gc.collect(); CPython "
+            f"{sys.version_info[0]}.{sys.version_info[1]}"
+        ),
         "seed": SEED,
         "tolerance": TOLERANCE,
         "rows": rows,

@@ -24,9 +24,8 @@ Mode transitions (Figure 1 of the paper):
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
-from typing import Deque, Optional
+from typing import List, Optional
 
 from ..network.config import ContentionThresholds
 from ..network.stats import RouterModeStats
@@ -66,6 +65,7 @@ class ModeController:
         "mode",
         "ewma",
         "_window",
+        "_window_len",
         "_load",
         "_alpha",
         "backpressured_from",
@@ -87,7 +87,12 @@ class ModeController:
         self.adaptive = adaptive
         self.mode = initial_mode
         self.ewma = 0.0
-        self._window: Deque[int] = deque(maxlen=load_window)
+        #: The last ``_window_len`` cycles' switch traversals, oldest
+        #: first: a handful of ints, so a plain list trimmed with
+        #: ``pop(0)`` rather than a ``deque(maxlen=...)`` and its 64-slot
+        #: block.
+        self._window: List[int] = []
+        self._window_len = load_window
         #: Running ``sum(_window)``: the same int, without a re-sum per
         #: cycle.
         self._load = 0
@@ -101,9 +106,9 @@ class ModeController:
         """Report this cycle's switch traversals and update the EWMA."""
         window = self._window
         load = self._load + switch_traversals
-        if len(window) == window.maxlen:
-            load -= window[0]
         window.append(switch_traversals)
+        if len(window) > self._window_len:
+            load -= window.pop(0)
         self._load = load
         window_avg = load / len(window)
         self.ewma = self._alpha * self.ewma + (1.0 - self._alpha) * window_avg
@@ -176,7 +181,7 @@ class ModeController:
         evaluating the exact per-cycle expression on copies.  Mutates
         nothing."""
         win = list(self._window)
-        maxlen = self._window.maxlen or 0
+        maxlen = self._window_len
         alpha = self._alpha
         ewma = self.ewma
         while any(win):
@@ -208,7 +213,7 @@ class ModeController:
         # window averages; each average divides a non-increasing sum
         # (zeros push samples out) by the smallest window length the
         # replay can see, so max(ewma, total/denom) bounds them all.
-        maxlen = window.maxlen or 0
+        maxlen = self._window_len
         n = len(window)
         denom = n + 1 if n < maxlen else maxlen
         if total / denom <= high:
@@ -232,17 +237,19 @@ class ModeController:
             return
         alpha = self._alpha
         window = self._window
+        maxlen = self._window_len
         ewma = self.ewma
         remaining = cycles
         # Drain phase: until the window is all zeros (≤ maxlen appends)
         # each cycle's average still depends on the shifting contents.
         while remaining > 0 and any(window):
             window.append(0)
+            if len(window) > maxlen:
+                del window[0]
             window_avg = sum(window) / len(window)
             ewma = alpha * ewma + (1.0 - alpha) * window_avg
             remaining -= 1
         if remaining > 0:
-            maxlen = window.maxlen or 0
             pad = min(remaining, maxlen - len(window))
             if pad > 0:
                 window.extend([0] * pad)

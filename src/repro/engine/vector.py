@@ -74,6 +74,7 @@ from ..energy.model import OrionEnergyMeter
 from ..network.config import Design
 from ..network.energy_hooks import NullEnergyMeter
 from ..network.flit import VNETS
+from ..network.interface import discard_completed
 from ..network.topology import Direction
 from ..routers.backpressureless import BackpressurelessRouter
 from .mt import BatchedMT19937
@@ -94,7 +95,8 @@ def ineligibility(net) -> Optional[str]:
 
     The conditions mirror what the vectorized passes actually model: a
     plain backpressureless mesh with no subscriber at any event site,
-    no client packet callback and no retransmission traffic.  Anything
+    no client packet callback (the no-op ``discard_completed`` is
+    none) and no retransmission traffic.  Anything
     else — including every other flow-control design for now — runs on
     the scalar active-set engine instead.
     """
@@ -117,7 +119,9 @@ def ineligibility(net) -> Optional[str]:
                 return "channel fault state attached"
             if channel._backflow._items:
                 return "backflow in flight"
-    if any(ni.on_packet is not None for ni in net.interfaces):
+    if any(
+        ni.on_packet not in (None, discard_completed) for ni in net.interfaces
+    ):
         # Completions would offer replies in the middle of the eject pass.
         return "client packet callback attached"
     return None

@@ -302,7 +302,7 @@ class FaultInjector:
             kept.append(pair)
         if dropped:
             # Mutate in place: the downstream router's frozen drain
-            # snapshot aliases this deque.
+            # snapshot aliases this list.
             items.clear()
             items.extend(kept)
             for _ in range(dropped):

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Dict, Tuple
 
 from .flit import VirtualNetwork
-from .topology import Mesh, RouterClass, mesh_side
+from .topology import Mesh, RouterClass, integer, mesh_side
 
 
 class Design(Enum):
@@ -194,6 +194,26 @@ class NetworkConfig:
             object.__setattr__(
                 self, name, mesh_side(name, getattr(self, name))
             )
+        # Before any range check: a fractional latency put flits on
+        # cycles the event wheel never reaches, a fractional packet
+        # length or VC count died later with a bare TypeError.
+        for name in _INTEGER_FIELDS:
+            object.__setattr__(
+                self, name, integer(name, getattr(self, name))
+            )
+        for name in ("baseline_vcs", "afc_vcs"):
+            vcs = getattr(self, name)
+            # Rebuilt only when needed: a config keeps sharing the
+            # default tuple rather than owning a copy.
+            if type(vcs) is not tuple or any(type(n) is not int for n in vcs):
+                object.__setattr__(
+                    self,
+                    name,
+                    tuple(
+                        integer(f"{name}[{i}]", count)
+                        for i, count in enumerate(vcs)
+                    ),
+                )
         if self.link_latency < 1:
             raise ValueError("link latency must be >= 1 cycle")
         if self.gossip_threshold < 2 * self.link_latency:
@@ -326,6 +346,22 @@ class NetworkConfig:
         return replace(self, width=width, height=height)
 
 
+#: ``NetworkConfig`` fields that count flits, bits, VCs or cycles.
+_INTEGER_FIELDS = (
+    "link_latency",
+    "router_stages",
+    "data_bits",
+    "control_packet_flits",
+    "data_packet_flits",
+    "baseline_vc_depth",
+    "afc_vc_depth",
+    "eject_bandwidth",
+    "inject_bandwidth",
+    "load_window",
+    "gossip_threshold",
+)
+
+
 #: Table IV / Section IV closed-loop machine parameters that belong to
 #: the memory system rather than the network; collected here so that the
 #: harness has a single source of truth.
@@ -341,6 +377,10 @@ class MachineConfig:
     l2_miss_rate: float = 0.10
 
     def __post_init__(self) -> None:
+        for name in ("l1_mshrs", "l2_mshrs", "l2_latency", "memory_latency"):
+            object.__setattr__(
+                self, name, integer(name, getattr(self, name))
+            )
         for name in ("l1_mshrs", "l2_mshrs"):
             if getattr(self, name) < 1:
                 raise ValueError(

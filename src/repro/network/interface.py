@@ -4,8 +4,18 @@ The NI sits between a client (a traffic generator or the memory-system
 substrate) and its router.  On the send side it holds per-virtual-network
 source queues of flits awaiting injection — source queueing time counts
 toward packet latency, so injection backpressure is visible in results.
-On the receive side it owns the MSHR-style reassembly buffer and
-delivers completed packets to the client callback.
+On the receive side it owns the MSHR-style reassembly buffer and hands
+each completed packet to its client in one of two modes:
+
+* **callback mode** — ``on_packet`` is set: the packet is passed to it
+  and the NI keeps nothing.  A client that never reads completions
+  (:class:`~repro.traffic.synthetic.OpenLoopSource`) installs the shared
+  no-op :func:`discard_completed`, so a packet is freed with its last
+  flit and a long open-loop run holds only what is in flight;
+* **poll mode** — ``on_packet`` is ``None``: the packet is appended to
+  :attr:`NetworkInterface.completed` until the client collects it with
+  :meth:`NetworkInterface.drain_completed`.  The queue grows by one
+  entry per delivered packet until drained.
 """
 
 from __future__ import annotations
@@ -16,6 +26,10 @@ from typing import Callable, Deque, Dict, List, Optional
 from .flit import Flit, Packet, VirtualNetwork
 from .reassembly import CompletedPacket, ReassemblyBuffer
 from .stats import StatsCollector
+
+
+def discard_completed(done: CompletedPacket) -> None:
+    """The ``on_packet`` of a client that reads no completions."""
 
 
 class NetworkInterface:
@@ -69,8 +83,9 @@ class NetworkInterface:
         #: re-scan the queues).
         self._queued = 0
         self.reassembly = ReassemblyBuffer(node)
-        #: Completed packets not yet collected by a polling client.
-        self.completed: Deque[CompletedPacket] = deque()
+        #: Completed packets not yet collected by a polling client
+        #: (poll mode only; see the module docstring).
+        self.completed: List[CompletedPacket] = []
         #: Absolute counters (never reset by measurement windows; the
         #: flit-conservation invariant is checked against these).
         self.flits_ejected_total = 0

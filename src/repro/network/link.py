@@ -19,22 +19,28 @@ start/stop-credit-tracking notifications.
 Hot-path contract (the *drain protocol*, see docs/PERFORMANCE.md):
 delivery must not allocate when a pipe is empty — the common case for
 most pipes on most cycles.  Callers that run per cycle first probe
-emptiness (:meth:`DelayLine.has_ready`, or the pipe's ``_items`` deque
+emptiness (:meth:`DelayLine.has_ready`, or the pipe's ``_items`` list
 directly inside the network package) and then consume ready items
 one-by-one via :meth:`DelayLine.pop_ready_into` or an inline
-peek-and-popleft loop; the list-returning :meth:`DelayLine.pop_ready`
+peek-and-``pop(0)`` loop; the list-returning :meth:`DelayLine.pop_ready`
 remains for tests and cold paths.  Backflow items are the message
 objects themselves (:class:`CreditMessage` / :class:`ModeNotification`,
 dispatched by type) — no per-message tuple wrapping.
+
+A pipe holds only what one link has in flight, a few entries per
+cycle of latency, so its FIFO is a plain list: ``pop(0)`` over a
+handful of slots costs what ``deque.popleft`` does, and an empty list does not carry the 64-slot block every deque
+allocates up front.  The list is mutated in place, never rebound:
+routers' drain views, the fault injector and the vector engine alias
+it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Deque, Generic, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Generic, List, Optional, Tuple, TypeVar, Union
 
 from .flit import Flit, VirtualNetwork
 from .topology import Direction
@@ -56,7 +62,7 @@ class DelayLine(Generic[T]):
         if latency < 0:
             raise ValueError("latency must be >= 0")
         self.latency = latency
-        self._items: Deque[Tuple[int, T]] = deque()
+        self._items: List[Tuple[int, T]] = []
 
     def push(self, item: T, cycle: int) -> None:
         """Insert ``item`` at ``cycle``; it is deliverable at
@@ -77,7 +83,7 @@ class DelayLine(Generic[T]):
         out: List[T] = []
         items = self._items
         while items and items[0][0] <= cycle:
-            out.append(items.popleft()[1])
+            out.append(items.pop(0)[1])
         return out
 
     def pop_ready_into(self, cycle: int, out: List[T]) -> int:
@@ -88,7 +94,7 @@ class DelayLine(Generic[T]):
         items = self._items
         n = 0
         while items and items[0][0] <= cycle:
-            out.append(items.popleft()[1])
+            out.append(items.pop(0)[1])
             n += 1
         return n
 

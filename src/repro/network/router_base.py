@@ -80,8 +80,9 @@ class BaseRouter(ABC):
         self._xy_row: Tuple[Direction, ...] = ()
         self._prod_row: Tuple[Tuple[Direction, ...], ...] = ()
         self._fallback_row: Tuple[Tuple[Direction, ...], ...] = ()
-        #: ``(direction, deque)`` drain views straight into the delay
-        #: lines (the deque objects are stable for a channel's lifetime),
+        #: ``(direction, items)`` drain views straight into the delay
+        #: lines' FIFO lists (stable for a channel's lifetime: they are
+        #: mutated in place, never rebound),
         #: so the per-cycle emptiness probe costs one index instead of
         #: an attribute chase per channel.
         self._in_drain: Optional[tuple] = None
@@ -149,11 +150,11 @@ class BaseRouter(ABC):
         for direction, items in in_drain:
             if items and items[0][0] <= cycle:
                 while items and items[0][0] <= cycle:
-                    accept_flit(items.popleft()[1], direction, cycle)
+                    accept_flit(items.pop(0)[1], direction, cycle)
         for direction, items in out_drain:
             if items and items[0][0] <= cycle:
                 while items and items[0][0] <= cycle:
-                    message = items.popleft()[1]
+                    message = items.pop(0)[1]
                     if type(message) is CreditMessage:
                         self._accept_credit(direction, message, cycle)
                     else:

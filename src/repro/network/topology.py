@@ -72,18 +72,28 @@ class RouterClass(IntEnum):
     CENTER = 2
 
 
-def mesh_side(name: str, value: object) -> int:
-    """``value`` as a mesh side length: an integer (anything
-    ``operator.index`` accepts, except ``bool``) of at least 2.
+def integer(name: str, value: object) -> int:
+    """``value`` as an ``int``: anything ``operator.index`` accepts,
+    except ``bool`` (a count or a cycle number is never a flag, and
+    ``1.5`` or ``"4"`` is never a count).
 
     Raises ``ValueError`` naming the field ``name`` and the value.
     """
     try:
-        side = operator.index(value)  # type: ignore[arg-type]
+        number = operator.index(value)  # type: ignore[arg-type]
     except TypeError:
-        side = None
-    if side is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def mesh_side(name: str, value: object) -> int:
+    """``value`` as a mesh side length: an :func:`integer` of at least 2.
+
+    Raises ``ValueError`` naming the field ``name`` and the value.
+    """
+    side = integer(name, value)
     if side < 2:
         raise ValueError(f"mesh must be at least 2x2, got {name}={side}")
     return side

@@ -237,8 +237,8 @@ class Network:
         #: ``_asleep`` flag is clear), so a cycle visits them without
         #: scanning the flags: ``_wake`` inserts, ``_sleep`` removes.
         self._awake: List[int] = list(range(n))
-        #: Per node, the delay-line deques that feed the router: the
-        #: deques of its drain views (flit pipes of its input channels,
+        #: Per node, the delay-line FIFOs that feed the router: the
+        #: lists of its drain views (flit pipes of its input channels,
         #: backflow pipes of its output channels).  A router may sleep
         #: only while all of them are empty.
         self._pipes: List[tuple] = [

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..network.config import NetworkConfig
 from ..network.flit import Packet, VirtualNetwork
+from ..network.interface import discard_completed
 from ..simulation import Network
 from .patterns import TrafficPattern, UniformRandom
 
@@ -118,6 +119,12 @@ class OpenLoopSource:
                 f"packet/node/cycle (= {mean_flits:.1f} flits/node/cycle)"
             )
         self.offered_packets = 0
+        # Nothing reads an open-loop run's completions: an NI without a
+        # client callback frees each packet instead of queueing it for
+        # a poll that never comes (repro.network.interface).
+        for ni in network.interfaces:
+            if ni.on_packet is None:
+                ni.on_packet = discard_completed
 
     def tick(self) -> None:
         """Offer this cycle's packets (call once per cycle before

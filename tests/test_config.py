@@ -221,6 +221,66 @@ class TestKnobValidation:
         ]
 
 
+class TestIntegerFields:
+    """Counts, widths and latencies must be integers: a fractional
+    latency put events on cycles nothing ever pops (a closed loop that
+    completed no transaction), a fractional packet length or VC count
+    died later with a bare ``TypeError``, and ``True`` passed as 1."""
+
+    NETWORK_FIELDS = [
+        "link_latency", "router_stages", "data_bits",
+        "control_packet_flits", "data_packet_flits", "baseline_vc_depth",
+        "afc_vc_depth", "eject_bandwidth", "inject_bandwidth",
+        "load_window", "gossip_threshold",
+    ]
+    MACHINE_FIELDS = ["l1_mshrs", "l2_mshrs", "l2_latency", "memory_latency"]
+
+    @staticmethod
+    def _bad(default: int, kind: str) -> object:
+        return {
+            "fraction": default + 0.5,
+            "bool": True,
+            "integral float": float(default),
+        }[kind]
+
+    @pytest.mark.parametrize("field", NETWORK_FIELDS)
+    @pytest.mark.parametrize("kind", ["fraction", "bool", "integral float"])
+    def test_network_field_rejects_non_integers(self, field, kind):
+        value = self._bad(getattr(NetworkConfig(), field), kind)
+        with pytest.raises(ValueError, match=field) as raised:
+            NetworkConfig(**{field: value})
+        assert repr(value) in str(raised.value)
+
+    @pytest.mark.parametrize("field", ["baseline_vcs", "afc_vcs"])
+    @pytest.mark.parametrize("entry", [1.5, True, "4"])
+    def test_every_vc_count_is_an_integer(self, field, entry):
+        vcs = list(getattr(NetworkConfig(), field))
+        vcs[2] = entry
+        with pytest.raises(ValueError, match=rf"{field}\[2\]"):
+            NetworkConfig(**{field: tuple(vcs)})
+
+    @pytest.mark.parametrize("field", MACHINE_FIELDS)
+    @pytest.mark.parametrize("kind", ["fraction", "bool", "integral float"])
+    def test_machine_field_rejects_non_integers(self, field, kind):
+        value = self._bad(getattr(MachineConfig(), field), kind)
+        with pytest.raises(ValueError, match=field) as raised:
+            MachineConfig(**{field: value})
+        assert repr(value) in str(raised.value)
+
+    def test_integer_like_values_become_ints(self):
+        import numpy as np
+
+        cfg = NetworkConfig(
+            link_latency=np.int64(3), gossip_threshold=np.int64(6),
+            baseline_vcs=[2, 2, np.int64(4)],
+        )
+        assert type(cfg.link_latency) is int and cfg.link_latency == 3
+        assert cfg.baseline_vcs == (2, 2, 4)
+        assert all(type(n) is int for n in cfg.baseline_vcs)
+        machine = MachineConfig(l2_latency=np.int64(12))
+        assert type(machine.l2_latency) is int
+
+
 class TestMachineConfigValidation:
     """Closed-loop machine values that crashed a run mid-way
     (``events must be scheduled in the future``), silently completed

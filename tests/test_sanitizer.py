@@ -163,7 +163,7 @@ def test_dropped_flit_caught_as_conservation_violation():
     def corrupt(net):
         for channel in net.channels:
             if channel._flits._items:
-                channel._flits._items.popleft()
+                channel._flits._items.pop(0)
                 return
         pytest.skip("no flit in flight at this load")
 
