@@ -17,14 +17,12 @@ allocation mechanism itself (see EXPERIMENTS.md).
 
 from dataclasses import replace
 
-import pytest
-
 from repro import Design, Network, NetworkConfig
 from repro.harness import format_table
 from repro.traffic.synthetic import uniform_random_traffic
 from repro.traffic.workloads import WORKLOADS
 
-from _common import report, standard_runner
+from _common import report, standard_cell
 
 LAYOUTS = ((4, 4, 8), (8, 8, 16), (8, 8, 32), (16, 16, 32))
 PROBE_RATE = 0.85
@@ -57,18 +55,16 @@ def _run_ablation():
         out[label] = _saturation_throughput(
             config, Design.AFC_ALWAYS_BACKPRESSURED
         )
-    # closed-loop comparison at the paper's layout
-    runner = standard_runner()
-    workload = WORKLOADS["specjbb"]
-    out_closed = {
-        "baseline": runner.run_closed_loop(
-            Design.BACKPRESSURED, workload
-        ).performance,
-        "lazy(8,8,16)": runner.run_closed_loop(
-            Design.AFC_ALWAYS_BACKPRESSURED, workload
-        ).performance,
+    return out, {k: c.performance for k, c in _run_closed_loop().items()}
+
+
+def _run_closed_loop():
+    """Closed-loop specjbb at the paper's layout: two Fig. 2 cells."""
+    jbb = WORKLOADS["specjbb"]
+    return {
+        "baseline": standard_cell(Design.BACKPRESSURED, jbb),
+        "lazy(8,8,16)": standard_cell(Design.AFC_ALWAYS_BACKPRESSURED, jbb),
     }
-    return out, out_closed
 
 
 def test_lazy_vc_ablation():

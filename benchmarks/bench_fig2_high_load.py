@@ -20,30 +20,17 @@ from repro.harness import (
 )
 from repro.traffic.workloads import HIGH_LOAD_WORKLOADS
 
-from _common import report, standard_runner
+from _common import metric, report, standard_cells
 
 
 def _run_high_load():
-    runner = standard_runner()
-    results = {}
-    for workload in HIGH_LOAD_WORKLOADS:
-        results[workload.name] = {
-            design: runner.run_closed_loop(design, workload)
-            for design in MAIN_DESIGNS
-        }
-    return results
+    return standard_cells(HIGH_LOAD_WORKLOADS, MAIN_DESIGNS)
 
 
 def test_fig2_high_load():
     results = _run_high_load()
-    perf = {
-        wl: {d: r.performance for d, r in per_design.items()}
-        for wl, per_design in results.items()
-    }
-    energy = {
-        wl: {d: r.energy_per_txn for d, r in per_design.items()}
-        for wl, per_design in results.items()
-    }
+    perf = metric(results, "performance")
+    energy = metric(results, "energy_per_txn")
     report(
         "fig2c_high_load_performance",
         format_normalized_table(

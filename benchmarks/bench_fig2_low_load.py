@@ -20,26 +20,16 @@ from repro.harness import (
 )
 from repro.traffic.workloads import LOW_LOAD_WORKLOADS
 
-from _common import report, standard_runner
+from _common import metric, report, standard_cells
 
 
 def _run_low_load():
-    runner = standard_runner()
-    results = {}
-    for workload in LOW_LOAD_WORKLOADS:
-        results[workload.name] = {
-            design: runner.run_closed_loop(design, workload)
-            for design in ENERGY_DESIGNS_LOW_LOAD
-        }
-    return results
+    return standard_cells(LOW_LOAD_WORKLOADS, ENERGY_DESIGNS_LOW_LOAD)
 
 
 def test_fig2_low_load():
     results = _run_low_load()
-    perf = {
-        wl: {d: r.performance for d, r in per_design.items()}
-        for wl, per_design in results.items()
-    }
+    perf = metric(results, "performance")
     report(
         "fig2a_low_load_performance",
         format_normalized_table(
@@ -50,10 +40,7 @@ def test_fig2_low_load():
             "(normalized to backpressured; higher is better)",
         ),
     )
-    energy = {
-        wl: {d: r.energy_per_txn for d, r in per_design.items()}
-        for wl, per_design in results.items()
-    }
+    energy = metric(results, "energy_per_txn")
     report(
         "fig2b_low_load_energy",
         format_normalized_table(

@@ -12,40 +12,25 @@ Paper's findings (Section V-A):
   between wider-flit link energy and lazy-VC buffer savings.
 """
 
-import pytest
-
 from repro import Design
 from repro.harness import MAIN_DESIGNS, format_breakdown_table
 from repro.traffic.workloads import HIGH_LOAD_WORKLOADS, LOW_LOAD_WORKLOADS
 
-from _common import report, standard_runner
+from _common import metric, report, standard_cells
 
 
 def _run_breakdowns():
-    runner = standard_runner()
-    out = {}
-    for group, workloads in (
-        ("low", LOW_LOAD_WORKLOADS),
-        ("high", HIGH_LOAD_WORKLOADS),
-    ):
-        out[group] = {
-            workload.name: {
-                design: runner.run_closed_loop(design, workload)
-                for design in MAIN_DESIGNS
-            }
-            for workload in workloads
-        }
-    return out
+    return {
+        "low": standard_cells(LOW_LOAD_WORKLOADS, MAIN_DESIGNS),
+        "high": standard_cells(HIGH_LOAD_WORKLOADS, MAIN_DESIGNS),
+    }
 
 
 def test_fig3_energy_breakdown():
     results = _run_breakdowns()
     tables = {}
     for group, label in (("low", "3(a)"), ("high", "3(b)")):
-        breakdowns = {
-            wl: {d: r.breakdown_per_txn for d, r in per_design.items()}
-            for wl, per_design in results[group].items()
-        }
+        breakdowns = metric(results[group], "breakdown_per_txn")
         tables[group] = breakdowns
         report(
             f"fig3{'a' if group == 'low' else 'b'}_breakdown_{group}_load",

@@ -15,13 +15,12 @@ from repro import Design
 from repro.harness import format_table
 from repro.traffic.workloads import WORKLOADS
 
-from _common import report, standard_runner
+from _common import report, standard_cell
 
 
 def _run_injection_rates():
-    runner = standard_runner()
     return {
-        name: runner.run_closed_loop(Design.BACKPRESSURED, workload)
+        name: standard_cell(Design.BACKPRESSURED, workload)
         for name, workload in WORKLOADS.items()
     }
 

@@ -125,20 +125,24 @@ class ServiceServer:
                 if len(line) > MAX_LINE:
                     response = {"ok": False, "error": "request too large"}
                 else:
-                    request = self._parse(line)
-                    if (
-                        isinstance(request, dict)
-                        and request.get("op") in ("watch", "events")
-                    ):
-                        try:
-                            await self._stream(request, writer)
-                        except (
-                            ConnectionResetError,
-                            BrokenPipeError,
+                    try:
+                        request = json.loads(line)
+                    except ValueError as exc:
+                        response = _error(exc)
+                    else:
+                        if (
+                            isinstance(request, dict)
+                            and request.get("op") in ("watch", "events")
                         ):
-                            break
-                        continue
-                    response = await self._dispatch(line)
+                            try:
+                                await self._stream(request, writer)
+                            except (
+                                ConnectionResetError,
+                                BrokenPipeError,
+                            ):
+                                break
+                            continue
+                        response = await self._dispatch(request)
                 writer.write(
                     json.dumps(response, separators=(",", ":")).encode()
                     + b"\n"
@@ -155,15 +159,6 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-
-    @staticmethod
-    def _parse(line: bytes):
-        """The decoded request, or None (malformed lines fall through
-        to :meth:`_dispatch` for the error response)."""
-        try:
-            return json.loads(line)
-        except ValueError:
-            return None
 
     @staticmethod
     async def _send(writer, payload: dict) -> None:
@@ -184,11 +179,7 @@ class ServiceServer:
         except Exception as exc:
             await self._send(
                 writer,
-                {
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "done": True,
-                },
+                {**_error(exc), "done": True},
             )
 
     async def _stream_watch(self, request: dict, writer) -> None:
@@ -271,9 +262,9 @@ class ServiceServer:
         finally:
             telemetry.unsubscribe(queue)
 
-    async def _dispatch(self, line: bytes) -> dict:
+    async def _dispatch(self, request) -> dict:
+        """Answer one decoded request line."""
         try:
-            request = json.loads(line)
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
             op = request.get("op")
@@ -301,7 +292,12 @@ class ServiceServer:
                 return {"ok": True, "bye": True}
             return {"ok": False, "error": f"unknown op {op!r}"}
         except Exception as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return _error(exc)
+
+
+def _error(exc: Exception) -> dict:
+    """The response to a request that raised ``exc``."""
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 async def drain(

@@ -63,16 +63,24 @@ class ResultStore:
         return self._objects / key[:2] / f"{self._check_key(key)}.json"
 
     def get(self, key: str) -> Optional[dict]:
-        """The stored record for ``key``, or None."""
+        """The stored record for ``key``, or None.
+
+        An object that does not decode, or that records another key,
+        is a miss too: the job is recomputed and :meth:`put` replaces
+        the object atomically, so one damaged file never pins an error
+        to its key."""
         path = self._object_path(key)
         try:
             with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
-        except FileNotFoundError:
+                record = json.load(handle)
+        except (FileNotFoundError, ValueError):
             return None
+        if not isinstance(record, dict) or record.get("key") != key:
+            return None
+        return record
 
     def __contains__(self, key: str) -> bool:
-        return self._object_path(key).exists()
+        return self.get(key) is not None
 
     def put(
         self, key: str, kind: str, spec: dict, result: dict

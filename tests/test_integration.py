@@ -3,7 +3,14 @@ small, fast runs.
 
 These are deliberately coarse (short windows, generous tolerances); the
 full-scale numbers live in the benchmark harness.
+
+Each distinct simulation below runs once per session
+(``functools.cache``) and is shared by every test that reads it; the
+tests only read those runs, and a test that drives a network further
+builds its own.
 """
+
+import functools
 
 import pytest
 
@@ -16,6 +23,7 @@ from repro.traffic.workloads import WORKLOADS
 from conftest import make_network
 
 
+@functools.cache
 def closed_loop_perf(design, workload, seed=1, warm=2000, measure=5000):
     net = make_network(design, seed=seed)
     system = MemorySystem(net, WORKLOADS[workload], seed=seed + 40)
@@ -104,16 +112,18 @@ class TestEnergyShapes:
         assert 0.25 < energy.buffer / energy.total < 0.55
 
 
+@functools.cache
+def _throughput(design, rate):
+    net = make_network(design)
+    src = uniform_random_traffic(net, rate, seed=3, source_queue_limit=400)
+    src.run(1500)
+    net.begin_measurement()
+    src.run(3000)
+    return net.stats.throughput
+
+
 class TestOpenLoopSaturation:
     """Section V 'Other results'."""
-
-    def _throughput(self, design, rate):
-        net = make_network(design)
-        src = uniform_random_traffic(net, rate, seed=3, source_queue_limit=400)
-        src.run(1500)
-        net.begin_measurement()
-        src.run(3000)
-        return net.stats.throughput
 
     def test_equal_low_load_throughput(self):
         for design in (
@@ -121,18 +131,18 @@ class TestOpenLoopSaturation:
             Design.BACKPRESSURELESS,
             Design.AFC,
         ):
-            assert self._throughput(design, 0.25) == pytest.approx(
+            assert _throughput(design, 0.25) == pytest.approx(
                 0.25, rel=0.15
             )
 
     def test_backpressureless_saturates_first(self):
-        bp = self._throughput(Design.BACKPRESSURED, 0.95)
-        bless = self._throughput(Design.BACKPRESSURELESS, 0.95)
+        bp = _throughput(Design.BACKPRESSURED, 0.95)
+        bless = _throughput(Design.BACKPRESSURELESS, 0.95)
         assert bless < 0.95 * bp
 
     def test_afc_matches_backpressured_saturation(self):
-        bp = self._throughput(Design.BACKPRESSURED, 0.95)
-        afc = self._throughput(Design.AFC, 0.95)
+        bp = _throughput(Design.BACKPRESSURED, 0.95)
+        afc = _throughput(Design.AFC, 0.95)
         assert afc > 0.90 * bp
 
 

@@ -117,6 +117,34 @@ def test_resubmission_after_completion_is_a_cache_hit(tmp_path):
     assert results[0] == store.get(spec.key())
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+        pytest.param(
+            lambda text: text.replace('"key":"', '"key":"0', 1),
+            id="other-key",
+        ),
+    ],
+)
+def test_damaged_store_object_is_recomputed_and_replaced(tmp_path, damage):
+    """An object that does not decode, or names another key, is a cache
+    miss: draining the spec again recomputes it and replaces the file."""
+    spec = fast_spec(seeds=1)
+    store = ResultStore(tmp_path)
+    (original,), _ = asyncio.run(drain(ExperimentService(store), [spec]))
+    path = tmp_path / "objects" / spec.key()[:2] / f"{spec.key()}.json"
+    path.write_text(damage(path.read_text()))
+    assert store.get(spec.key()) is None
+    assert spec.key() not in store
+
+    (again,), counters = asyncio.run(drain(ExperimentService(store), [spec]))
+    assert counters["cache_hits"] == 0
+    assert counters["seed_units_run"] == spec.seeds
+    assert again == original
+    assert store.get(spec.key()) == original
+
+
 def test_engine_variants_share_one_cache_entry(tmp_path):
     """An active-engine result answers a vector-engine request — the
     key excludes the engine because engines are bit-identical."""
@@ -368,6 +396,36 @@ def test_protocol_rejects_malformed_requests_and_stays_up(tmp_path):
                     response = json.loads(handle.readline())
                     assert response["ok"] is False
                 # The connection survived three bad requests.
+                handle.write(b'{"op": "ping"}\n')
+                handle.flush()
+                assert json.loads(handle.readline())["pong"] is True
+
+        await asyncio.wait_for(asyncio.to_thread(client_side), timeout=30)
+        await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_protocol_answers_json_that_is_not_an_object(tmp_path):
+    """Every JSON value decodes; only an object is a request.  ``null``,
+    scalars and arrays each get ``ok: false`` on a connection that
+    stays usable."""
+
+    async def scenario():
+        service = ExperimentService(ResultStore(tmp_path), jobs=1)
+        server = ServiceServer(service, host="127.0.0.1", port=0)
+        await server.start()
+
+        def client_side():
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                handle = sock.makefile("rwb")
+                for value in (b"null", b"42", b'"ping"', b"[1]", b"\xff"):
+                    handle.write(value + b"\n")
+                    handle.flush()
+                    response = json.loads(handle.readline())
+                    assert response["ok"] is False, value
                 handle.write(b'{"op": "ping"}\n')
                 handle.flush()
                 assert json.loads(handle.readline())["pong"] is True
