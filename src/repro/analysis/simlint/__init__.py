@@ -2,15 +2,11 @@
 the simulator (layer 1 of the ``simcheck`` tooling; layer 2 is the
 runtime sanitizer in :mod:`repro.analysis.sanitizer`).
 
-v2 is a multi-pass suite.  ``lint_paths`` parses the whole tree
-**once** into a :class:`~.project.Project` (module symbol table), then
-runs per file:
+``lint_paths`` parses each file once and runs two passes over its
+tree:
 
-* the original per-file checkers (RNG/wallclock hygiene, set
-  iteration, float equality, ``__slots__`` hygiene);
-* the **async / fork-safety** pass (:mod:`.async_checks`) — blocking
-  calls in coroutines, un-awaited coroutines, pre-fork event
-  loops/locks, mutable module state in the service tree;
+* the per-file checkers (RNG/wallclock hygiene, set iteration, float
+  equality, ``__slots__`` hygiene);
 * the **numpy hot-path** pass (:mod:`.numpy_checks`) — object
   dtypes, Python loops over arrays in hot-path classes, append in
   loops, float32/float64 mixing on accumulate paths.
@@ -22,40 +18,34 @@ Usage::
     for violation in report.violations:
         print(violation.render())
 
-or from the CLI: ``repro lint [--json|--sarif] [--check]
-[--baseline FILE] [--write-baseline] [paths ...]``.
+or from the CLI: ``repro lint [--json|--sarif] [--check] [paths ...]``.
 
 See docs/ANALYSIS.md for the rule table (generated from
 :data:`~.rules.RULES` by ``scripts/gen_rule_table.py``), suppression
-syntax (``# simlint: disable=`` / ``disable-file=``), the baseline
-policy, and the SARIF export.
+syntax (``# simlint: disable=`` / ``disable-file=``) and the SARIF
+export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import ast
 
-from .baseline import Baseline, BaselineError
 from .checkers import (
     Directives,
     Violation,
     check_source,
     collect_comment_directives,
 )
-from .project import Project
 from .rules import RULES, RULES_BY_ID, Rule
 from .sarif import report_to_sarif
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "Directives",
     "LintReport",
-    "Project",
     "Rule",
     "RULES",
     "RULES_BY_ID",
@@ -79,8 +69,6 @@ class LintReport:
     #: surfaced in output, never silently dropped, but advisory — they
     #: do not flip :attr:`ok`.
     warnings: List[str] = field(default_factory=list)
-    #: Findings absorbed by a baseline (see :meth:`apply_baseline`).
-    baseline_matched: int = 0
 
     @property
     def ok(self) -> bool:
@@ -92,15 +80,6 @@ class LintReport:
             counts[violation.rule] = counts.get(violation.rule, 0) + 1
         return counts
 
-    def apply_baseline(self, baseline: Baseline) -> "LintReport":
-        """Subtract baseline-accepted findings (zero-new policy):
-        keeps only findings *not* matched by the baseline and records
-        how many were absorbed."""
-        new, matched = baseline.filter(self.violations)
-        self.violations = new
-        self.baseline_matched += matched
-        return self
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "files_checked": self.files_checked,
@@ -108,7 +87,6 @@ class LintReport:
             "counts_by_rule": self.counts_by_rule(),
             "parse_errors": list(self.parse_errors),
             "warnings": list(self.warnings),
-            "baseline_matched": self.baseline_matched,
             "ok": self.ok,
         }
 
@@ -122,23 +100,18 @@ class LintReport:
             lines.extend(self.parse_errors)
         lines.extend(self.warnings)
         counts = self.counts_by_rule()
-        suffix = (
-            f" (+{self.baseline_matched} baselined)"
-            if self.baseline_matched
-            else ""
-        )
         if counts:
             breakdown = ", ".join(
                 f"{rule}={count}" for rule, count in sorted(counts.items())
             )
             lines.append(
                 f"simlint: {len(self.violations)} violation(s) in "
-                f"{self.files_checked} file(s) ({breakdown}){suffix}"
+                f"{self.files_checked} file(s) ({breakdown})"
             )
         else:
             lines.append(
                 f"simlint: clean — {self.files_checked} file(s), "
-                f"0 violations{suffix}"
+                "0 violations"
             )
         return "\n".join(lines)
 
@@ -155,12 +128,21 @@ def _iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
             yield path
 
 
-def _parse_tree(
-    paths: Sequence[Path], report: LintReport
-) -> Tuple[Project, List[Tuple[str, str, str, "ast.Module"]]]:
-    """Single parse of every file; syntax errors land in the report."""
-    sources: List[Tuple[str, str, str, ast.Module]] = []
-    for file_path in _iter_python_files(paths):
+def lint_file(path: "Path | str") -> List[Violation]:
+    """Lint a single file; returns its unsuppressed violations."""
+    path = Path(path)
+    source = path.read_text(encoding="utf-8")
+    return check_source(source, str(path), path.as_posix())
+
+
+def lint_paths(paths: Sequence["Path | str"]) -> LintReport:
+    """Lint files and directories (recursively) into one report.
+
+    Each file is parsed once; syntax errors land in the report's
+    ``parse_errors``.
+    """
+    report = LintReport()
+    for file_path in _iter_python_files([Path(p) for p in paths]):
         report.files_checked += 1
         try:
             source = file_path.read_text(encoding="utf-8")
@@ -170,46 +152,14 @@ def _parse_tree(
                 f"{file_path}:{exc.lineno or 0}: parse-error: {exc.msg}"
             )
             continue
-        sources.append(
-            (str(file_path), file_path.as_posix(), source, tree)
-        )
-    return Project.from_sources(sources), sources
-
-
-def lint_file(path: "Path | str") -> List[Violation]:
-    """Lint a single file; returns its unsuppressed violations.
-
-    Single-file convenience: cross-file context (imported async defs)
-    is limited to this file.
-    """
-    path = Path(path)
-    source = path.read_text(encoding="utf-8")
-    return check_source(source, str(path), path.as_posix())
-
-
-def lint_paths(
-    paths: Sequence["Path | str"],
-    baseline: Optional[Baseline] = None,
-) -> LintReport:
-    """Lint files and directories (recursively) into one report.
-
-    Parses the whole tree once, builds the project symbol table, then
-    runs every pass per file.  When ``baseline`` is given, findings it
-    accepts are subtracted (:meth:`LintReport.apply_baseline`).
-    """
-    report = LintReport()
-    project, sources = _parse_tree([Path(p) for p in paths], report)
-    for path, posix_path, source, _tree in sources:
         report.violations.extend(
             check_source(
                 source,
-                path,
-                posix_path,
-                project=project,
+                str(file_path),
+                file_path.as_posix(),
+                tree=tree,
                 warnings=report.warnings,
             )
         )
     report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    if baseline is not None:
-        report.apply_baseline(baseline)
     return report

@@ -771,41 +771,31 @@ def check_source(
     source: str,
     path: str,
     posix_path: str,
-    project: "object | None" = None,
+    tree: "ast.Module | None" = None,
     warnings: "List[str] | None" = None,
 ) -> List[Violation]:
     """Lint one file's source text; returns unsuppressed violations
     sorted by (line, col, rule).
 
-    ``project`` is an optional :class:`~.project.Project` giving the
-    async pass (imported ``async def`` names) its whole-tree context;
-    without one, a single-file project is built on the fly.
-    ``warnings`` collects rendered directive warnings (unknown rule
-    ids, misplaced ``disable-file``) when a list is passed.
+    ``tree`` is the file's already-parsed module, when the caller has
+    one; otherwise the source is parsed here.  ``warnings`` collects
+    rendered directive warnings (unknown rule ids, misplaced
+    ``disable-file``) when a list is passed.
     """
     directives = collect_comment_directives(source)
-
-    # Project-wide passes (async/fork-safety, numpy hot-path).  Imported
-    # lazily: these modules import Violation from here, so a top-level
-    # import would be circular.
-    from .async_checks import check_async
-    from .numpy_checks import check_numpy
-    from .project import Project
-
-    if project is None:
+    if tree is None:
         tree = ast.parse(source, filename=path)
-        project = Project.from_sources([(path, posix_path, source, tree)])
-    module = project.module_for(posix_path)
-    tree = module.tree if module is not None else ast.parse(
-        source, filename=path
-    )
+
+    # Imported lazily: numpy_checks imports Violation from here, so a
+    # top-level import would be circular.
+    from .numpy_checks import check_numpy
 
     checker = _FileChecker(path, posix_path, tree, directives.hot_path_lines)
     checker.visit(tree)
     violations = list(checker.violations)
-    if module is not None:
-        violations.extend(check_async(module, project))
-        violations.extend(check_numpy(module, directives.hot_path_lines))
+    violations.extend(
+        check_numpy(path, posix_path, tree, directives.hot_path_lines)
+    )
 
     if warnings is not None:
         warnings.extend(

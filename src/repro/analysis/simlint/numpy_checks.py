@@ -359,9 +359,11 @@ class _NumpyChecker(ast.NodeVisitor):
         return self.violations
 
 
-def check_numpy(module, hot_path_lines: FrozenSet[int]) -> List[Violation]:
-    """Run the numpy hot-path pass over one module."""
-    checker = _NumpyChecker(
-        module.path, module.posix_path, module.tree, hot_path_lines
-    )
-    return checker.run()
+def check_numpy(
+    path: str,
+    posix_path: str,
+    tree: ast.Module,
+    hot_path_lines: FrozenSet[int],
+) -> List[Violation]:
+    """Run the numpy hot-path pass over one parsed file."""
+    return _NumpyChecker(path, posix_path, tree, hot_path_lines).run()

@@ -12,9 +12,6 @@ where it applies:
   Iteration-order hazards only corrupt results where per-cycle
   iteration order feeds the simulation, so harness/analysis code is
   exempt.
-* ``service`` — the asyncio experiment service (same table):
-  async/fork-safety rules for code that runs coroutines in the server
-  process and forks seed workers.
 * ``engine`` — the vectorized batch engine (same table): numpy
   hot-path hygiene and dtype bit-identity rules.
 * ``hotpath`` — classes registered in the hot-path allowlist
@@ -35,7 +32,6 @@ from typing import Dict, FrozenSet, Mapping, Tuple
 #: Scope names understood by the engine.
 SCOPE_ALL = "all"
 SCOPE_NETWORK = "network"
-SCOPE_SERVICE = "service"
 SCOPE_ENGINE = "engine"
 SCOPE_HOTPATH = "hotpath"
 
@@ -122,48 +118,6 @@ RULES: Tuple[Rule, ...] = (
         "`: float` annotation, or float-assigned name) — the "
         "EWMA/threshold comparisons in the mode controller must use "
         "orderings with hysteresis, never exact equality.",
-    ),
-    # -- async / fork-safety pass (service) ----------------------------
-    Rule(
-        "async-blocking-call",
-        SCOPE_ALL,
-        "blocking call (time.sleep, sync IO, subprocess) in async def",
-        "a blocking call — `time.sleep`, `subprocess.*`, `os.system`, "
-        "`socket.socket` / `create_connection`, builtin `open` — "
-        "directly inside an `async def` body stalls the whole event "
-        "loop: heartbeats stop, every in-flight job's supervision "
-        "freezes. Wrap it in `asyncio.to_thread(...)` or use the "
-        "async equivalent.",
-    ),
-    Rule(
-        "unawaited-coroutine",
-        SCOPE_ALL,
-        "coroutine called but never awaited / scheduled",
-        "a call to a known `async def` (project symbol table: local, "
-        "imported, or `self.` method) used as a bare expression "
-        "statement — the coroutine object is created and dropped, the "
-        "body never runs, and Python only warns at GC time. `await` "
-        "it, or schedule it with `asyncio.create_task(...)`.",
-    ),
-    Rule(
-        "fork-unsafe-module-state",
-        SCOPE_SERVICE,
-        "event loop / lock created at import time (pre-fork)",
-        "an `asyncio` primitive, `threading` lock, or event loop "
-        "(`asyncio.get_event_loop()` / `new_event_loop()`) created at "
-        "module level — it is created once pre-fork and inherited by "
-        "every forked seed worker, where a held lock deadlocks and a "
-        "loop is unusable. Create these per-process, after the fork.",
-    ),
-    Rule(
-        "mutable-module-state",
-        SCOPE_SERVICE,
-        "mutable module-level container mutated by service code",
-        "a module-level `dict` / `list` / `set` that service functions "
-        "mutate — each forked worker silently gets its own diverging "
-        "copy-on-write copy, so state 'shared' this way is a "
-        "consistency bug by construction. Hang state off the service "
-        "object or pass it explicitly.",
     ),
     # -- numpy hot-path pass (engine) ----------------------------------
     Rule(
@@ -269,10 +223,6 @@ HOT_PATH_CLASSES: Mapping[str, FrozenSet[str]] = {
 #: any other scope apply to every file.
 SCOPE_PATH_MARKERS: Mapping[str, Tuple[str, ...]] = {
     SCOPE_NETWORK: ("/network/", "/routers/", "/core/", "simulation.py"),
-    # The telemetry/dashboard modules live under ``obs/`` but carry the
-    # service's thread/fork/asyncio structure (the worker→service
-    # metrics relay), so the async/fork-safety passes cover them too.
-    SCOPE_SERVICE: ("/service/", "/obs/telemetry", "/obs/dashboard"),
     SCOPE_ENGINE: ("/engine/",),
 }
 

@@ -960,7 +960,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.simlint import Baseline, BaselineError, lint_paths
+    from .analysis.simlint import lint_paths
 
     paths = args.paths
     if not paths:
@@ -969,24 +969,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         paths = [str(Path(repro.__file__).parent)]
 
-    baseline = None
-    if args.baseline is not None and not args.write_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return 2
-
-    report = lint_paths(paths, baseline=baseline)
-
-    if args.write_baseline:
-        target = args.baseline or ".simlint-baseline.json"
-        Baseline.from_violations(report.violations).write(target)
-        print(
-            f"simlint: wrote {len(report.violations)} finding(s) to "
-            f"{target}"
-        )
-        return 0
+    report = lint_paths(paths)
     if args.sarif:
         _emit_json(report.to_sarif())
     elif args.json:
@@ -1344,24 +1327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="summary-only output (CI gate; exit code is 1 on violations)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "subtract findings recorded in this baseline file "
-            "(.simlint-baseline.json); only findings NOT in the "
-            "baseline fail the run — the zero-new-findings policy"
-        ),
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "record the current findings into the baseline file "
-            "(--baseline, default .simlint-baseline.json) and exit 0"
-        ),
     )
     lint.set_defaults(func=_cmd_lint)
 

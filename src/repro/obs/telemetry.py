@@ -337,7 +337,7 @@ class TelemetryLog:
 #: GIL and each forked worker rebinds its own copy-on-write copy after
 #: the fork, so there is no cross-process shared state to diverge —
 #: exactly why this is a plain rebound name and not a mutated
-#: container (see simlint's ``mutable-module-state`` rule).
+#: container, whose copy-on-write copies would silently diverge.
 _current_run: Optional[tuple] = None
 
 

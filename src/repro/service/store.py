@@ -4,6 +4,8 @@ Layout (under ``~/.repro/store`` by default, or any ``--store PATH``)::
 
     store/
       objects/<key[:2]>/<key>.json   # one finished result per job key
+                                     # (``.json.damaged``: one that
+                                     # ``get`` could not read)
       partials/<key>.jsonl           # per-seed checkpoints of a job
                                      # that is (or was) in flight
       series/<key>.jsonl             # per-job progress time series,
@@ -66,16 +68,23 @@ class ResultStore:
         """The stored record for ``key``, or None.
 
         An object that does not decode, or that records another key,
-        is a miss too: the job is recomputed and :meth:`put` replaces
-        the object atomically, so one damaged file never pins an error
-        to its key."""
+        is a miss too: it is moved aside to ``<key>.json.damaged``
+        (which :meth:`keys` does not list), the job is recomputed and
+        :meth:`put` writes a fresh object, so one damaged file never
+        pins an error to its key."""
         path = self._object_path(key)
         try:
             with open(path, encoding="utf-8") as handle:
                 record = json.load(handle)
-        except (FileNotFoundError, ValueError):
+        except FileNotFoundError:
             return None
+        except ValueError:
+            record = None
         if not isinstance(record, dict) or record.get("key") != key:
+            try:
+                os.replace(path, path.with_name(path.name + ".damaged"))
+            except FileNotFoundError:
+                pass  # another reader already moved it aside
             return None
         return record
 

@@ -335,6 +335,24 @@ def test_store_put_get_round_trip(tmp_path):
     assert len(store) == 1
 
 
+def test_damaged_object_stops_being_counted(tmp_path):
+    """``keys()`` and ``len`` agree with ``get``: once ``get`` finds an
+    object that does not decode, it is no longer listed, and ``put``
+    still writes a fresh one."""
+    store = ResultStore(tmp_path)
+    key = "ab" * 32
+    store.put(key, "open_loop", {}, {"x": 1})
+    path = tmp_path / "objects" / key[:2] / f"{key}.json"
+    path.write_text(path.read_text()[:10])
+    assert store.get(key) is None
+    assert len(store) == 0
+    assert key not in list(store.keys())
+    assert key not in store
+    record = store.put(key, "open_loop", {}, {"x": 1})
+    assert store.get(key) == record
+    assert list(store.keys()) == [key]
+
+
 def test_store_rejects_garbage_keys(tmp_path):
     store = ResultStore(tmp_path)
     with pytest.raises(ValueError):
