@@ -15,60 +15,59 @@ residual gap is buffer capacity at the saturation knee, not the lazy
 allocation mechanism itself (see EXPERIMENTS.md).
 """
 
-from dataclasses import replace
-
 from repro import Design, Network, NetworkConfig
 from repro.harness import format_table
 from repro.traffic.synthetic import uniform_random_traffic
-from repro.traffic.workloads import WORKLOADS
 
-from _common import report, standard_cell
+from _common import call, read, report, standard
 
 LAYOUTS = ((4, 4, 8), (8, 8, 16), (8, 8, 32), (16, 16, 32))
 PROBE_RATE = 0.85
 
 
-def _saturation_throughput(config, design, seeds=2):
-    values = []
-    for seed in range(seeds):
-        net = Network(config, design, seed=seed)
-        source = uniform_random_traffic(
-            net, PROBE_RATE, seed=10 + seed, source_queue_limit=400
+def _saturation_throughput(design, layout, seed):
+    net = Network(NetworkConfig(afc_vcs=layout), design, seed=seed)
+    source = uniform_random_traffic(
+        net, PROBE_RATE, seed=10 + seed, source_queue_limit=400
+    )
+    source.run(2_000)
+    net.begin_measurement()
+    source.run(5_000)
+    return net.stats.throughput
+
+
+def _probe(design, layout):
+    return [
+        call(_saturation_throughput, design, layout, seed)
+        for seed in range(2)
+    ]
+
+
+#: Open-loop saturation probes, per seed, by configuration.
+SATURATION = {
+    "baseline(64f, per-packet)": _probe(
+        Design.BACKPRESSURED, NetworkConfig().afc_vcs
+    ),
+    **{
+        f"lazy{layout} ({sum(layout)}f)": _probe(
+            Design.AFC_ALWAYS_BACKPRESSURED, layout
         )
-        source.run(2_000)
-        net.begin_measurement()
-        source.run(5_000)
-        values.append(net.stats.throughput)
-    return sum(values) / len(values)
-
-
-def _run_ablation():
-    base_config = NetworkConfig()
-    out = {
-        "baseline(64f, per-packet)": _saturation_throughput(
-            base_config, Design.BACKPRESSURED
-        )
-    }
-    for layout in LAYOUTS:
-        config = replace(base_config, afc_vcs=layout)
-        label = f"lazy{layout} ({sum(layout)}f)"
-        out[label] = _saturation_throughput(
-            config, Design.AFC_ALWAYS_BACKPRESSURED
-        )
-    return out, {k: c.performance for k, c in _run_closed_loop().items()}
-
-
-def _run_closed_loop():
-    """Closed-loop specjbb at the paper's layout: two Fig. 2 cells."""
-    jbb = WORKLOADS["specjbb"]
-    return {
-        "baseline": standard_cell(Design.BACKPRESSURED, jbb),
-        "lazy(8,8,16)": standard_cell(Design.AFC_ALWAYS_BACKPRESSURED, jbb),
-    }
+        for layout in LAYOUTS
+    },
+}
+#: Closed-loop specjbb at the paper's layout: two Fig. 2 cells.
+CLOSED = {
+    "baseline": standard(Design.BACKPRESSURED, "specjbb"),
+    "lazy(8,8,16)": standard(Design.AFC_ALWAYS_BACKPRESSURED, "specjbb"),
+}
 
 
 def test_lazy_vc_ablation():
-    saturation, closed = _run_ablation()
+    saturation = {
+        label: sum(values) / len(values)
+        for label, values in read(SATURATION).items()
+    }
+    closed = {label: c.performance for label, c in read(CLOSED).items()}
     base = saturation["baseline(64f, per-packet)"]
     rows = [
         [label, f"{thr:.3f}", f"{thr / base:.3f}"]

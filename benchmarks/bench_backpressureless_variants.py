@@ -20,9 +20,9 @@ against our implementations:
 import pytest
 
 from repro import Design
-from repro.harness import ExperimentRunner, format_table
+from repro.harness import format_table
 
-from _common import report
+from _common import read, report, spec
 
 SWEEP_RATES = (0.3, 0.5, 0.7, 0.85)
 DEFLECTION_DESIGNS = (
@@ -39,26 +39,24 @@ BYPASS_DESIGNS = (
 LOW_RATE = 0.12
 
 
-def _run_variants():
-    runner = ExperimentRunner(
-        warmup_cycles=1_500, measure_cycles=4_000, seeds=2
-    )
-    sweep = {
-        design: [
-            runner.run_open_loop(design, rate, source_queue_limit=400)
-            for rate in SWEEP_RATES
-        ]
-        for design in DEFLECTION_DESIGNS
-    }
-    low_load = {
-        design: runner.run_open_loop(design, LOW_RATE)
-        for design in BYPASS_DESIGNS
-    }
-    return sweep, low_load
+SPEC = dict(
+    kind="open_loop", warmup_cycles=1_500, measure_cycles=4_000, seeds=2
+)
+SWEEP = {
+    design: [
+        spec(**SPEC, design=design, rate=rate, source_queue_limit=400)
+        for rate in SWEEP_RATES
+    ]
+    for design in DEFLECTION_DESIGNS
+}
+LOW_LOAD = {
+    design: spec(**SPEC, design=design, rate=LOW_RATE)
+    for design in BYPASS_DESIGNS
+}
 
 
 def test_backpressureless_variants():
-    sweep, low_load = _run_variants()
+    sweep, low_load = read(SWEEP), read(LOW_LOAD)
 
     rows = []
     for i, rate in enumerate(SWEEP_RATES):

@@ -18,18 +18,10 @@ Assertions encode the resilience acceptance criteria:
 from repro import Design
 from repro.faults import FaultSpec
 from repro.harness import format_table
-from repro.harness.experiment import ExperimentRunner
 
-from _common import report
+from _common import read, report, spec
 
 DESIGNS = (Design.BACKPRESSURED, Design.BACKPRESSURELESS, Design.AFC)
-
-#: (label, flaps/kcycle, bit errors/kcycle, credit losses/kcycle)
-TRANSIENT_LEVELS = (
-    ("light", 2.0, 1.0, 1.0),
-    ("moderate", 6.0, 3.0, 3.0),
-    ("heavy", 12.0, 6.0, 6.0),
-)
 
 RATE = 0.25
 WARMUP = 500
@@ -37,38 +29,45 @@ MEASURE = 6_000
 SEEDS = 2
 
 
-def _runner() -> ExperimentRunner:
-    return ExperimentRunner(
-        warmup_cycles=WARMUP, measure_cycles=MEASURE, seeds=SEEDS
-    )
+def _per_design(fault: FaultSpec) -> dict:
+    """Declare the ``fault`` cell of every design."""
+    return {
+        design: spec(
+            kind="faulted",
+            design=design,
+            rate=RATE,
+            fault=fault,
+            warmup_cycles=WARMUP,
+            measure_cycles=MEASURE,
+            seeds=SEEDS,
+        )
+        for design in DESIGNS
+    }
 
 
-def _run_transient():
-    runner = _runner()
-    out = {}
-    for label, flaps, bit_errors, credit_losses in TRANSIENT_LEVELS:
-        spec = FaultSpec(
+#: Transient faults by level: link flaps (40 cycles each), bit errors
+#: and credit losses, per kcycle.
+TRANSIENT = {
+    label: _per_design(
+        FaultSpec(
             seed=11,
             link_flap_rate=flaps,
             flap_duration=40,
             bit_error_rate=bit_errors,
             credit_loss_rate=credit_losses,
         )
-        out[label] = {
-            design: runner.run_faulted(design, RATE, spec)
-            for design in DESIGNS
-        }
-    return out
-
-
-def _run_permanent():
-    runner = _runner()
-    spec = FaultSpec(seed=23, link_kills=2, router_kills=1)
-    return {design: runner.run_faulted(design, RATE, spec) for design in DESIGNS}
+    )
+    for label, flaps, bit_errors, credit_losses in (
+        ("light", 2.0, 1.0, 1.0),
+        ("moderate", 6.0, 3.0, 3.0),
+        ("heavy", 12.0, 6.0, 6.0),
+    )
+}
+PERMANENT = _per_design(FaultSpec(seed=23, link_kills=2, router_kills=1))
 
 
 def test_transient_fault_resilience():
-    results = _run_transient()
+    results = read(TRANSIENT)
     rows = []
     for label, per_design in results.items():
         best = max(r.delivered_flit_rate for r in per_design.values())
@@ -117,7 +116,7 @@ def test_transient_fault_resilience():
 
 
 def test_permanent_damage_resilience():
-    results = _run_permanent()
+    results = read(PERMANENT)
     rows = []
     for design, r in results.items():
         rows.append(

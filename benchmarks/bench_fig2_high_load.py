@@ -20,15 +20,13 @@ from repro.harness import (
 )
 from repro.traffic.workloads import HIGH_LOAD_WORKLOADS
 
-from _common import metric, report, standard_cells
+from _common import metric, read, report, standard_grid
 
-
-def _run_high_load():
-    return standard_cells(HIGH_LOAD_WORKLOADS, MAIN_DESIGNS)
+CELLS = standard_grid(HIGH_LOAD_WORKLOADS, MAIN_DESIGNS)
 
 
 def test_fig2_high_load():
-    results = _run_high_load()
+    results = read(CELLS)
     perf = metric(results, "performance")
     energy = metric(results, "energy_per_txn")
     report(

@@ -20,15 +20,13 @@ from repro.harness import (
 )
 from repro.traffic.workloads import LOW_LOAD_WORKLOADS
 
-from _common import metric, report, standard_cells
+from _common import metric, read, report, standard_grid
 
-
-def _run_low_load():
-    return standard_cells(LOW_LOAD_WORKLOADS, ENERGY_DESIGNS_LOW_LOAD)
+CELLS = standard_grid(LOW_LOAD_WORKLOADS, ENERGY_DESIGNS_LOW_LOAD)
 
 
 def test_fig2_low_load():
-    results = _run_low_load()
+    results = read(CELLS)
     perf = metric(results, "performance")
     report(
         "fig2a_low_load_performance",

@@ -16,18 +16,16 @@ from repro import Design
 from repro.harness import MAIN_DESIGNS, format_breakdown_table
 from repro.traffic.workloads import HIGH_LOAD_WORKLOADS, LOW_LOAD_WORKLOADS
 
-from _common import metric, report, standard_cells
+from _common import metric, read, report, standard_grid
 
-
-def _run_breakdowns():
-    return {
-        "low": standard_cells(LOW_LOAD_WORKLOADS, MAIN_DESIGNS),
-        "high": standard_cells(HIGH_LOAD_WORKLOADS, MAIN_DESIGNS),
-    }
+CELLS = {
+    "low": standard_grid(LOW_LOAD_WORKLOADS, MAIN_DESIGNS),
+    "high": standard_grid(HIGH_LOAD_WORKLOADS, MAIN_DESIGNS),
+}
 
 
 def test_fig3_energy_breakdown():
-    results = _run_breakdowns()
+    results = read(CELLS)
     tables = {}
     for group, label in (("low", "3(a)"), ("high", "3(b)")):
         breakdowns = metric(results[group], "breakdown_per_txn")

@@ -10,14 +10,12 @@ producing exactly the backpressureless→backpressured adjacency that the
 gossip mechanism guards.
 """
 
-import pytest
-
 from repro import Design, Network, NetworkConfig
 from repro.harness import format_table
 from repro.traffic.patterns import Hotspot
 from repro.traffic.synthetic import OpenLoopSource
 
-from _common import report
+from _common import call, read, report
 
 CASES = (
     ("mild hotspot", 0.6, 0.5),
@@ -25,34 +23,30 @@ CASES = (
 )
 
 
-def _run_hotspots():
-    out = {}
-    for label, fraction, rate in CASES:
-        config = NetworkConfig()
-        net = Network(config, Design.AFC, seed=1)
-        source = OpenLoopSource(
-            net,
-            rate=rate,
-            pattern=Hotspot(net.mesh, hotspot=4, fraction=fraction),
-            seed=3,
-            source_queue_limit=400,
-        )
-        source.run(6_000)
-        stats = net.stats
-        out[label] = {
-            "forward": sum(
-                m.forward_switches for m in stats.mode_stats.values()
-            ),
-            "gossip": stats.total_gossip_switches,
-            "bp_fraction": stats.network_backpressured_fraction,
-            "deflections": stats.deflections,
-        }
-        net.check_flit_conservation()
-    return out
+def _hotspot(fraction, rate):
+    net = Network(NetworkConfig(), Design.AFC, seed=1)
+    source = OpenLoopSource(
+        net,
+        rate=rate,
+        pattern=Hotspot(net.mesh, hotspot=4, fraction=fraction),
+        seed=3,
+        source_queue_limit=400,
+    )
+    source.run(6_000)
+    net.check_flit_conservation()
+    stats = net.stats
+    return {
+        "forward": sum(m.forward_switches for m in stats.mode_stats.values()),
+        "gossip": stats.total_gossip_switches,
+        "bp_fraction": stats.network_backpressured_fraction,
+    }
+
+
+CELLS = {label: call(_hotspot, f, rate) for label, f, rate in CASES}
 
 
 def test_gossip_under_hotspots():
-    results = _run_hotspots()
+    results = read(CELLS)
     rows = [
         [
             label,

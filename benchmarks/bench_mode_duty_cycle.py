@@ -9,27 +9,22 @@ runs (they appear only under engineered hotspots — see
 bench_gossip_hotspot.py).
 """
 
-import pytest
-
 from repro import Design
 from repro.harness import format_table
 from repro.traffic.workloads import WORKLOADS
 
-from _common import report, standard_runner
+from _common import read, report, standard
 
-
-def _run_duty_cycles():
-    # Measure from cycle 0 (no warmup): mode residency is a whole-run
-    # property in the paper, including the initial switch-in.
-    runner = standard_runner(warmup_cycles=0, measure_cycles=13_000)
-    return {
-        name: runner.run_closed_loop(Design.AFC, workload)
-        for name, workload in WORKLOADS.items()
-    }
+# Measured from cycle 0 (no warmup): mode residency is a whole-run
+# property in the paper, including the initial switch-in.
+CELLS = {
+    name: standard(Design.AFC, name, warmup_cycles=0, measure_cycles=13_000)
+    for name in WORKLOADS
+}
 
 
 def test_mode_duty_cycle():
-    results = _run_duty_cycles()
+    results = read(CELLS)
     rows = []
     for name, r in results.items():
         rows.append(

@@ -6,36 +6,29 @@ near-identical saturation throughput, whereas backpressureless
 saturates at lower offered loads.
 """
 
-import pytest
-
 from repro import Design
-from repro.harness import ExperimentRunner, format_table
+from repro.harness import format_table
 
-from _common import report
+from _common import read, report, spec
 
 RATES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DESIGNS = (Design.BACKPRESSURED, Design.BACKPRESSURELESS, Design.AFC)
 
 
-def _run_sweep():
-    runner = ExperimentRunner(
-        warmup_cycles=2_000, measure_cycles=5_000, seeds=2
-    )
-    curves = {}
-    for design in DESIGNS:
-        curves[design] = [
-            runner.run_open_loop(design, rate, source_queue_limit=500)
-            for rate in RATES
-        ]
-    return curves
-
-
-def _saturation_throughput(points):
-    return max(p.throughput for p in points)
+SPEC = dict(
+    kind="open_loop", warmup_cycles=2_000, measure_cycles=5_000, seeds=2
+)
+CURVES = {
+    design: [
+        spec(**SPEC, design=design, rate=rate, source_queue_limit=500)
+        for rate in RATES
+    ]
+    for design in DESIGNS
+}
 
 
 def test_openloop_latency_throughput():
-    curves = _run_sweep()
+    curves = read(CURVES)
     rows = []
     for i, rate in enumerate(RATES):
         row = [f"{rate:.1f}"]
@@ -59,7 +52,7 @@ def test_openloop_latency_throughput():
         assert max(lats) - min(lats) < 4.0, f"rate {RATES[i]}"
 
     # (2) saturation: AFC ~ backpressured > backpressureless
-    sat = {d: _saturation_throughput(curves[d]) for d in DESIGNS}
+    sat = {d: max(p.throughput for p in curves[d]) for d in DESIGNS}
     assert sat[Design.AFC] > 0.90 * sat[Design.BACKPRESSURED]
     assert sat[Design.BACKPRESSURELESS] < 0.95 * sat[Design.BACKPRESSURED]
 

@@ -18,33 +18,32 @@ paper's reasoning predicts:
 
 from dataclasses import replace
 
-import pytest
-
-from repro import ContentionThresholds, Design, Network, NetworkConfig, RouterClass
+from repro import ContentionThresholds, Design, Network, NetworkConfig
 from repro.harness import format_table
 from repro.memsys import MemorySystem
 from repro.traffic.patterns import Hotspot
 from repro.traffic.synthetic import OpenLoopSource
 from repro.traffic.workloads import WORKLOADS
 
+from _common import call, read, report
+
 ALPHAS = (0.9, 0.99, 0.999)
 SCALES = (0.5, 1.0, 2.0)
 GOSSIP_X = (4, 8, 12)  # 2L, 4L, 6L with L = 2
 
 
-def _scaled_thresholds(config: NetworkConfig, scale: float):
-    return {
-        cls: ContentionThresholds(
-            high=pair.high * scale, low=pair.low * scale
-        )
-        for cls, pair in config.thresholds.items()
+def _closed_loop_afc(alpha: float, scale: float, seed=1):
+    """AFC on ocean, closed loop, with EWMA ``alpha`` and thresholds
+    scaled by ``scale``."""
+    base = NetworkConfig()
+    thresholds = {
+        cls: ContentionThresholds(high=pair.high * scale, low=pair.low * scale)
+        for cls, pair in base.thresholds.items()
     }
-
-
-def _closed_loop_afc(config: NetworkConfig, workload, cycles=8_000, seed=1):
+    config = replace(base, ewma_alpha=alpha, thresholds=thresholds)
     net = Network(config, Design.AFC, seed=seed)
-    system = MemorySystem(net, workload, seed=seed + 7)
-    system.run(cycles)
+    system = MemorySystem(net, WORKLOADS["ocean"], seed=seed + 7)
+    system.run(8_000)
     modes = net.stats.mode_stats.values()
     return {
         "switches": sum(
@@ -55,7 +54,8 @@ def _closed_loop_afc(config: NetworkConfig, workload, cycles=8_000, seed=1):
     }
 
 
-def _hotspot_gossip(config: NetworkConfig, seed=1):
+def _gossip_count(gossip_threshold: int, seed: int):
+    config = replace(NetworkConfig(), gossip_threshold=gossip_threshold)
     net = Network(config, Design.AFC, seed=seed)
     source = OpenLoopSource(
         net,
@@ -68,54 +68,31 @@ def _hotspot_gossip(config: NetworkConfig, seed=1):
     return net.stats.total_gossip_switches
 
 
-def _run_sensitivity():
-    base = NetworkConfig()
-    ocean = WORKLOADS["ocean"]
-    alpha_results = {
-        alpha: _closed_loop_afc(replace(base, ewma_alpha=alpha), ocean)
-        for alpha in ALPHAS
-    }
-    scale_results = {
-        scale: _closed_loop_afc(
-            replace(base, thresholds=_scaled_thresholds(base, scale)),
-            ocean,
-        )
-        for scale in SCALES
-    }
-    gossip_results = {
-        x: sum(
-            _hotspot_gossip(replace(base, gossip_threshold=x), seed=s)
-            for s in (1, 2, 3)
-        )
-        for x in GOSSIP_X
-    }
-    return alpha_results, scale_results, gossip_results
+ALPHA = NetworkConfig().ewma_alpha
+#: Ocean closed-loop runs by configuration.
+CLOSED = {
+    **{f"alpha={a}": call(_closed_loop_afc, a, 1.0) for a in ALPHAS},
+    **{f"thresholds x{s}": call(_closed_loop_afc, ALPHA, s) for s in SCALES},
+}
+#: Hotspot open-loop gossip switch counts, one cell per seed, by X.
+GOSSIP = {x: [call(_gossip_count, x, s) for s in (1, 2, 3)] for x in GOSSIP_X}
 
 
 def test_design_choice_sensitivity():
-    alphas, scales, gossip = _run_sensitivity()
+    closed = read(CLOSED)
+    gossip = {x: sum(counts) for x, counts in read(GOSSIP).items()}
     rows = [
         [
-            f"alpha={alpha}",
+            label,
             f"{r['switches']:.0f}",
             f"{r['bp_fraction']:.3f}",
             f"{r['performance']:.2f}",
         ]
-        for alpha, r in alphas.items()
-    ] + [
-        [
-            f"thresholds x{scale}",
-            f"{r['switches']:.0f}",
-            f"{r['bp_fraction']:.3f}",
-            f"{r['performance']:.2f}",
-        ]
-        for scale, r in scales.items()
+        for label, r in closed.items()
     ] + [
         [f"gossip X={x}", f"{count}", "-", "-"]
         for x, count in gossip.items()
     ]
-    from _common import report
-
     report(
         "sensitivity",
         format_table(
@@ -127,17 +104,18 @@ def test_design_choice_sensitivity():
     )
 
     # weaker smoothing -> more switches on a threshold-straddling load
-    assert alphas[0.9]["switches"] > alphas[0.99]["switches"]
+    assert closed["alpha=0.9"]["switches"] > closed["alpha=0.99"]["switches"]
     # stronger smoothing damps switching further (or at least not worse)
-    assert alphas[0.999]["switches"] <= alphas[0.99]["switches"]
+    assert (
+        closed["alpha=0.999"]["switches"] <= closed["alpha=0.99"]["switches"]
+    )
     # higher thresholds -> less backpressured residency
     assert (
-        scales[0.5]["bp_fraction"]
-        > scales[1.0]["bp_fraction"]
-        > scales[2.0]["bp_fraction"]
+        closed["thresholds x0.5"]["bp_fraction"]
+        > closed["thresholds x1.0"]["bp_fraction"]
+        > closed["thresholds x2.0"]["bp_fraction"]
     )
     # a larger gossip X fires the sledgehammer at least as often
     assert gossip[12] >= gossip[4]
     # none of the settings break the workload (performance stays sane)
-    for r in list(alphas.values()) + list(scales.values()):
-        assert r["performance"] > 0
+    assert all(r["performance"] > 0 for r in closed.values())

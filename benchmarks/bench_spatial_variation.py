@@ -16,14 +16,12 @@ from the hot quadrant into its neighbours — links that quadrant-local
 XY traffic never uses, so any traversal there is misrouted traffic.
 """
 
-import pytest
-
 from repro import Design, Network, NetworkConfig
 from repro.harness import format_table
 from repro.traffic.patterns import QuadrantLocal
 from repro.traffic.synthetic import OpenLoopSource
 
-from _common import report
+from _common import call, read, report
 
 HOT_RATE = 0.9
 COLD_RATE = 0.1
@@ -42,48 +40,43 @@ def _cross_border_traversals(net) -> int:
     )
 
 
-def _run_spatial():
+def _spatial(design):
     config = NetworkConfig(width=8, height=8)
     mesh = config.mesh
     rates = [
         HOT_RATE if mesh.quadrant(n) == 0 else COLD_RATE
         for n in range(mesh.num_nodes)
     ]
-    results = {}
-    for design in DESIGNS:
-        net = Network(config, design, seed=1)
-        source = OpenLoopSource(
-            net,
-            rates,
-            pattern=QuadrantLocal(mesh),
-            seed=3,
-            source_queue_limit=400,
-        )
-        source.run(WARMUP)
-        net.begin_measurement()
-        spill_base = _cross_border_traversals(net)
-        source.run(MEASURE)
-        stats = net.stats
-        energy = net.measured_energy()
-        hot = mesh.quadrant_nodes(0)
+    net = Network(config, design, seed=1)
+    source = OpenLoopSource(
+        net,
+        rates,
+        pattern=QuadrantLocal(mesh),
+        seed=3,
+        source_queue_limit=400,
+    )
+    source.run(WARMUP)
+    net.begin_measurement()
+    spill_base = _cross_border_traversals(net)
+    source.run(MEASURE)
+    stats = net.stats
+    energy = net.measured_energy()
+    hot = mesh.quadrant_nodes(0)
+    count = sum(stats.per_node_completed[n] for n in hot)
+    total = sum(stats.per_node_latency_sum[n] for n in hot)
+    return {
+        "energy_per_flit": energy.total / max(1, stats.flits_ejected),
+        "hot_latency": total / count if count else 0.0,
+        "spillover": _cross_border_traversals(net) - spill_base,
+        "bp_fraction": stats.network_backpressured_fraction,
+    }
 
-        def group_latency(nodes):
-            count = sum(stats.per_node_completed[n] for n in nodes)
-            total = sum(stats.per_node_latency_sum[n] for n in nodes)
-            return total / count if count else 0.0
 
-        results[design] = {
-            "energy_per_flit": energy.total / max(1, stats.flits_ejected),
-            "hot_latency": group_latency(hot),
-            "throughput": stats.throughput,
-            "spillover": _cross_border_traversals(net) - spill_base,
-            "bp_fraction": stats.network_backpressured_fraction,
-        }
-    return results
+CELLS = {design: call(_spatial, design) for design in DESIGNS}
 
 
 def test_spatial_variation():
-    results = _run_spatial()
+    results = read(CELLS)
     afc_energy = results[Design.AFC]["energy_per_flit"]
     rows = [
         [

@@ -15,18 +15,13 @@ from repro import Design
 from repro.harness import format_table
 from repro.traffic.workloads import WORKLOADS
 
-from _common import report, standard_cell
+from _common import read, report, standard
 
-
-def _run_injection_rates():
-    return {
-        name: standard_cell(Design.BACKPRESSURED, workload)
-        for name, workload in WORKLOADS.items()
-    }
+CELLS = {name: standard(Design.BACKPRESSURED, name) for name in WORKLOADS}
 
 
 def test_table3_injection_rates():
-    results = _run_injection_rates()
+    results = read(CELLS)
     rows = []
     for name, result in results.items():
         paper = WORKLOADS[name].paper_injection_rate

@@ -84,6 +84,12 @@ class JobSpec:
 
     def __post_init__(self) -> None:
         params = kind_entry(self.kind).params
+        if not isinstance(self.design, Design):
+            choices = ", ".join(f"Design.{d.name}" for d in Design)
+            raise ValueError(
+                f"design must be a Design member, got {self.design!r}; "
+                f"choose from: {choices}"
+            )
         if "workload" in params and self.workload not in WORKLOADS:
             choices = ", ".join(sorted(WORKLOADS))
             raise ValueError(

@@ -212,6 +212,16 @@ def test_spec_validation():
         JobSpec.from_dict({"kind": "open_loop", "rate": 0.2, "bogus": 1})
 
 
+@pytest.mark.parametrize("design", ["afc", "nope", None])
+def test_design_must_be_a_design_member(design):
+    """A design name is not a ``Design``: it would key like the member
+    and then fail deep inside a worker's energy model."""
+    with pytest.raises(ValueError, match="design") as err:
+        JobSpec(design=design)
+    assert all(f"Design.{d.name}" in str(err.value) for d in Design)
+    assert JobSpec.from_dict({"design": "afc"}).design is Design.AFC
+
+
 @pytest.mark.parametrize(
     "mesh", [dict(width=0), dict(width=-2), dict(width=1, height=1)]
 )
