@@ -12,6 +12,10 @@ tight bound::
     PYTHONPATH=src python scripts/call_budget.py           # rewrite archive
     PYTHONPATH=src python scripts/call_budget.py --check   # CI gate (+-5 %)
 
+``--check`` also holds ``afc`` @ 0.05 to at most 1.15x the calls of
+``backpressureless`` @ 0.05: AFC's deflection mode should cost what the
+deflection router costs plus its load bookkeeping.
+
 Each open-loop row runs one design on an 8x8 mesh for 300 open-loop
 cycles; each closed-loop row runs one paper design on the default 3x3
 CMP under the ``apache`` workload for 1 500 cycles (Fig. 2's loop:
@@ -69,6 +73,10 @@ BUILD_WIDTHS = (8, 16)
 #: ``--check`` fails when a row is off its archived value by more,
 #: either way.
 TOLERANCE = 0.05
+#: ``--check`` also fails when AFC's low-load run makes more than this
+#: many times the deflection router's calls: in backpressureless mode
+#: AFC is that router plus a load window and an EWMA (Section III).
+AFC_DEFLECTION_RATIO = 1.15
 
 
 def count_calls(run: Callable[[], None]) -> int:
@@ -288,6 +296,22 @@ def main(argv=None) -> int:
                 # it would let the saved calls come back unnoticed.
                 print(f"UNDER BUDGET (-{TOLERANCE:.0%}): {line}; re-archive")
                 failed = True
+        calls = {
+            row_key(entry): entry["calls"]
+            for entry in rows
+            if "calls" in entry
+        }
+        afc = calls[row_key({"design": "afc", "rate": 0.05})]
+        deflection = calls[
+            row_key({"design": "backpressureless", "rate": 0.05})
+        ]
+        ratio = afc / deflection
+        if ratio > AFC_DEFLECTION_RATIO:
+            print(
+                f"AFC OVERHEAD: afc @ 0.05 makes {ratio:.3f}x the calls of "
+                f"backpressureless @ 0.05 (limit {AFC_DEFLECTION_RATIO}x)"
+            )
+            failed = True
         return 1 if failed else 0
     document = {
         "mesh": f"{WIDTH}x{WIDTH}",

@@ -50,7 +50,6 @@ from ..network.link import (
     credit_message,
 )
 from ..network.stats import StatsCollector
-from ..network.router_base import BaseRouter
 from ..network.topology import LOCAL, Direction, Mesh
 from ..routers.backpressureless import DeflectionRouter
 from .lazy_vc import BufferBank, LazyInputPort, NeighborCreditState
@@ -109,8 +108,9 @@ class AfcRouter(DeflectionRouter):
             ),
         )
         #: Gated exactly while deflecting and empty, so only the
-        #: adaptive router's gating can flip; the twin's stays off and
-        #: the static-energy cache need not poll it.
+        #: adaptive router's gating can flip (at :meth:`_begin_forward`
+        #: and :meth:`_begin_reverse`, which report it); the twin's
+        #: stays off.
         self.gating_can_flip = adaptive
         self._input_ports: Dict[Direction, LazyInputPort] = {}
         #: Flits buffered across all input ports; every port moves it
@@ -123,11 +123,19 @@ class AfcRouter(DeflectionRouter):
         )
         self._neighbors: Dict[Direction, NeighborCreditState] = {}
         self._neighbor_list: tuple = ()
+        #: How many neighbours track credits, shared with their
+        #: :class:`NeighborCreditState` objects (which keep it): while
+        #: it is zero no port is masked, so there is no credit to debit,
+        #: no gossip to check and no emergency write to prepare for.
+        self._tracked = [0]
         #: Neighbours still holding back credits after a START notice
         #: (see :class:`NeighborCreditState`); empty almost always.
         self._settling: List[NeighborCreditState] = []
         #: Input port each latched flit arrived on, for the rare
-        #: emergency write (the latch itself holds plain flits).
+        #: emergency write (the latch itself holds plain flits); kept
+        #: only while a neighbour tracks credits, the one case a port can
+        #: be masked.  Backflow is delivered before flits, so the count
+        #: an arrival sees is the one its step allocates under.
         self._arrival_port: Dict[Flit, Direction] = {}
         #: Flits written to the buffers this cycle (backpressured
         #: arrivals and injections, emergency writes): exactly the
@@ -169,7 +177,7 @@ class AfcRouter(DeflectionRouter):
                 self._vcs, self._bank
             )
         for direction in self.out_channels:
-            state = NeighborCreditState(self._vcs)
+            state = NeighborCreditState(self._vcs, self._tracked)
             if self.design is Design.AFC_ALWAYS_BACKPRESSURED:
                 # The whole network is pinned backpressured; credit
                 # accounting is on from cycle zero.
@@ -199,14 +207,9 @@ class AfcRouter(DeflectionRouter):
         return self._mode.ewma
 
     # -- receive paths -------------------------------------------------------
-    def deliver(self, cycle: int) -> None:
-        # Mode completion must precede arrival classification: a flit
-        # delivered at the first backpressured cycle is buffered.
-        controller = self._mode
-        if controller.mode is TRANSITION:
-            controller.maybe_complete_forward(cycle)
-        BaseRouter.deliver(self, cycle)
-
+    # A forward switch completes at the end of its last transition step
+    # (see :meth:`step`), so a flit delivered at the first backpressured
+    # cycle is classified under the new mode.
     def _accept_flit(self, flit: Flit, in_port: Direction, cycle: int) -> None:
         buffered = self._mode.mode is BACKPRESSURED
         if buffered:
@@ -214,7 +217,8 @@ class AfcRouter(DeflectionRouter):
             self._input_ports[in_port].insert(flit)
         else:
             self._latched.append(flit)
-            self._arrival_port[flit] = in_port
+            if self._tracked[0]:
+                self._arrival_port[flit] = in_port
         if self.obs is not None:
             for sink in self.obs:
                 sink.on_arrive(self.node, flit, in_port, buffered, cycle)
@@ -247,26 +251,48 @@ class AfcRouter(DeflectionRouter):
                 nb for nb in self._settling if not nb.settle(cycle)
             ]
         controller = self._mode
-        if controller.mode is TRANSITION:
-            controller.maybe_complete_forward(cycle)
         if controller.mode is BACKPRESSURED:
-            exits = self._backpressured_step(cycle)
+            load = self._backpressured_step(cycle)
         else:
             # Backpressureless mode is the deflection router's cycle
             # (Section III).  A flit that leaves it entered this very
             # cycle — latches hold nothing over — so each exit stands
             # for its entry too; only emergency-buffered flits enter
             # without leaving (counted by _unplaced).
-            exits = 2 * DeflectionRouter.step(self, cycle)
-            self._arrival_port.clear()
+            load = 2 * DeflectionRouter.step(self, cycle)
+            if self._arrival_port:
+                self._arrival_port.clear()
         entries = self._entries_this_cycle
         if entries:
             self.energy.writes += entries
             self._entries_this_cycle = 0
-        controller.record_load(entries + exits)
-        if controller.adaptive:
+            load += entries
+        # ModeController.record_load(load), inline: the same float
+        # operations in the same order.
+        ring = controller._ring
+        pos = controller._pos
+        total = controller._load + load - ring[pos]
+        ring[pos] = load
+        pos += 1
+        controller._pos = 0 if pos == len(ring) else pos
+        fill = controller._fill
+        if fill < len(ring):
+            controller._fill = fill = fill + 1
+        controller._load = total
+        controller.ewma = ewma = (
+            controller._alpha * controller.ewma
+            + controller._beta * (total / fill)
+        )
+        # _adapt can act only on a high EWMA, on gossip (which needs a
+        # tracked neighbour) or, when backpressured, by reversing.
+        if controller.adaptive and (
+            ewma > controller.high
+            or self._tracked[0]
+            or controller.mode is BACKPRESSURED
+        ):
             self._adapt(cycle)
-        controller.tick_residency(self.stats.mode_stats[self.node])
+        if controller.mode is TRANSITION and controller.forward_due(cycle + 1):
+            self._complete_forward(cycle)
 
     # -- activity reporting (active-set cycle engine) --------------------------
     def is_quiescent(self) -> bool:
@@ -277,20 +303,32 @@ class AfcRouter(DeflectionRouter):
         # pressure cannot become pending here: _adapt ran at the end of
         # the last step, and any later neighbour state change arrives
         # via backflow, which the engine refuses to sleep through.
+        controller = self._mode
         ni = self.ni
         return (
-            self._mode.mode is not TRANSITION
+            controller.mode is not TRANSITION
             and not self._bank.flits
             and not self._latched
             and (ni is None or not ni._queued)
-            and self._mode.idle_forward_safe()
+            and (
+                # An empty window under the threshold only decays.
+                (not controller._load and controller.ewma <= controller.high)
+                or controller.idle_forward_safe()
+            )
         )
 
     def catch_up(self, cycles: int) -> None:
-        self._mode.idle_catch_up(cycles, self.stats.mode(self.node))
+        self._mode.idle_catch_up(cycles)
 
     def self_wake_in(self) -> Optional[int]:
+        if self._mode.mode is not BACKPRESSURED:
+            return None
         return self._mode.idle_cycles_until_reverse()
+
+    def sync_bookkeeping(self, through: int) -> None:
+        controller = self._mode
+        if controller.charged_from <= through:
+            controller.charge_residency(self.stats.mode(self.node), through)
 
     # -- adaptation policy -------------------------------------------------------
     def _adapt(self, cycle: int) -> None:
@@ -316,8 +354,11 @@ class AfcRouter(DeflectionRouter):
                 self._begin_reverse(cycle)
 
     def _begin_forward(self, cycle: int, gossip: bool) -> None:
-        self._mode.begin_forward(cycle)
         entry = self.stats.mode(self.node)
+        self._mode.charge_residency(entry, cycle - 1)
+        self._mode.begin_forward(cycle)
+        if self.on_gating_flip is not None:
+            self.on_gating_flip()
         entry.forward_switches += 1
         if gossip:
             entry.gossip_switches += 1
@@ -334,9 +375,20 @@ class AfcRouter(DeflectionRouter):
             )
             self.energy.credit(self.node)
 
+    def _complete_forward(self, cycle: int) -> None:
+        """End of the transition window's last step: backpressured
+        operation starts with the next cycle (its deliver already
+        buffers arrivals)."""
+        self._mode.charge_residency(self.stats.mode(self.node), cycle)
+        self._mode.maybe_complete_forward(cycle + 1)
+
     def _begin_reverse(self, cycle: int) -> None:
+        entry = self.stats.mode(self.node)
+        self._mode.charge_residency(entry, cycle - 1)
         self._mode.begin_reverse()
-        self.stats.mode(self.node).reverse_switches += 1
+        if self.on_gating_flip is not None:
+            self.on_gating_flip()
+        entry.reverse_switches += 1
         if self.obs is not None:
             for sink in self.obs:
                 sink.on_mode_switch(self.node, False, False, cycle)

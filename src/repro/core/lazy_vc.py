@@ -154,9 +154,12 @@ class NeighborCreditState:
         "ok",
         "reserve",
         "settled_at",
+        "_tracked",
     )
 
-    def __init__(self, vcs: Sequence[int]) -> None:
+    def __init__(
+        self, vcs: Sequence[int], tracked: Optional[List[int]] = None
+    ) -> None:
         self.capacity: Dict[VirtualNetwork, int] = {
             vnet: count for vnet, count in zip(VirtualNetwork, vcs)
         }
@@ -176,6 +179,10 @@ class NeighborCreditState:
         #: released (both 0 outside the settling phase after a START).
         self.reserve = 0
         self.settled_at = 0
+        #: One-element count of the owning router's tracking neighbours,
+        #: shared by all of its states (plain state: no reference back
+        #: to the router); kept in step with :attr:`tracking`.
+        self._tracked = tracked if tracked is not None else [0]
 
     # -- control line ------------------------------------------------------------
     def start_tracking(
@@ -184,6 +191,8 @@ class NeighborCreditState:
         """Begin credit accounting from the neighbour's occupancy
         snapshot, received at ``cycle``; ``reserve`` credits per vnet
         are held back and released one per cycle (:meth:`settle`)."""
+        if not self.tracking:
+            self._tracked[0] += 1
         self.tracking = True
         self.reserve = reserve
         self.settled_at = cycle + reserve
@@ -211,6 +220,8 @@ class NeighborCreditState:
         """Neighbour went backpressureless: treat the port as free
         (the paper: 'the neighbors simply set the buffer occupancy of
         the switched router to empty')."""
+        if self.tracking:
+            self._tracked[0] -= 1
         self.tracking = False
         self.reserve = self.settled_at = 0
         self.credits = dict(self.capacity)

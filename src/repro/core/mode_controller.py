@@ -5,6 +5,10 @@ router reports how many flits traversed its switch; the controller
 averages that over a 4-cycle window, smooths the average with an EWMA
 (``m_new = alpha * m_old + (1 - alpha) * window_average``, alpha = 0.99,
 Section IV), and compares it against the router's hysteresis thresholds.
+The window is a fixed ring with a running sum, and the router performs
+the per-cycle update inline (:meth:`AfcRouter.step
+<repro.core.afc_router.AfcRouter.step>`), evaluating exactly the float
+expression of :meth:`record_load`.
 
 Mode transitions (Figure 1 of the paper):
 
@@ -20,12 +24,24 @@ Mode transitions (Figure 1 of the paper):
 * reverse (backpressured → backpressureless): permitted only when the
   EWMA is below the low threshold *and* the input buffers are empty —
   otherwise buffered flits would be stranded.  Takes effect immediately.
+
+Mode residency is not ticked per cycle.  The controller remembers the
+first cycle it has not yet charged, and :meth:`charge_residency` adds
+the cycles since then to the current mode's counter in one step.  The
+router calls it at every mode change (forward, completion, reverse) and
+the network at its sync points (``Network.sync_bookkeeping``, which
+``begin_measurement`` and the end of every run call).  A cycle counts
+towards the mode the router ends it in, except that a forward switch's
+last transition cycle counts as transition: the switch completes at
+that cycle's end.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from typing import List, Optional
+from itertools import repeat
+from typing import Iterator, List, Optional
 
 from ..network.config import ContentionThresholds
 from ..network.stats import RouterModeStats
@@ -60,15 +76,19 @@ class ModeController:
 
     __slots__ = (
         "thresholds",
+        "high",
         "link_latency",
         "adaptive",
         "mode",
         "ewma",
-        "_window",
-        "_window_len",
+        "_ring",
+        "_pos",
+        "_fill",
         "_load",
         "_alpha",
+        "_beta",
         "backpressured_from",
+        "charged_from",
     )
 
     def __init__(
@@ -83,35 +103,56 @@ class ModeController:
         if initial_mode is TRANSITION:
             raise ValueError("cannot start in a transition")
         self.thresholds = thresholds
+        #: ``thresholds.high``, read by the router every cycle.
+        self.high = thresholds.high
         self.link_latency = link_latency
         self.adaptive = adaptive
         self.mode = initial_mode
         self.ewma = 0.0
-        #: The last ``_window_len`` cycles' switch traversals, oldest
-        #: first: a handful of ints, so a plain list trimmed with
-        #: ``pop(0)`` rather than a ``deque(maxlen=...)`` and its 64-slot
-        #: block.
-        self._window: List[int] = []
-        self._window_len = load_window
-        #: Running ``sum(_window)``: the same int, without a re-sum per
+        #: The last ``load_window`` cycles' switch traversals as a fixed
+        #: ring: ``_ring[_pos]`` is the oldest sample (the next one
+        #: overwritten), ``_fill`` how many samples the window holds so
+        #: far (slots not yet written hold 0).
+        self._ring: List[int] = [0] * load_window
+        self._pos = 0
+        self._fill = 0
+        #: Running ``sum(_ring)``: the same int, without a re-sum per
         #: cycle.
         self._load = 0
         self._alpha = ewma_alpha
+        #: ``1 - alpha``, computed once: the same double every cycle.
+        self._beta = 1.0 - ewma_alpha
         #: First cycle of backpressured operation for an in-progress
         #: forward switch.
         self.backpressured_from: Optional[int] = None
+        #: First cycle not yet charged to a residency counter.
+        self.charged_from = 0
 
     # -- load tracking ------------------------------------------------------
     def record_load(self, switch_traversals: int) -> None:
-        """Report this cycle's switch traversals and update the EWMA."""
-        window = self._window
-        load = self._load + switch_traversals
-        window.append(switch_traversals)
-        if len(window) > self._window_len:
-            load -= window.pop(0)
+        """Report this cycle's switch traversals and update the EWMA.
+
+        The router's step performs this same update inline; the two
+        must stay the same float operations in the same order."""
+        ring = self._ring
+        pos = self._pos
+        load = self._load + switch_traversals - ring[pos]
+        ring[pos] = switch_traversals
+        pos += 1
+        self._pos = 0 if pos == len(ring) else pos
+        fill = self._fill
+        if fill < len(ring):
+            self._fill = fill = fill + 1
         self._load = load
-        window_avg = load / len(window)
-        self.ewma = self._alpha * self.ewma + (1.0 - self._alpha) * window_avg
+        self.ewma = self._alpha * self.ewma + self._beta * (load / fill)
+
+    @property
+    def window(self) -> List[int]:
+        """The load window's samples, oldest first."""
+        ring = self._ring
+        if self._fill < len(ring):
+            return ring[: self._fill]
+        return ring[self._pos :] + ring[: self._pos]
 
     # -- transition window ------------------------------------------------------
     @property
@@ -120,13 +161,19 @@ class ModeController:
         operation (2L + 1, see module docstring)."""
         return 2 * self.link_latency + 1
 
-    def maybe_complete_forward(self, cycle: int) -> None:
-        """Enter backpressured mode once the transition window elapsed."""
-        if (
+    def forward_due(self, cycle: int) -> bool:
+        """True when an in-progress forward switch runs backpressured
+        from ``cycle`` on."""
+        return (
             self.mode is TRANSITION
             and self.backpressured_from is not None
             and cycle >= self.backpressured_from
-        ):
+        )
+
+    def maybe_complete_forward(self, cycle: int) -> None:
+        """Enter backpressured mode if ``cycle`` is past the transition
+        window."""
+        if self.forward_due(cycle):
             self.mode = BACKPRESSURED
             self.backpressured_from = None
 
@@ -161,34 +208,36 @@ class ModeController:
 
     # -- idle fast-path support (active-set cycle engine) ------------------------
     #
-    # A quiescent router's only per-cycle state changes are (a) the EWMA
-    # decay performed by ``record_load(0)`` and (b) the residency tick.
-    # The three helpers below let the cycle engine skip such routers and
-    # replay that bookkeeping in a batch, *bit-identically*: the catch-up
-    # loop evaluates exactly the same floating-point expression per
-    # skipped cycle as the eager path would have.
+    # A quiescent router's only per-cycle state change is the EWMA decay
+    # performed by ``record_load(0)`` (residency is charged lazily, see
+    # the module docstring).  The helpers below let the cycle engine
+    # skip such routers and replay the decay in a batch,
+    # *bit-identically*: while the window still drains, the replay
+    # evaluates the per-cycle expression; once it holds only zeros,
+    # each cycle adds ``(1 - alpha) * 0.0`` (a zero), so the decay is a
+    # run of multiplications by alpha, which ``math.prod`` performs in
+    # the same order.
 
-    def idle_stable(self) -> bool:
-        """True when further idle cycles decay the EWMA purely
-        geometrically: the load window holds only zeros, so each idle
-        ``record_load(0)`` computes ``ewma = alpha * ewma + (1 - alpha)
-        * 0.0`` — reproducible later without stepping the router."""
-        return not any(self._window)
-
-    def _drain_ewmas(self):
+    def _drain_ewmas(self) -> Iterator[float]:
         """Successive EWMA values for idle ``record_load(0)`` cycles
-        until the load window is all zeros (at most ``maxlen`` values),
-        evaluating the exact per-cycle expression on copies.  Mutates
-        nothing."""
-        win = list(self._window)
-        maxlen = self._window_len
+        until the load window is all zeros (at most ``load_window``
+        values), evaluating the exact per-cycle expression on copies.
+        Mutates nothing."""
+        ring = list(self._ring)
+        n = len(ring)
+        pos = self._pos
+        fill = self._fill
+        load = self._load
         alpha = self._alpha
+        beta = self._beta
         ewma = self.ewma
-        while any(win):
-            win.append(0)
-            if len(win) > maxlen:
-                win.pop(0)
-            ewma = alpha * ewma + (1.0 - alpha) * (sum(win) / len(win))
+        while load:
+            load -= ring[pos]
+            ring[pos] = 0
+            pos = pos + 1 if pos + 1 < n else 0
+            if fill < n:
+                fill += 1
+            ewma = alpha * ewma + beta * (load / fill)
             yield ewma
 
     def idle_forward_safe(self) -> bool:
@@ -201,10 +250,9 @@ class ModeController:
         falls and the check is trivially true."""
         if not self.adaptive or self.mode is not BACKPRESSURELESS:
             return True  # no spontaneous forward switch in this mode
-        high = self.thresholds.high
+        high = self.high
         if self.ewma > high:
             return False
-        window = self._window
         total = self._load
         if total == 0:
             return True  # pure decay, never rises
@@ -213,9 +261,9 @@ class ModeController:
         # window averages; each average divides a non-increasing sum
         # (zeros push samples out) by the smallest window length the
         # replay can see, so max(ewma, total/denom) bounds them all.
-        maxlen = self._window_len
-        n = len(window)
-        denom = n + 1 if n < maxlen else maxlen
+        n = len(self._ring)
+        fill = self._fill
+        denom = fill + 1 if fill < n else n
         if total / denom <= high:
             return True
         for ewma in self._drain_ewmas():
@@ -223,50 +271,46 @@ class ModeController:
                 return False
         return True
 
-    def idle_catch_up(self, cycles: int, entry: RouterModeStats) -> None:
-        """Replay ``cycles`` idle cycles of bookkeeping in a batch.
+    def idle_catch_up(self, cycles: int) -> None:
+        """Replay ``cycles`` idle cycles of load bookkeeping in a batch.
 
         Must only be called when the mode cannot have changed while
-        asleep (the engine guarantees it).  Replays the exact per-cycle
-        EWMA update so the result is bit-identical to ``cycles`` eager
-        ``record_load(0)`` calls — including the window-drain cycles
-        where the load window still holds non-zero samples — and
-        charges the residency counters in one add.
+        asleep (the engine guarantees it).  The result is bit-identical
+        to ``cycles`` eager ``record_load(0)`` calls: the drain cycles,
+        while the window still holds non-zero samples (at most
+        ``load_window`` of them), evaluate the per-cycle expression;
+        the rest multiply by alpha once per cycle.
         """
         if cycles <= 0:
             return
-        alpha = self._alpha
-        window = self._window
-        maxlen = self._window_len
+        ring = self._ring
+        n = len(ring)
+        pos = self._pos
+        fill = self._fill
+        load = self._load
         ewma = self.ewma
-        remaining = cycles
-        # Drain phase: until the window is all zeros (≤ maxlen appends)
-        # each cycle's average still depends on the shifting contents.
-        while remaining > 0 and any(window):
-            window.append(0)
-            if len(window) > maxlen:
-                del window[0]
-            window_avg = sum(window) / len(window)
-            ewma = alpha * ewma + (1.0 - alpha) * window_avg
-            remaining -= 1
-        if remaining > 0:
-            pad = min(remaining, maxlen - len(window))
-            if pad > 0:
-                window.extend([0] * pad)
-            # Identical expression to record_load(0): sum of an all-zero
-            # window divided by its (int) length is exactly 0.0.
-            window_avg = sum(window) / len(window)
-            beta = (1.0 - alpha) * window_avg
-            for _ in range(remaining):
-                ewma = alpha * ewma + beta
+        alpha = self._alpha
+        if load:
+            beta = self._beta
+            while load and cycles:
+                load -= ring[pos]
+                ring[pos] = 0
+                pos = pos + 1 if pos + 1 < n else 0
+                if fill < n:
+                    fill += 1
+                ewma = alpha * ewma + beta * (load / fill)
+                cycles -= 1
+            self._load = load
+        if cycles:
+            # ``alpha * e + (1 - alpha) * 0.0`` is ``alpha * e`` exactly
+            # (adding a zero rounds nothing), and ``math.prod`` folds
+            # left to right from ``start``: the eager loop's products.
+            ewma = math.prod(repeat(alpha, cycles), start=ewma)
+            pos = (pos + cycles) % n
+            fill = fill + cycles if fill + cycles < n else n
         self.ewma = ewma
-        self._load = sum(window)
-        if self.mode is BACKPRESSURELESS:
-            entry.backpressureless_cycles += cycles
-        elif self.mode is TRANSITION:
-            entry.transition_cycles += cycles
-        else:
-            entry.backpressured_cycles += cycles
+        self._pos = pos
+        self._fill = fill
 
     def idle_cycles_until_reverse(self) -> Optional[int]:
         """Idle cycles after which a backpressured router's decaying
@@ -292,19 +336,24 @@ class ModeController:
             if ewma < low:
                 return k
         alpha = self._alpha
-        beta = (1.0 - alpha) * 0.0  # exactly what record_load(0) adds
         for k in range(k + 1, 1 << 20):
-            ewma = alpha * ewma + beta
+            ewma = alpha * ewma
             if ewma < low:
                 return k
         return None  # pathological parameters: never sleeps on this
 
     # -- accounting ---------------------------------------------------------------
-    def tick_residency(self, entry: RouterModeStats) -> None:
-        """Charge this cycle to the current mode's residency counter."""
+    def charge_residency(self, entry: RouterModeStats, through: int) -> None:
+        """Charge the cycles from :attr:`charged_from` through
+        ``through`` to the current mode's residency counter in
+        ``entry``."""
+        cycles = through + 1 - self.charged_from
+        if cycles <= 0:
+            return
+        self.charged_from = through + 1
         if self.mode is BACKPRESSURELESS:
-            entry.backpressureless_cycles += 1
+            entry.backpressureless_cycles += cycles
         elif self.mode is TRANSITION:
-            entry.transition_cycles += 1
+            entry.transition_cycles += cycles
         else:
-            entry.backpressured_cycles += 1
+            entry.backpressured_cycles += cycles

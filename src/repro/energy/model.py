@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..network.config import CONTROL_BITS, Design, NetworkConfig
 from ..network.energy_hooks import EnergyMeter
@@ -251,8 +252,12 @@ class StaticEnergyCache:
     The per-cycle static integral only changes when some router's
     power-gating state flips, so the active-set cycle engine keeps the
     per-router leakage contributions cached and re-sums them only when a
-    router that actually stepped changed state.  Bit-identity with the
-    eager loop holds because each cached contribution is the very float
+    router reported a flip.  A router whose gating can flip
+    (``gating_can_flip``) gets an ``on_gating_flip`` hook that appends
+    its slot to :attr:`_flipped` (it captures that list and an int, so
+    no router refers back to this cache); :meth:`tick` re-reads those
+    routers' gating and clears the list.  Bit-identity with the eager
+    loop holds because each cached contribution is the very float
     ``bits * leak_per_bit * scale`` the eager loop would add (``x * 1.0
     == x`` covers the ungated case) and the re-sum accumulates them in
     the same router order from the same ``0.0`` start.
@@ -263,23 +268,24 @@ class StaticEnergyCache:
         params = meter.params
         leak = params.buffer_leak_pj_per_bit_cycle
         gated_scale = 1.0 - params.power_gating_effectiveness
-        self._routers = list(routers)
-        #: router index -> index into _vals for the routers whose gating
-        #: can flip (``gating_can_flip``); -1 for leakless routers and
-        #: for those whose contribution is fixed for the whole run,
-        #: which :meth:`tick` therefore never polls.
-        self._slot = [-1] * len(self._routers)
+        #: slot -> the router whose gating fills it, for the routers
+        #: whose gating can flip; fixed contributions have no entry.
+        self._flippable: Dict[int, object] = {}
+        #: Slots reported by their routers since the last tick.
+        self._flipped: List[int] = []
         #: per-slot (ungated, gated) contribution; indexed by the bool.
         self._pairs: List[Tuple[float, float]] = []
         self._gated: List[bool] = []
         self._vals: List[float] = []
         logic_leak = 0.0
-        for i, router in enumerate(self._routers):
+        for router in routers:
             bits = router.buffer_capacity_flits * meter.physical_bits
             if bits:
                 base = bits * leak
+                slot = len(self._vals)
                 if router.gating_can_flip:
-                    self._slot[i] = len(self._vals)
+                    self._flippable[slot] = router
+                    router.on_gating_flip = partial(self._flipped.append, slot)
                 self._pairs.append((base, base * gated_scale))
                 gated = bool(router.buffers_power_gated)
                 self._gated.append(gated)
@@ -289,23 +295,20 @@ class StaticEnergyCache:
         self._logic = logic_leak
         self._sum = sum(self._vals, 0.0)
 
-    def tick(self, stepped: Iterable[int]) -> None:
-        """Integrate one cycle; ``stepped`` are the router indices that
-        ran this cycle (the only ones whose gating state can have
-        flipped)."""
-        dirty = False
-        slots = self._slot
-        for i in stepped:
-            slot = slots[i]
-            if slot < 0:
-                continue
-            gated = self._routers[i].buffers_power_gated
-            if gated != self._gated[slot]:
-                self._gated[slot] = gated
-                self._vals[slot] = self._pairs[slot][gated]
-                dirty = True
-        if dirty:
-            self._sum = sum(self._vals, 0.0)
+    def tick(self) -> None:
+        """Integrate one cycle (after every router's step of it)."""
+        flipped = self._flipped
+        if flipped:
+            dirty = False
+            for slot in flipped:
+                gated = bool(self._flippable[slot].buffers_power_gated)
+                if gated != self._gated[slot]:
+                    self._gated[slot] = gated
+                    self._vals[slot] = self._pairs[slot][gated]
+                    dirty = True
+            flipped.clear()
+            if dirty:
+                self._sum = sum(self._vals, 0.0)
         meter = self._meter
         meter.buffer_static += self._sum
         meter.logic_static += self._logic

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .config import Design, NetworkConfig
 from .energy_hooks import EnergyMeter, NullEnergyMeter
@@ -39,8 +39,13 @@ class BaseRouter(ABC):
 
     design: Design
     #: True for routers whose :attr:`buffers_power_gated` can change
-    #: during a run; the static-energy cache polls only those.
+    #: during a run; such a router calls :attr:`on_gating_flip` (when
+    #: set) whenever it may have flipped.
     gating_can_flip = False
+    #: Zero-argument hook the static-energy cache installs on routers
+    #: whose gating can flip; it captures only plain state, so the
+    #: router holds no reference to the cache or the meter's owner.
+    on_gating_flip: Optional[Callable[[], object]] = None
     #: Sub-stage methods ``repro.obs.profiler`` times besides
     #: ``deliver`` and ``step``: stage -> the stages nested directly
     #: inside it (each under one parent; their time comes off the
@@ -146,11 +151,9 @@ class BaseRouter(ABC):
                 (d, ch._backflow._items)
                 for d, ch in self.out_channels.items()
             )
-        accept_flit = self._accept_flit
-        for direction, items in in_drain:
-            if items and items[0][0] <= cycle:
-                while items and items[0][0] <= cycle:
-                    accept_flit(items.pop(0)[1], direction, cycle)
+        # Backflow first: it touches only credit and mode-notice state,
+        # which no arrival reads, so an arrival sees the neighbours'
+        # tracking exactly as this cycle's step will.
         for direction, items in out_drain:
             if items and items[0][0] <= cycle:
                 while items and items[0][0] <= cycle:
@@ -159,6 +162,11 @@ class BaseRouter(ABC):
                         self._accept_credit(direction, message, cycle)
                     else:
                         self._accept_mode_notice(direction, message, cycle)
+        accept_flit = self._accept_flit
+        for direction, items in in_drain:
+            if items and items[0][0] <= cycle:
+                while items and items[0][0] <= cycle:
+                    accept_flit(items.pop(0)[1], direction, cycle)
 
     @abstractmethod
     def step(self, cycle: int) -> None:
@@ -201,8 +209,7 @@ class BaseRouter(ABC):
         """Replay ``cycles`` skipped idle cycles of bookkeeping.
 
         Default routers carry no per-cycle idle state, so this is a
-        no-op; AFC routers replay their EWMA decay and mode-residency
-        counters here.
+        no-op; AFC routers replay their EWMA decay here.
         """
 
     def self_wake_in(self) -> Optional[int]:
@@ -210,6 +217,10 @@ class BaseRouter(ABC):
         (e.g. an adaptive AFC router's EWMA decaying below the reverse
         threshold), or ``None`` when idling forever is a no-op."""
         return None
+
+    def sync_bookkeeping(self, through: int) -> None:
+        """Apply bookkeeping kept lazily through cycle ``through`` (AFC:
+        mode residency); called by ``Network.sync_bookkeeping``."""
 
     # -- shared helpers ----------------------------------------------------------
     # Neither helper counts energy: the step that calls them counts

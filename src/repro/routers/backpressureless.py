@@ -128,7 +128,8 @@ class DeflectionRouter(BaseRouter):
     name.  The AFC router *is* this router while in backpressureless
     mode (Section III) and runs :meth:`step` unchanged, contributing
     data: its neighbours' live credit rows as :attr:`_ok_rows`, their
-    credit states as :attr:`_neighbors`, and emergency buffering as
+    credit states as :attr:`_neighbors` with the count of those tracking
+    credits as :attr:`_tracked`, and emergency buffering as
     :meth:`_unplaced`.  The dropping router keeps the latch stage and
     replaces the cycle.  Neither is an instance of the pure design's
     class, so whatever names :class:`BackpressurelessRouter` (exact-type
@@ -141,8 +142,10 @@ class DeflectionRouter(BaseRouter):
     #: Port mask ``[direction][vnet]``, read when a port is chosen.
     _ok_rows = _UNMASKED
     #: Per-output credit state debited (``on_send``) for every flit
-    #: dispatched, or ``None`` when no neighbour keeps credits.
+    #: dispatched while :attr:`_tracked` is non-zero.
     _neighbors: Optional[dict] = None
+    #: One-element count of the neighbours that keep credits.
+    _tracked: Sequence[int] = (0,)
     STAGES = {"step": ("_eject_arrivals", "_inject")}
 
     def __init__(
@@ -228,7 +231,7 @@ class DeflectionRouter(BaseRouter):
             self._inject(assignment, cycle)
         # Credits are debited only here, at dispatch, so the mask was
         # pure throughout the allocation and injection above.
-        neighbors = self._neighbors
+        neighbors = self._neighbors if self._tracked[0] else None
         for out_port, flit in assignment.items():
             if neighbors is not None:
                 neighbors[out_port].on_send(flit.vnet)

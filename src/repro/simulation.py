@@ -472,7 +472,7 @@ class Network:
         self._current_node = -1
         cache = self._static_cache
         if cache is not None:
-            cache.tick(stepped)
+            cache.tick()
         else:
             self.energy.static_cycle(routers)
         self.stats.tick()
@@ -536,20 +536,27 @@ class Network:
                 heapq.heappush(self._todo, node)
 
     def sync_bookkeeping(self) -> None:
-        """Apply deferred bookkeeping of sleeping routers through the
-        last completed cycle (they stay asleep).
+        """Apply deferred per-router bookkeeping through the last
+        completed cycle: the EWMA decay of sleeping routers (they stay
+        asleep) and, on every engine, the mode residency AFC routers
+        charge only at mode changes and here.
 
         Call before reading lazily-maintained per-router state (EWMA
         load estimates, mode-residency counters) mid-run; ``run``,
         ``drain`` and ``begin_measurement`` call it themselves.
         """
-        if self.engine != "active":
-            return
+        if self._vector_engine is not None:
+            return  # the batch engine runs no router with lazy state
         upto = self.cycle - 1
-        for node, sleeping in enumerate(self._asleep):
-            if sleeping and self._slept_through[node] < upto:
-                self.routers[node].catch_up(upto - self._slept_through[node])
-                self._slept_through[node] = upto
+        if self.engine == "active":
+            for node, sleeping in enumerate(self._asleep):
+                if sleeping and self._slept_through[node] < upto:
+                    self.routers[node].catch_up(
+                        upto - self._slept_through[node]
+                    )
+                    self._slept_through[node] = upto
+        for router in self.routers:
+            router.sync_bookkeeping(upto)
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):

@@ -130,14 +130,14 @@ class OpenLoopSource:
         """Offer this cycle's packets (call once per cycle before
         ``network.step()``)."""
         cycle = self.network.cycle
+        draw = self.rng.random
+        interfaces = self.network.interfaces
+        limit = self.source_queue_limit
         for node, prob in enumerate(self._packet_prob):
-            if prob <= 0.0 or self.rng.random() >= prob:
+            if prob <= 0.0 or draw() >= prob:
                 continue
-            ni = self.network.interface(node)
-            if (
-                self.source_queue_limit is not None
-                and ni.source_queue_flits > self.source_queue_limit
-            ):
+            ni = interfaces[node]
+            if limit is not None and ni.source_queue_flits > limit:
                 continue
             dst = self.pattern.destination(node, self.rng)
             if dst is None or dst == node:

@@ -362,7 +362,7 @@ class TestSingleFlitPath:
         assert event_counts(meter) == {
             "latches": 1, "arbitrations": 1, "crossings": 1, "links": 1
         }
-        assert router._mode._window[-1] == 2  # one entry + one exit
+        assert router._mode.window[-1] == 2  # one entry + one exit
 
     def test_lone_flit_at_destination_ejects_without_a_draw(self):
         net, router, meter, before = self._router()
@@ -372,7 +372,7 @@ class TestSingleFlitPath:
         assert net.interface(4).flits_ejected_total == 1
         assert router.rng.getstate() == before.getstate()
         assert event_counts(meter) == {"latches": 1, "crossings": 1}
-        assert router._mode._window[-1] == 2
+        assert router._mode.window[-1] == 2
 
     def test_masked_first_choice_falls_to_the_next_productive_port(self):
         net, router, meter, before = self._router()
@@ -420,7 +420,7 @@ class TestSingleFlitPath:
         assert event_counts(meter) == {
             "latches": 1, "arbitrations": 2, "crossings": 2, "links": 2
         }
-        assert router._mode._window[-1] == 4  # two entries + two exits
+        assert router._mode.window[-1] == 4  # two entries + two exits
 
     def test_injection_alone_is_credit_masked(self):
         net, router, meter, before = self._router(node=3)
@@ -526,3 +526,84 @@ class TestBufferedCountMirror:
         ).run(1500)
         injector.drain(max_cycles=100_000)
         assert net.stats.credits_lost > 0 and net.stats.credit_resyncs > 0
+
+
+class TestLazyResidency:
+    """Mode residency is charged at mode changes and sync points, not
+    ticked per cycle.  After any ``sync_bookkeeping`` it must equal a
+    per-cycle count: a cycle counts towards the mode the router ends it
+    in, except that a forward switch's last transition cycle (whose end
+    completes the switch) counts as transition."""
+
+    LOW = {cls: ContentionThresholds(high=1.0, low=0.5) for cls in RouterClass}
+    RESIDENCY = (
+        "backpressureless_cycles",
+        "transition_cycles",
+        "backpressured_cycles",
+    )
+
+    def _run(self, engine):
+        reset_packet_ids()
+        net = Network(
+            NetworkConfig(width=4, height=4, thresholds=self.LOW),
+            Design.AFC,
+            seed=5,
+            engine=engine,
+        )
+        source = uniform_random_traffic(net, 0.2, seed=6)
+        names = {
+            Mode.BACKPRESSURELESS: "backpressureless_cycles",
+            Mode.TRANSITION: "transition_cycles",
+            Mode.BACKPRESSURED: "backpressured_cycles",
+        }
+        reference = {}
+        entered = {}
+
+        def cycle_start(cycle):
+            entered.update((r.node, r.mode) for r in net.routers)
+
+        def cycle_end(cycle):
+            for r in net.routers:
+                mode = r.mode
+                if entered[r.node] is Mode.TRANSITION:
+                    mode = Mode.TRANSITION
+                counts = reference.setdefault(
+                    r.node, dict.fromkeys(self.RESIDENCY, 0)
+                )
+                counts[names[mode]] += 1
+
+        net.subscribe("cycle_start", cycle_start)
+        net.subscribe("cycle_end", cycle_end)
+
+        def charged():
+            return {
+                node: {name: getattr(entry, name) for name in self.RESIDENCY}
+                for node, entry in net.stats.mode_stats.items()
+            }
+
+        # Warm up until a forward switch is in flight, then open the
+        # measurement window inside its transition.
+        while not any(r.mode is Mode.TRANSITION for r in net.routers):
+            source.tick()
+            net.step()
+        net.begin_measurement()
+        reference.clear()
+        checks = 0
+        for cycle in range(900):
+            if cycle < 450:
+                source.tick()  # then idle: EWMAs decay, routers reverse
+            net.step()
+            if cycle % 97 == 0:
+                net.sync_bookkeeping()
+                assert charged() == reference, f"cycle {net.cycle}"
+                checks += 1
+        net.sync_bookkeeping()
+        assert charged() == reference
+        modes = net.stats.mode_stats.values()
+        assert sum(m.forward_switches for m in modes) > 0
+        assert sum(m.reverse_switches for m in modes) > 0
+        assert checks >= 9
+        return fingerprint(net, source)
+
+    def test_matches_a_per_cycle_count_on_both_engines(self):
+        assert self._run("active") == self._run("naive")

@@ -138,14 +138,74 @@ class TestPolicy:
 
 
 class TestResidency:
-    def test_tick_charges_current_mode(self):
+    def test_charge_covers_the_cycles_since_the_last_charge(self):
         c = controller()
         entry = RouterModeStats()
-        c.tick_residency(entry)
-        c.begin_forward(cycle=0)
-        c.tick_residency(entry)
-        c.maybe_complete_forward(c.transition_window)
-        c.tick_residency(entry)
+        c.charge_residency(entry, through=0)
+        c.begin_forward(cycle=1)
+        c.charge_residency(entry, through=1)
+        c.maybe_complete_forward(1 + c.transition_window)
+        c.charge_residency(entry, through=2)
         assert entry.backpressureless_cycles == 1
         assert entry.transition_cycles == 1
         assert entry.backpressured_cycles == 1
+
+
+class TestBatchedDecay:
+    """``idle_catch_up`` replays idle cycles in a batch; the replay must
+    be bit-identical to the eager per-cycle updates it stands for."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        ewma=st.one_of(
+            st.floats(0.0, 1e3),
+            st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+        ),
+        alpha=st.floats(0.0, 1.0, exclude_max=True),
+        k=st.integers(0, 5000),
+    )
+    def test_product_form_is_the_eager_loop(self, ewma, alpha, k):
+        import math
+        from itertools import repeat
+
+        eager = ewma
+        for _ in range(k):
+            eager = alpha * eager + (1.0 - alpha) * 0.0
+        batched = math.prod(repeat(alpha, k), start=ewma)
+        assert batched.hex() == eager.hex()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        window=st.integers(1, 6),
+        alpha=st.floats(0.0, 1.0, exclude_max=True),
+        history=st.lists(st.integers(0, 12), max_size=20),
+        k=st.integers(0, 60),
+    )
+    def test_catch_up_matches_eager_idle_cycles(
+        self, window, alpha, history, k
+    ):
+        """From any ring state — partly filled, any wrap position,
+        non-zero samples still draining — ``idle_catch_up(k)`` leaves
+        the EWMA, the ring and the running load as ``k`` eager
+        ``record_load(0)`` calls do."""
+        eager = controller(load_window=window, ewma_alpha=alpha)
+        batched = controller(load_window=window, ewma_alpha=alpha)
+        for load in history:
+            eager.record_load(load)
+            batched.record_load(load)
+        for _ in range(k):
+            eager.record_load(0)
+        batched.idle_catch_up(k)
+        assert batched.ewma.hex() == eager.ewma.hex()
+        assert batched._ring == eager._ring
+        assert batched._pos == eager._pos
+        assert batched._fill == eager._fill
+        assert batched._load == eager._load == sum(eager._ring)
+        assert batched.window == eager.window
+
+    def test_record_load_keeps_the_last_samples_oldest_first(self):
+        c = controller(load_window=3)
+        for load in (1, 2, 3, 4, 5):
+            c.record_load(load)
+        assert c.window == [3, 4, 5]
+        assert c._load == 12

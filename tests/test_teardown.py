@@ -36,17 +36,26 @@ def no_cyclic_gc():
         gc.enable()
 
 
+#: Weak references to one router and the static-energy cache (when
+#: there is one) of every network the harness builds: a cycle between
+#: them outlives the network without keeping the network itself alive.
+_NETWORK_PARTS = []
+
+
 @pytest.fixture
 def simulated(monkeypatch):
     """Weak references to every network and traffic driver the harness
-    builds (a faulted run's driver is its ``(injector, source)`` pair)."""
+    builds (a faulted run's driver is its ``(injector, source)`` pair);
+    their routers and caches go to :data:`_NETWORK_PARTS`."""
     refs = []
+    _NETWORK_PARTS.clear()
     simulate = experiment._simulate
 
     def recording(job, build, phases):
         net, driver, outcome, payload = simulate(job, build, phases)
         parts = driver if isinstance(driver, tuple) else (driver,)
         refs.extend(weakref.ref(obj) for obj in (net,) + parts)
+        _NETWORK_PARTS.extend(_network_parts(net))
         return net, driver, outcome, payload
 
     monkeypatch.setattr(experiment, "_simulate", recording)
@@ -57,20 +66,28 @@ def _alive(refs):
     return [type(ref()).__name__ for ref in refs if ref() is not None]
 
 
+def _network_parts(net):
+    """Weak references to a router of ``net`` and its static-energy
+    cache, if it has one."""
+    parts = (net.routers[0], net._static_cache)
+    return [weakref.ref(obj) for obj in parts if obj is not None]
+
+
 def _open_loop_run(design, engine):
     net = Network(NetworkConfig(width=4, height=4), design, seed=1,
                   engine=engine)
     source = uniform_random_traffic(net, 0.3, seed=2, source_queue_limit=60)
     source.run(300)
     assert net.stats.packets_completed > 0
-    return weakref.ref(net), weakref.ref(source)
+    return (weakref.ref(net), weakref.ref(source)), _network_parts(net)
 
 
 @pytest.mark.parametrize("engine", ["active", "naive"])
 @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
 def test_open_loop_run_is_freed(design, engine, no_cyclic_gc):
-    refs = _open_loop_run(design, engine)
+    refs, parts = _open_loop_run(design, engine)
     assert _alive(refs) == []
+    assert parts and _alive(parts) == []
 
 
 @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
@@ -80,6 +97,8 @@ def test_closed_loop_run_is_freed(design, simulated, no_cyclic_gc):
     assert result.performance > 0
     # The network and its memory system.
     assert len(simulated) == 2 and _alive(simulated) == []
+    # A router and the static-energy cache of the network.
+    assert _NETWORK_PARTS and _alive(_NETWORK_PARTS) == []
 
 
 def test_sanitized_run_is_freed(simulated, no_cyclic_gc):
