@@ -4,19 +4,22 @@ Exercises the full lifecycle against a real ``repro serve`` child
 process:
 
 1. start the server on an ephemeral localhost port;
-2. submit a job and a concurrent duplicate — the duplicate must attach
+2. submit a malformed spec (``seeds: 1.5``) — refused at the front
+   door with an error naming the field: it is never queued, and no job
+   fails later in a worker;
+3. submit a job and a concurrent duplicate — the duplicate must attach
    to the in-flight job (single-flight), not run again;
-3. SIGKILL a worker process mid-run — the service must retry the lost
+4. SIGKILL a worker process mid-run — the service must retry the lost
    seed and still finish the job;
-4. resubmit after completion — a cache hit, zero extra seed units;
-5. watch one running job — a seed's heartbeat snapshot must reach the
+5. resubmit after completion — a cache hit, zero extra seed units;
+6. watch one running job — a seed's heartbeat snapshot must reach the
    stream (a non-terminal frame with a live seed past cycle 0) before
    the terminal frame;
-6. drain one small job of every other experiment kind, so that every
+7. drain one small job of every other experiment kind, so that every
    kind runs in a forked worker of a real server;
-7. restart the server over the same store — the result survives and
+8. restart the server over the same store — the result survives and
    still answers as a cache hit;
-8. shut down cleanly.
+9. shut down cleanly.
 
 Exit 0 = every property held.  Uses wall-clock timeouts only to bound
 the smoke itself; every simulation result is deterministic.
@@ -39,7 +42,7 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.service import KINDS, ServiceClient  # noqa: E402
+from repro.service import KINDS, ServiceClient, ServiceError  # noqa: E402
 
 #: Big enough that a worker is observably mid-run when we kill it.
 SPEC = {
@@ -114,6 +117,18 @@ def main() -> int:
         with ServiceClient(host="127.0.0.1", port=port) as client:
             assert client.ping()["pong"] is True
 
+            # -- a malformed spec never takes a queue slot -----------
+            try:
+                client.submit({**SPEC, "seeds": 1.5})
+            except ServiceError as exc:
+                refusal = str(exc)
+            else:
+                raise AssertionError("a spec with seeds=1.5 was admitted")
+            assert "seeds" in refusal, refusal
+            counters = client.queue()["counters"]
+            assert counters["submitted"] == 0, counters
+            log(f"malformed spec refused at admission: {refusal}")
+
             # -- submit + concurrent duplicate (single-flight) -------
             first = client.submit(SPEC)
             assert first["status"] == "queued", first
@@ -182,6 +197,8 @@ def main() -> int:
                 )
                 assert done["status"] == "done", done
             log(f"drained one job of each kind: {', '.join(kinds)}")
+            counters = client.queue()["counters"]
+            assert counters["jobs_failed"] == 0, counters
 
             client.shutdown()
         server.wait(timeout=30)

@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.afc_router import AfcRouter
 from ..core.mode_controller import Mode
+from ..domain import Integer
 from ..simulation import Network
 
 
@@ -46,10 +47,8 @@ class TimeSeriesProbe:
         every: int = 100,
         jsonl_path: Optional[str] = None,
     ) -> None:
-        if every <= 0:
-            raise ValueError("sampling interval must be positive")
         self.network = network
-        self.every = every
+        self.every = Integer(1).check("every", every)
         self.jsonl_path = jsonl_path
         self.cycles: List[int] = []
         self.series: Dict[str, List[float]] = {}

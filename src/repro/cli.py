@@ -39,16 +39,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 # Only what building the parser needs loads with the module; each
 # command imports what it runs (docs/PERFORMANCE.md, "Start-up").
 from . import __version__
-from .harness.experiment import KINDS, MAIN_DESIGNS
+from .domain import Domain, Integer, Real, domain_of
+from .faults.protection import ProtectionConfig
+from .faults.schedule import FaultSpec
+from .harness.experiment import JOBS, KINDS, MAIN_DESIGNS, RATE, SEEDS
+from .harness.experiment import MEASURE, WARMUP
 from .network.config import Design, NetworkConfig
+from .network.topology import SIDE
+from .traffic.patterns import HOTSPOT_FRACTION
 from .traffic.workloads import WORKLOADS
 
 #: Designs compared by the resilience experiments (the paper's three
@@ -76,52 +81,18 @@ def _workload(value: str):
         )
 
 
-def _offered_rate(value: str) -> float:
-    rate = float(value)
-    if not 0.0 < rate <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"offered rate must be in (0, 1] flits/node/cycle, got {value}"
-        )
-    return rate
+def _flag(domain: Domain) -> Callable[[str], Any]:
+    """The argparse type of a flag admitting what ``domain`` admits, its
+    rule the usage error."""
 
+    def parse(text: str) -> Any:
+        try:
+            return domain.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _nonneg_float(value: str) -> float:
-    parsed = float(value)
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return parsed
-
-
-def _positive_float(value: str) -> float:
-    parsed = float(value)
-    if not 0 < parsed < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {value}"
-        )
-    return parsed
-
-
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return parsed
-
-
-def _nonneg_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return parsed
-
-
-def _mesh_side(value: str) -> int:
-    parsed = int(value)
-    if parsed < 2:
-        raise argparse.ArgumentTypeError(
-            f"mesh must be at least 2x2, got {value}"
-        )
-    return parsed
+    parse.domain = domain  # type: ignore[attr-defined]
+    return parse
 
 
 def _emit_json(payload: Any) -> None:
@@ -130,27 +101,27 @@ def _emit_json(payload: Any) -> None:
 
 def _add_common(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
     parser.add_argument(
-        "--width", type=_mesh_side, default=3, help="mesh width"
+        "--width", type=_flag(SIDE), default=3, help="mesh width"
     )
     parser.add_argument(
-        "--height", type=_mesh_side, default=3, help="mesh height"
+        "--height", type=_flag(SIDE), default=3, help="mesh height"
     )
     parser.add_argument(
-        "--warmup", type=_nonneg_int, default=2_000, help="warmup cycles"
+        "--warmup", type=_flag(WARMUP), default=2_000, help="warmup cycles"
     )
     parser.add_argument(
-        "--measure", type=_positive_int, default=6_000, help="measured cycles"
+        "--measure", type=_flag(MEASURE), default=6_000, help="measured cycles"
     )
     parser.add_argument(
         "--seeds",
-        type=_positive_int,
+        type=_flag(SEEDS),
         default=1,
         help="independent runs to average",
     )
     if jobs:
         parser.add_argument(
             "--jobs",
-            type=_positive_int,
+            type=_flag(JOBS),
             default=1,
             help=(
                 "worker processes for independent runs (1 = serial; "
@@ -201,7 +172,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-capacity",
-        type=_positive_int,
+        type=_flag(Integer(1)),
         default=1 << 17,
         help="trace ring-buffer capacity in events (oldest are dropped)",
     )
@@ -1093,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--design", type=_design, default=Design.AFC)
     run.add_argument(
         "--probe-every",
-        type=_positive_int,
+        type=_flag(Integer(1)),
         default=None,
         help=(
             "sample throughput / latency / AFC mode residency every N "
@@ -1132,11 +1103,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     trace.add_argument("--design", type=_design, default=Design.AFC)
-    trace.add_argument("--width", type=int, default=4, help="mesh width")
-    trace.add_argument("--height", type=int, default=4, help="mesh height")
+    trace.add_argument(
+        "--width", type=_flag(SIDE), default=4, help="mesh width"
+    )
+    trace.add_argument(
+        "--height", type=_flag(SIDE), default=4, help="mesh height"
+    )
     trace.add_argument(
         "--rate",
-        type=_offered_rate,
+        type=_flag(RATE),
         default=0.40,
         help="offered load in flits/node/cycle, in (0, 1]",
     )
@@ -1151,12 +1126,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--hotspot-fraction",
-        type=_nonneg_float,
+        type=_flag(HOTSPOT_FRACTION),
         default=0.5,
         help="fraction of packets destined to the hotspot node",
     )
     trace.add_argument(
-        "--cycles", type=_positive_int, default=2_000, help="cycles to run"
+        "--cycles", type=_flag(Integer(1)), default=2_000, help="cycles to run"
     )
     trace.add_argument(
         "--seed", type=int, default=1, help="network (per-router RNG) seed"
@@ -1166,13 +1141,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--queue-limit",
-        type=_positive_int,
+        type=_flag(Integer(1)),
         default=64,
         help="source queue limit (bounds open-loop backlog)",
     )
     trace.add_argument(
         "--capacity",
-        type=_positive_int,
+        type=_flag(Integer(1)),
         default=1 << 17,
         help="trace ring-buffer capacity in events",
     )
@@ -1195,7 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="open-loop uniform-random sweep")
     sweep.add_argument(
         "--rates",
-        type=_offered_rate,
+        type=_flag(RATE),
         nargs="+",
         default=[0.2, 0.4, 0.6, 0.8],
         help="offered loads in flits/node/cycle, each in (0, 1]",
@@ -1212,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--rate",
-        type=_offered_rate,
+        type=_flag(RATE),
         default=0.25,
         help="offered load in flits/node/cycle, in (0, 1]",
     )
@@ -1227,55 +1202,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--flap-rate",
-        type=_nonneg_float,
+        type=_flag(domain_of(FaultSpec, "link_flap_rate")),
         default=4.0,
         help="transient link flaps per 1000 cycles (whole network)",
     )
     faults.add_argument(
         "--flap-duration",
-        type=_positive_int,
+        type=_flag(domain_of(FaultSpec, "flap_duration")),
         default=30,
         help="cycles a flapped link stays down",
     )
     faults.add_argument(
         "--bit-error-rate",
-        type=_nonneg_float,
+        type=_flag(domain_of(FaultSpec, "bit_error_rate")),
         default=2.0,
         help="flit bit-error events per 1000 cycles",
     )
     faults.add_argument(
         "--credit-loss-rate",
-        type=_nonneg_float,
+        type=_flag(domain_of(FaultSpec, "credit_loss_rate")),
         default=2.0,
         help="credit-loss events per 1000 cycles",
     )
     faults.add_argument(
         "--credit-loss-burst",
-        type=_positive_int,
+        type=_flag(domain_of(FaultSpec, "credit_loss_burst")),
         default=4,
         help="credits destroyed per credit-loss event",
     )
     faults.add_argument(
         "--link-kills",
-        type=_nonneg_int,
+        type=_flag(domain_of(FaultSpec, "link_kills")),
         default=0,
         help="permanent link kills",
     )
     faults.add_argument(
         "--router-kills",
-        type=_nonneg_int,
+        type=_flag(domain_of(FaultSpec, "router_kills")),
         default=0,
         help="permanent router kills",
     )
     faults.add_argument(
         "--max-retries",
-        type=_nonneg_int,
+        type=_flag(domain_of(ProtectionConfig, "max_retries")),
         default=4,
         help="retransmissions before a packet is orphaned",
     )
     faults.add_argument(
         "--ack-timeout",
-        type=_positive_int,
+        type=_flag(domain_of(ProtectionConfig, "ack_timeout")),
         default=2_000,
         help="cycles without completion before source retransmits",
     )
@@ -1362,33 +1337,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_flag(JOBS),
         default=2,
         help="concurrent seed worker processes",
     )
     serve.add_argument(
         "--queue-limit",
-        type=_positive_int,
+        type=_flag(Integer(1)),
         default=64,
         help="queued jobs admitted before submissions are shed",
     )
     serve.add_argument(
         "--seed-timeout",
-        type=_positive_float,
+        type=_flag(Real(0.0, open_low=True)),
         default=600.0,
         help="wall-clock seconds one seed may take before its worker "
         "is killed and retried",
     )
     serve.add_argument(
         "--heartbeat-timeout",
-        type=_positive_float,
+        type=_flag(Real(0.0, open_low=True)),
         default=30.0,
         help="seconds without a message from a worker before it counts "
         "as stalled",
     )
     serve.add_argument(
         "--retries",
-        type=_nonneg_int,
+        type=_flag(Integer(0)),
         default=2,
         help="crash/stall/timeout retries per seed unit",
     )
@@ -1429,7 +1404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--max-snapshots",
-        type=_positive_int,
+        type=_flag(Integer(1)),
         default=None,
         help="stop after N snapshots even if the job is still running",
     )
@@ -1506,7 +1481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--rate",
-        type=_offered_rate,
+        type=_flag(RATE),
         default=0.25,
         help="open-loop / faulted offered load",
     )
@@ -1577,11 +1552,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     derive.add_argument(
         "--rate",
-        type=float,
+        type=_flag(RATE),
         default=None,
         help="switch load (default: find the latency crossover)",
     )
-    derive.add_argument("--hysteresis", type=float, default=0.7)
+    derive.add_argument(
+        "--hysteresis",
+        type=_flag(Real(0.0, 1.0, open_low=True, open_high=True)),
+        default=0.7,
+        help="low threshold as a fraction of the high one, in (0, 1)",
+    )
     _add_common(derive)
     derive.set_defaults(func=_cmd_derive_thresholds)
     return parser

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..network.flit import Flit, VirtualNetwork
+from ..network.flit import NUM_VNETS, VNETS, Flit, VirtualNetwork
 
 
 class BufferBank:
@@ -61,10 +61,10 @@ class LazyInputPort:
         #: the port stands alone).
         self._bank = bank if bank is not None else BufferBank()
         self.capacity: Dict[VirtualNetwork, int] = {
-            vnet: count for vnet, count in zip(VirtualNetwork, vcs)
+            vnet: count for vnet, count in zip(VNETS, vcs)
         }
         self._by_vnet: Dict[VirtualNetwork, List[Flit]] = {
-            vnet: [] for vnet in VirtualNetwork
+            vnet: [] for vnet in VNETS
         }
         #: Running total across vnets (occupancy is polled every cycle
         #: by energy gating and the activity scheduler).
@@ -82,7 +82,7 @@ class LazyInputPort:
     def occupied_tuple(self) -> Tuple[int, int, int]:
         """Per-vnet occupancy, in VirtualNetwork order (for START
         notifications)."""
-        counts = tuple(len(self._by_vnet[vnet]) for vnet in VirtualNetwork)
+        counts = tuple(len(self._by_vnet[vnet]) for vnet in VNETS)
         return counts  # type: ignore[return-value]
 
     @property
@@ -161,7 +161,7 @@ class NeighborCreditState:
         self, vcs: Sequence[int], tracked: Optional[List[int]] = None
     ) -> None:
         self.capacity: Dict[VirtualNetwork, int] = {
-            vnet: count for vnet, count in zip(VirtualNetwork, vcs)
+            vnet: count for vnet, count in zip(VNETS, vcs)
         }
         self.tracking = False
         self.credits: Dict[VirtualNetwork, int] = dict(self.capacity)
@@ -174,7 +174,7 @@ class NeighborCreditState:
         #: less often than allocation reads them).  The list object is
         #: stable for the state's lifetime: routers cache it and index
         #: it directly in their allocation loops.
-        self.ok: List[bool] = [True] * len(VirtualNetwork)
+        self.ok: List[bool] = [True] * NUM_VNETS
         #: Credits held back per vnet, and the cycle the last of them is
         #: released (both 0 outside the settling phase after a START).
         self.reserve = 0
@@ -196,7 +196,7 @@ class NeighborCreditState:
         self.tracking = True
         self.reserve = reserve
         self.settled_at = cycle + reserve
-        for vnet, occ in zip(VirtualNetwork, occupied):
+        for vnet, occ in zip(VNETS, occupied):
             self.credits[vnet] = self.capacity[vnet] - occ
             if self.credits[vnet] < 0:
                 raise RuntimeError("occupancy snapshot exceeds capacity")

@@ -24,13 +24,18 @@ stated 30–40 % band; absolute joules are not meaningful, ratios are.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..domain import Real, validate
 from ..network.config import CONTROL_BITS, Design, NetworkConfig
 from ..network.energy_hooks import EnergyMeter
+
+
+#: A per-event energy or a leakage rate, and an activity fraction.
+_ENERGY = Real(0.0)
+_FRACTION = Real(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -38,46 +43,24 @@ class EnergyParameters:
     """Per-event energies (pJ) and leakage (pJ/cycle) at the paper's
     technology point (70 nm, 1.0 V, 3 GHz, 2.5 mm links)."""
 
-    buffer_write_pj_per_bit: float = 0.030
-    buffer_read_pj_per_bit: float = 0.030
-    crossbar_pj_per_bit: float = 0.060
-    link_pj_per_bit: float = 0.400
-    latch_pj_per_bit: float = 0.010
-    arbiter_pj: float = 0.50
-    credit_pj: float = 0.20
-    buffer_leak_pj_per_bit_cycle: float = 4.6e-4
-    logic_leak_pj_per_port_cycle: float = 0.94
+    # Each prices every event of its kind: a negative energy once
+    # reported -8078 pJ of link energy, NaN poisons every total.
+    buffer_write_pj_per_bit: float = _ENERGY.field(0.030)
+    buffer_read_pj_per_bit: float = _ENERGY.field(0.030)
+    crossbar_pj_per_bit: float = _ENERGY.field(0.060)
+    link_pj_per_bit: float = _ENERGY.field(0.400)
+    latch_pj_per_bit: float = _ENERGY.field(0.010)
+    arbiter_pj: float = _ENERGY.field(0.50)
+    credit_pj: float = _ENERGY.field(0.20)
+    buffer_leak_pj_per_bit_cycle: float = _ENERGY.field(4.6e-4)
+    logic_leak_pj_per_port_cycle: float = _ENERGY.field(0.94)
     #: Switching-activity factor of control bits relative to data bits.
-    control_activity: float = 0.30
+    control_activity: float = _FRACTION.field(0.30)
     #: Fraction of buffer leakage removed by coarse power gating.
-    power_gating_effectiveness: float = 0.90
+    power_gating_effectiveness: float = _FRACTION.field(0.90)
 
     def __post_init__(self) -> None:
-        for name in _ENERGY_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # false for NaN too
-                raise ValueError(
-                    f"{name} must be a finite energy >= 0 (got {value!r}): "
-                    "it prices every event of its kind"
-                )
-        if not 0.0 <= self.control_activity <= 1.0:
-            raise ValueError("control_activity must be in [0, 1]")
-        if not 0.0 <= self.power_gating_effectiveness <= 1.0:
-            raise ValueError("power_gating_effectiveness must be in [0, 1]")
-
-
-#: The per-event energy and leakage fields of :class:`EnergyParameters`.
-_ENERGY_FIELDS = (
-    "buffer_write_pj_per_bit",
-    "buffer_read_pj_per_bit",
-    "crossbar_pj_per_bit",
-    "link_pj_per_bit",
-    "latch_pj_per_bit",
-    "arbiter_pj",
-    "credit_pj",
-    "buffer_leak_pj_per_bit_cycle",
-    "logic_leak_pj_per_port_cycle",
-)
+        validate(self)
 
 
 DEFAULT_ENERGY_PARAMETERS = EnergyParameters()

@@ -38,6 +38,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from ..domain import Integer, validate
 from ..network.flit import Flit, Packet
 from ..network.interface import NetworkInterface
 from ..network.reassembly import CompletedPacket
@@ -48,34 +49,23 @@ class ProtectionConfig:
     """Knobs of the protection protocol (picklable for the harness)."""
 
     #: Full-packet retransmissions allowed before orphaning.
-    max_retries: int = 4
+    max_retries: int = Integer(0).field(4)
     #: Cycles from a NACK to the re-offer at the source (models the
     #: reverse-path latency of the NACK message).
-    nack_latency: int = 8
+    nack_latency: int = Integer(1).field(8)
     #: Cycles without completion after a (re)send before the source
     #: retransmits on its own.
-    ack_timeout: int = 2000
+    ack_timeout: int = Integer(1).field(2000)
     #: Period of the timeout scan and the heap service.
-    check_interval: int = 64
+    check_interval: int = Integer(1).field(64)
     #: Period of credit-timeout resynthesis (injector-side; 0 disables).
-    credit_resync_interval: int = 64
+    credit_resync_interval: int = Integer(0).field(64)
     #: Cycles from a permanent kill to the route-table patch (models
     #: fault detection plus table reconfiguration).
-    reroute_delay: int = 32
+    reroute_delay: int = Integer(0).field(32)
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.nack_latency < 1:
-            raise ValueError("nack_latency must be >= 1")
-        if self.ack_timeout < 1:
-            raise ValueError("ack_timeout must be >= 1")
-        if self.check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
-        if self.credit_resync_interval < 0:
-            raise ValueError("credit_resync_interval must be >= 0")
-        if self.reroute_delay < 0:
-            raise ValueError("reroute_delay must be >= 0")
+        validate(self)
 
 
 def publish_fault(net, counter: str) -> None:

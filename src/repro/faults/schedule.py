@@ -37,12 +37,12 @@ Fault kinds
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Sequence, Tuple
 
+from ..domain import Integer, OneOf, Real, validate
 from ..network.topology import Mesh
 
 
@@ -66,18 +66,18 @@ class FaultEvent:
     channel); for ``ROUTER_KILL`` only ``a`` is meaningful.
     """
 
-    cycle: int
-    kind: FaultKind
-    a: int
-    b: int = -1
+    cycle: int = Integer(0).field()
+    kind: FaultKind = OneOf(FaultKind).field()
+    a: int = Integer(0).field()
+    #: -1 when the fault has no second endpoint (``ROUTER_KILL``).
+    b: int = Integer(-1).field(-1)
     #: LINK_FLAP only: number of cycles the link stays down.
-    duration: int = 0
+    duration: int = Integer(0).field(0)
     #: BIT_ERROR / CREDIT_LOSS only: number of flits / credits hit.
-    count: int = 1
+    count: int = Integer(0).field(1)
 
     def __post_init__(self) -> None:
-        if self.cycle < 0:
-            raise ValueError("fault cycle must be >= 0")
+        validate(self)
         if self.kind is FaultKind.LINK_FLAP and self.duration <= 0:
             raise ValueError("LINK_FLAP needs a positive duration")
         if self.kind in (FaultKind.BIT_ERROR, FaultKind.CREDIT_LOSS) and self.count <= 0:
@@ -128,26 +128,18 @@ class FaultSchedule:
         """Generate a schedule over ``[start, start + horizon)``.
 
         Rates are expected event counts per 1000 cycles across the whole
-        network.  Permanent kills are placed in the first half of the
-        window so their aftermath is actually observed.  The result
-        depends only on the arguments — never on global RNG state.
+        network; rates and counts are a :class:`FaultSpec`'s, checked
+        when it was built.  Permanent kills are placed in the first half
+        of the window so their aftermath is actually observed.  The
+        result depends only on the arguments — never on global RNG state.
         """
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        for name, rate in (
-            ("link_flap_rate", link_flap_rate),
-            ("bit_error_rate", bit_error_rate),
-            ("credit_loss_rate", credit_loss_rate),
-        ):
-            if rate < 0:
-                raise ValueError(f"{name} must be >= 0")
         rng = random.Random(f"faultsched:{seed}")
         # Undirected physical links, sorted for order independence.
         pairs: List[Tuple[int, int]] = sorted(
             {(min(a, b), max(a, b)) for a, _d, b in mesh.links()}
         )
-        if not pairs:
-            raise ValueError("mesh has no links to fault")
 
         def cycles_for(rate: float) -> List[int]:
             n = int(round(rate * horizon / 1000.0))
@@ -194,34 +186,20 @@ class FaultSpec:
     independent of worker scheduling.
     """
 
-    seed: int = 0
-    link_flap_rate: float = 0.0
-    flap_duration: int = 30
-    bit_error_rate: float = 0.0
-    credit_loss_rate: float = 0.0
-    credit_loss_burst: int = 4
-    link_kills: int = 0
-    router_kills: int = 0
+    seed: int = Integer().field(0)
+    #: Expected events per 1000 cycles across the whole network.
+    link_flap_rate: float = Real(0.0).field(0.0)
+    flap_duration: int = Integer(1).field(30)
+    bit_error_rate: float = Real(0.0).field(0.0)
+    credit_loss_rate: float = Real(0.0).field(0.0)
+    credit_loss_burst: int = Integer(1).field(4)
+    link_kills: int = Integer(0).field(0)
+    router_kills: int = Integer(0).field(0)
 
     def __post_init__(self) -> None:
-        # Rejected here, so that an illegal spec never gets a job key
+        # Checked here, so that an illegal spec never gets a job key
         # and then fails inside a worker.
-        for name in ("link_flap_rate", "bit_error_rate", "credit_loss_rate"):
-            rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ValueError(
-                    f"{name} must be a finite rate >= 0 (got {rate})"
-                )
-        for name, least in (
-            ("flap_duration", 1),
-            ("credit_loss_burst", 1),
-            ("link_kills", 0),
-            ("router_kills", 0),
-        ):
-            if getattr(self, name) < least:
-                raise ValueError(
-                    f"{name} must be >= {least} (got {getattr(self, name)})"
-                )
+        validate(self)
 
     def schedule(
         self, mesh: Mesh, start: int, horizon: int, salt: object = 0

@@ -35,6 +35,7 @@ from typing import (
     Union,
 )
 
+from ..domain import Integer, OneOf, Real
 from ..energy.model import EnergyBreakdown
 from ..faults.protection import ProtectionConfig
 from ..faults.schedule import FaultSpec
@@ -670,33 +671,16 @@ KINDS: Dict[str, Kind] = {
     ),
 }
 
-def kind_entry(name: str) -> Kind:
-    """``KINDS[name]``, for names that arrive from argv, JSON or disk."""
-    try:
-        return KINDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment kind {name!r}; choose from {tuple(KINDS)}"
-        ) from None
-
-
-#: Least legal value of each count a runner or a job spec takes.
-_COUNT_MINIMUMS = {
-    "seeds": 1,
-    "warmup_cycles": 0,
-    "measure_cycles": 1,
-    "jobs": 1,
-}
-
-
-def check_counts(**counts: int) -> None:
-    """Raise ``ValueError`` naming the first count below its minimum in
-    :data:`_COUNT_MINIMUMS` (a zero-seed run has nothing to fold, a
-    zero-cycle window no rate to report)."""
-    for name, value in counts.items():
-        least = _COUNT_MINIMUMS[name]
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+#: The domain of a kind's name (as it arrives from argv, JSON or disk),
+#: of each count a runner or a job spec takes (a zero-seed run has
+#: nothing to fold, a zero-cycle window no rate to report), and of an
+#: offered load in flits/node/cycle.  The CLI types its flags from these.
+KIND = OneOf(KINDS)
+SEEDS = Integer(1)
+WARMUP = Integer(0)
+MEASURE = Integer(1)
+JOBS = Integer(1)
+RATE = Real(0.0, 1.0, open_low=True)
 
 
 class ExperimentRunner:
@@ -715,20 +699,14 @@ class ExperimentRunner:
         obs: Optional[ObservabilityOptions] = None,
         engine: str = "active",
     ) -> None:
-        check_counts(
-            seeds=seeds,
-            warmup_cycles=warmup_cycles,
-            measure_cycles=measure_cycles,
-            jobs=jobs,
-        )
-        self.config = config if config is not None else NetworkConfig()
-        self.machine = machine
-        self.warmup_cycles = warmup_cycles
-        self.measure_cycles = measure_cycles
-        self.seeds = seeds
+        self.seeds = SEEDS.check("seeds", seeds)
+        self.warmup_cycles = WARMUP.check("warmup_cycles", warmup_cycles)
+        self.measure_cycles = MEASURE.check("measure_cycles", measure_cycles)
         #: Worker processes for the per-seed runs; 1 = serial.  Results
         #: are bit-identical at any job count (see :func:`map_jobs`).
-        self.jobs = jobs
+        self.jobs = JOBS.check("jobs", jobs)
+        self.config = config if config is not None else NetworkConfig()
+        self.machine = machine
         #: First per-run seed; runs use ``base_seed .. base_seed+seeds-1``.
         #: Explicit so every RNG stream (traffic, per-router, fault
         #: schedules) derives from the job description alone — worker

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Tuple
 
-from .flit import VirtualNetwork
-from .topology import Mesh, RouterClass, integer, mesh_side
+from ..domain import Each, Integer, Only, Real, validate
+from .flit import NUM_VNETS, VirtualNetwork
+from .topology import SIDE, Mesh, RouterClass
 
 
 class Design(Enum):
@@ -109,11 +110,12 @@ class ContentionThresholds:
     corners, 2.1/1.3 for edges, 2.2/1.7 for center routers).
     """
 
-    high: float
-    low: float
+    high: float = Real(0.0, open_low=True).field()
+    low: float = Real(0.0, open_low=True).field()
 
     def __post_init__(self) -> None:
-        if not 0 < self.low < self.high:
+        validate(self)
+        if not self.low < self.high:
             raise ValueError(
                 f"need 0 < low < high, got low={self.low}, high={self.high}"
             )
@@ -137,146 +139,88 @@ class NetworkConfig:
     (8 + 8 + 16) one-flit VCs.
     """
 
-    width: int = 3
-    height: int = 3
+    width: int = SIDE.field(3)
+    height: int = SIDE.field(3)
 
     # -- timing -----------------------------------------------------------
     #: Link traversal latency L in cycles.
-    link_latency: int = 2
-    #: Router pipeline depth (Table I: 2 stages for every design).
-    router_stages: int = 2
+    link_latency: int = Integer(1).field(2)
+    #: Router pipeline depth (Table I: 2 stages for every design); no
+    #: router is modelled with another depth.
+    router_stages: int = Only(2).field(2)
 
     # -- flit geometry ------------------------------------------------------
-    data_bits: int = 32
-    #: Control packet length in flits (request / short ack).
-    control_packet_flits: int = 2
+    #: Flit width scales every energy term, negative joules included.
+    data_bits: int = Integer(1).field(32)
+    #: Control packet length in flits (request / short ack); every
+    #: packet carries at least its head flit.
+    control_packet_flits: int = Integer(1).field(2)
     #: Data packet length in flits: a 64-byte line over 32-bit flits plus
     #: two header/command flits.
-    data_packet_flits: int = 18
+    data_packet_flits: int = Integer(1).field(18)
 
     # -- baseline buffer layout (per input port) ----------------------------
     #: VCs per virtual network: (control-req, control-resp, data).
-    baseline_vcs: Tuple[int, int, int] = (2, 2, 4)
-    baseline_vc_depth: int = 8
+    baseline_vcs: Tuple[int, int, int] = Each(Integer(1)).field((2, 2, 4))
+    baseline_vc_depth: int = Integer(1).field(8)
 
     # -- AFC buffer layout (per input port) ---------------------------------
     #: One-flit VCs per virtual network under lazy VC allocation.
-    afc_vcs: Tuple[int, int, int] = (8, 8, 16)
-    afc_vc_depth: int = 1
+    afc_vcs: Tuple[int, int, int] = Each(Integer(1)).field((8, 8, 16))
+    #: Lazy VC allocation holds one flit per VC; any other depth would
+    #: change only the leakage bill.
+    afc_vc_depth: int = Only(1).field(1)
 
     # -- endpoint bandwidth --------------------------------------------------
     #: Flits per cycle the local ejection port can sink.  Two flits per
     #: cycle keeps the MSHR receive path from becoming the bottleneck at
     #: the commercial workloads' ~0.78 flits/node/cycle loads (a
     #: single-flit ejection port would saturate every design at the
-    #: endpoint rather than in the fabric under study).
-    eject_bandwidth: int = 2
+    #: endpoint rather than in the fabric under study).  With none, no
+    #: design can ever drain.
+    eject_bandwidth: int = Integer(1).field(2)
     #: Flits per cycle the local injection port can source.  Every
     #: router injects exactly one flit per cycle; any other value is
     #: rejected rather than silently simulated as 1.
-    inject_bandwidth: int = 1
+    inject_bandwidth: int = Only(1).field(1)
 
     # -- AFC adaptation ------------------------------------------------------
     #: Load is averaged over this many cycles before EWMA smoothing.
-    load_window: int = 4
+    load_window: int = Integer(1).field(4)
     #: EWMA weight on the old value (Section IV: 0.99).
-    ewma_alpha: float = 0.99
+    ewma_alpha: float = Real(0.0, 1.0, open_low=True, open_high=True).field(0.99)
     #: Gossip threshold X: force a forward switch when a backpressured
     #: neighbour has fewer than X free slots.  Must be >= 2L; the paper
     #: uses exactly 2L.
-    gossip_threshold: int = 4
+    gossip_threshold: int = Integer(2).field(4)
     thresholds: Dict[RouterClass, ContentionThresholds] = field(
         default_factory=lambda: dict(DEFAULT_THRESHOLDS)
     )
 
     def __post_init__(self) -> None:
-        for name in ("width", "height"):
-            object.__setattr__(
-                self, name, mesh_side(name, getattr(self, name))
-            )
-        # Before any range check: a fractional latency put flits on
-        # cycles the event wheel never reaches, a fractional packet
+        # Before the cross-field rules: a fractional latency put flits
+        # on cycles the event wheel never reaches, a fractional packet
         # length or VC count died later with a bare TypeError.
-        for name in _INTEGER_FIELDS:
-            object.__setattr__(
-                self, name, integer(name, getattr(self, name))
-            )
-        for name in ("baseline_vcs", "afc_vcs"):
-            vcs = getattr(self, name)
-            # Rebuilt only when needed: a config keeps sharing the
-            # default tuple rather than owning a copy.
-            if type(vcs) is not tuple or any(type(n) is not int for n in vcs):
-                object.__setattr__(
-                    self,
-                    name,
-                    tuple(
-                        integer(f"{name}[{i}]", count)
-                        for i, count in enumerate(vcs)
-                    ),
-                )
-        if self.link_latency < 1:
-            raise ValueError("link latency must be >= 1 cycle")
+        validate(self)
         if self.gossip_threshold < 2 * self.link_latency:
             raise ValueError(
                 "gossip threshold must be >= 2L for correctness "
                 f"(got {self.gossip_threshold}, 2L = {2 * self.link_latency})"
             )
-        if not 0.0 < self.ewma_alpha < 1.0:
-            raise ValueError("EWMA alpha must be in (0, 1)")
-        if self.data_bits < 1:
-            raise ValueError(
-                f"data_bits must be >= 1 (got {self.data_bits}): flit "
-                "width scales every energy term, negative joules included"
-            )
-        for name in ("control_packet_flits", "data_packet_flits"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1 (got {getattr(self, name)}): "
-                    "every packet carries at least its head flit"
-                )
         for name in ("baseline_vcs", "afc_vcs"):
             vcs = getattr(self, name)
-            if len(vcs) != len(VirtualNetwork):
+            if len(vcs) != NUM_VNETS:
                 raise ValueError(
                     f"{name} needs one entry per virtual network "
-                    f"({len(VirtualNetwork)}: "
+                    f"({NUM_VNETS}: "
                     f"{', '.join(v.name for v in VirtualNetwork)}), "
                     f"got {len(vcs)}"
                 )
-        if min(self.baseline_vcs) < 1 or min(self.afc_vcs) < 1:
-            raise ValueError("every virtual network needs at least one VC")
         missing = [c.name for c in RouterClass if c not in self.thresholds]
         if missing:
             raise ValueError(
                 "thresholds needs an entry for every RouterClass "
                 f"(missing {', '.join(missing)})"
-            )
-        if self.baseline_vc_depth < 1:
-            raise ValueError("baseline_vc_depth must be >= 1 flit")
-        if self.afc_vc_depth != 1:
-            raise ValueError(
-                "afc_vc_depth other than 1 is not modelled: lazy VC "
-                "allocation holds one flit per VC, only the leakage "
-                f"bill would change (got {self.afc_vc_depth})"
-            )
-        if self.router_stages != 2:
-            raise ValueError(
-                "router_stages other than 2 is not modelled: every "
-                f"router is a two-stage pipeline (got {self.router_stages})"
-            )
-        if self.inject_bandwidth != 1:
-            raise ValueError(
-                "inject_bandwidth other than 1 is not modelled "
-                f"(got {self.inject_bandwidth})"
-            )
-        if self.eject_bandwidth < 1:
-            raise ValueError(
-                "eject_bandwidth must be >= 1 flit per cycle, or no "
-                f"design can ever drain (got {self.eject_bandwidth})"
-            )
-        if self.load_window < 1:
-            raise ValueError(
-                f"load_window must be >= 1 cycle (got {self.load_window})"
             )
 
     # -- derived quantities ----------------------------------------------
@@ -346,22 +290,6 @@ class NetworkConfig:
         return replace(self, width=width, height=height)
 
 
-#: ``NetworkConfig`` fields that count flits, bits, VCs or cycles.
-_INTEGER_FIELDS = (
-    "link_latency",
-    "router_stages",
-    "data_bits",
-    "control_packet_flits",
-    "data_packet_flits",
-    "baseline_vc_depth",
-    "afc_vc_depth",
-    "eject_bandwidth",
-    "inject_bandwidth",
-    "load_window",
-    "gossip_threshold",
-)
-
-
 #: Table IV / Section IV closed-loop machine parameters that belong to
 #: the memory system rather than the network; collected here so that the
 #: harness has a single source of truth.
@@ -369,38 +297,17 @@ _INTEGER_FIELDS = (
 class MachineConfig:
     """CMP parameters of Table II outside the network itself."""
 
-    l1_mshrs: int = 16
-    l2_mshrs: int = 16
-    l2_latency: int = 12
-    memory_latency: int = 250
+    #: With no MSHR nothing is ever issued or admitted.
+    l1_mshrs: int = Integer(1).field(16)
+    l2_mshrs: int = Integer(1).field(16)
+    #: A bank completes in a later cycle than it admits.
+    l2_latency: int = Integer(1).field(12)
+    memory_latency: int = Integer(0).field(250)
     #: Fraction of L2 accesses that miss to memory (adds memory_latency).
-    l2_miss_rate: float = 0.10
+    l2_miss_rate: float = Real(0.0, 1.0).field(0.10)
 
     def __post_init__(self) -> None:
-        for name in ("l1_mshrs", "l2_mshrs", "l2_latency", "memory_latency"):
-            object.__setattr__(
-                self, name, integer(name, getattr(self, name))
-            )
-        for name in ("l1_mshrs", "l2_mshrs"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1 (got {getattr(self, name)}): "
-                    "with no MSHR nothing is ever issued or admitted"
-                )
-        if self.l2_latency < 1:
-            raise ValueError(
-                f"l2_latency must be >= 1 cycle (got {self.l2_latency}): "
-                "a bank completes in a later cycle than it admits"
-            )
-        if self.memory_latency < 0:
-            raise ValueError(
-                f"memory_latency must be >= 0 cycles "
-                f"(got {self.memory_latency})"
-            )
-        if not 0.0 <= self.l2_miss_rate <= 1.0:
-            raise ValueError(
-                f"l2_miss_rate must be in [0, 1] (got {self.l2_miss_rate})"
-            )
+        validate(self)
 
 
 DEFAULT_NETWORK_CONFIG = NetworkConfig()

@@ -9,11 +9,12 @@ classification that AFC's contention thresholds are keyed on.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import Dict, List, Tuple
+
+from ..domain import Integer, validate
 
 
 class Direction(IntEnum):
@@ -72,31 +73,8 @@ class RouterClass(IntEnum):
     CENTER = 2
 
 
-def integer(name: str, value: object) -> int:
-    """``value`` as an ``int``: anything ``operator.index`` accepts,
-    except ``bool`` (a count or a cycle number is never a flag, and
-    ``1.5`` or ``"4"`` is never a count).
-
-    Raises ``ValueError`` naming the field ``name`` and the value.
-    """
-    try:
-        number = operator.index(value)  # type: ignore[arg-type]
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
-def mesh_side(name: str, value: object) -> int:
-    """``value`` as a mesh side length: an :func:`integer` of at least 2.
-
-    Raises ``ValueError`` naming the field ``name`` and the value.
-    """
-    side = integer(name, value)
-    if side < 2:
-        raise ValueError(f"mesh must be at least 2x2, got {name}={side}")
-    return side
+#: A mesh side length.
+SIDE = Integer(2, rule="mesh must be at least 2x2")
 
 
 @dataclass(frozen=True)
@@ -106,14 +84,11 @@ class Mesh:
     Nodes are numbered row-major: node ``id = y * width + x``.
     """
 
-    width: int
-    height: int
+    width: int = SIDE.field()
+    height: int = SIDE.field()
 
     def __post_init__(self) -> None:
-        for name in ("width", "height"):
-            object.__setattr__(
-                self, name, mesh_side(name, getattr(self, name))
-            )
+        validate(self)
 
     # -- coordinates ------------------------------------------------------
     @property

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
+from ..domain import Integer
 from ..network.topology import Direction
 
 __all__ = ["FlitTracer", "EVENT_NAMES", "MODE_NAMES", "SWITCH_NAMES"]
@@ -76,9 +77,7 @@ class FlitTracer:
     """Ring buffer of flit-lifecycle events plus exporters."""
 
     def __init__(self, capacity: int = 65_536) -> None:
-        if capacity < 1:
-            raise ValueError("trace capacity must be >= 1")
-        self.capacity = capacity
+        self.capacity = capacity = Integer(1).check("capacity", capacity)
         self._ring: List[Optional[_Event]] = [None] * capacity
         self._next = 0
         self.recorded = 0

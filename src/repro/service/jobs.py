@@ -3,8 +3,10 @@
 A :class:`JobSpec` is the service's unit of request: one
 (design × workload-or-rate × config × seed-range) experiment, of one of
 the kinds in :data:`repro.harness.experiment.KINDS`.  The registry entry
-says which request parameters a kind consumes; a spec emits, validates
-and hashes exactly those, and builds the kind's per-seed job from them.
+says which request parameters a kind consumes; a spec emits and hashes
+exactly those, and builds the kind's per-seed job from them.  Every
+field is checked against its declared domain (:mod:`repro.domain`),
+the workload and the rate only when the kind consumes them.
 Specs travel as JSON over the service protocol (:meth:`JobSpec.to_dict`
 / :meth:`JobSpec.from_dict`) and hash to a stable sha256 job key
 (:meth:`JobSpec.key`).
@@ -32,12 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
+from ..domain import Integer, OneOf, validate
 from ..faults.protection import ProtectionConfig
 from ..faults.schedule import FaultSpec
 from ..harness.experiment import KINDS as _REGISTRY
-from ..harness.experiment import ExperimentRunner, check_counts, kind_entry
+from ..harness.experiment import KIND, MEASURE, RATE, SEEDS
+from ..harness.experiment import WARMUP, ExperimentRunner
 from ..network.config import Design, NetworkConfig
+from ..network.topology import SIDE
 from ..obs.hub import ObservabilityOptions
+from ..traffic.synthetic import QUEUE_LIMIT
 from ..traffic.workloads import WORKLOADS
 from .canonical import content_key
 from .serialize import decode, encode
@@ -51,28 +57,31 @@ KINDS = tuple(_REGISTRY)
 #: when defaults change — those are captured by expansion).
 _HASH_SCHEMA = 1
 
+#: A closed-loop workload name.
+_WORKLOAD = OneOf(sorted(WORKLOADS))
+
 
 @dataclass(frozen=True)
 class JobSpec:
     """One cacheable experiment request."""
 
-    kind: str = "closed_loop"
-    design: Design = Design.AFC
-    width: int = 3
-    height: int = 3
-    warmup_cycles: int = 2_000
-    measure_cycles: int = 6_000
-    seeds: int = 1
-    base_seed: int = 0
+    kind: str = KIND.field("closed_loop")
+    design: Design = OneOf(Design).field(Design.AFC)
+    width: int = SIDE.field(3)
+    height: int = SIDE.field(3)
+    warmup_cycles: int = WARMUP.field(2_000)
+    measure_cycles: int = MEASURE.field(6_000)
+    seeds: int = SEEDS.field(1)
+    base_seed: int = Integer().field(0)
     #: Cycle engine to execute with; excluded from :meth:`key` (see
     #: module docstring).
-    engine: str = "active"
+    engine: str = OneOf(("active", "vector")).field("active")
     #: Closed loop only: workload name in ``WORKLOADS``.
-    workload: str = "apache"
+    workload: str = _WORKLOAD.field("apache", checked=False)
     #: Open loop / faulted only: offered load, flits/node/cycle.
-    rate: float = 0.25
+    rate: float = RATE.field(0.25, checked=False)
     #: Open loop only: source backlog bound (None = unbounded).
-    source_queue_limit: Optional[int] = 2_000
+    source_queue_limit: Optional[int] = QUEUE_LIMIT.field(2_000)
     #: Collect the per-seed metrics registries (merged into the result).
     metrics: bool = False
     #: Faulted only.
@@ -80,34 +89,17 @@ class JobSpec:
     protection: Optional[ProtectionConfig] = field(
         default_factory=ProtectionConfig
     )
-    drain_max_cycles: int = 200_000
+    drain_max_cycles: int = Integer(1).field(200_000)
 
     def __post_init__(self) -> None:
-        params = kind_entry(self.kind).params
-        if not isinstance(self.design, Design):
-            choices = ", ".join(f"Design.{d.name}" for d in Design)
-            raise ValueError(
-                f"design must be a Design member, got {self.design!r}; "
-                f"choose from: {choices}"
-            )
-        if "workload" in params and self.workload not in WORKLOADS:
-            choices = ", ".join(sorted(WORKLOADS))
-            raise ValueError(
-                f"unknown workload {self.workload!r}; choose from: {choices}"
-            )
-        if "rate" in params and not 0.0 < self.rate <= 1.0:
-            raise ValueError(
-                f"offered rate must be in (0, 1], got {self.rate}"
-            )
-        if self.engine not in ("active", "vector"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        check_counts(
-            seeds=self.seeds,
-            warmup_cycles=self.warmup_cycles,
-            measure_cycles=self.measure_cycles,
-        )
-        # Rejects an illegal mesh at admission rather than in a worker.
-        self.config.mesh
+        # Every field is checked here, at admission, so an illegal
+        # spec never takes a queue slot and then fails in a worker.
+        validate(self)
+        params = _REGISTRY[self.kind].params
+        if "workload" in params:
+            _WORKLOAD.check("workload", self.workload)
+        if "rate" in params:
+            RATE.check("rate", self.rate)
 
     # -- derived ---------------------------------------------------------
     @property

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..domain import Real
 from ..harness.experiment import _merge_observability
 from ..obs.telemetry import TelemetryLog
 from .jobs import JobSpec
@@ -45,6 +46,9 @@ from .store import ResultStore
 from .workers import SeedOutcome, run_seed_unit
 
 __all__ = ["ExperimentService", "JobState"]
+
+#: A worker heartbeat or seed timeout, in seconds.
+_SECONDS = Real(0.0, open_low=True)
 
 #: Result/sample fields surfaced by ``repro status`` / ``watch`` (the
 #: always-on latency percentiles satellite).
@@ -138,16 +142,11 @@ class ExperimentService:
         on_worker_spawn: Optional[Callable[[int, int], None]] = None,
         telemetry: Optional[TelemetryLog] = None,
     ) -> None:
-        if not 0 < heartbeat_timeout < math.inf:
-            raise ValueError(
-                "heartbeat_timeout must be a positive finite number of "
-                f"seconds (got {heartbeat_timeout})"
-            )
-        if seed_timeout is not None and not 0 < seed_timeout < math.inf:
-            raise ValueError(
-                "seed_timeout must be a positive finite number of "
-                f"seconds or None (got {seed_timeout})"
-            )
+        # A zero timeout stalls every worker at once; NaN makes every
+        # comparison false and so turns stall and deadline detection off.
+        _SECONDS.check("heartbeat_timeout", heartbeat_timeout)
+        if seed_timeout is not None:
+            _SECONDS.check("seed_timeout", seed_timeout)
         self.store = store
         self.jobs = max(1, jobs)
         self.queue_limit = queue_limit

@@ -34,7 +34,7 @@ import functools
 import typing
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
-from ..harness.experiment import KINDS, kind_entry
+from ..harness.experiment import KIND, KINDS
 from .canonical import canonicalize
 
 __all__ = [
@@ -136,7 +136,8 @@ def sample_to_dict(sample: Any) -> dict:
 def sample_from_dict(data: Mapping[str, Any]) -> Any:
     """The exact sample dataclass encoded by :func:`sample_to_dict`."""
     payload = dict(data)
-    return decode(kind_entry(payload.pop("kind")).sample, payload)
+    entry = KINDS[KIND.check("kind", payload.pop("kind"))]
+    return decode(entry.sample, payload)
 
 
 def result_to_dict(result: Any) -> dict:
@@ -147,4 +148,5 @@ def result_to_dict(result: Any) -> dict:
 def result_from_dict(data: Mapping[str, Any]) -> Any:
     """The exact result dataclass encoded by :func:`result_to_dict`."""
     payload = dict(data)
-    return decode(kind_entry(payload.pop("kind")).result, payload)
+    entry = KINDS[KIND.check("kind", payload.pop("kind"))]
+    return decode(entry.result, payload)

@@ -14,7 +14,11 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional
 
+from ..domain import Real
 from ..network.topology import Mesh
+
+#: The share of packets a :class:`HotspotPattern` aims at its hotspot.
+HOTSPOT_FRACTION = Real(0.0, 1.0)
 
 
 class TrafficPattern(ABC):
@@ -78,10 +82,8 @@ class Hotspot(TrafficPattern):
         self, mesh: Mesh, hotspot: int, fraction: float = 0.5
     ) -> None:
         super().__init__(mesh)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("hotspot fraction must be in [0, 1]")
         self.hotspot = hotspot
-        self.fraction = fraction
+        self.fraction = HOTSPOT_FRACTION.check("fraction", fraction)
         self._uniform = UniformRandom(mesh)
 
     def destination(self, src: int, rng: random.Random) -> Optional[int]:

@@ -19,11 +19,17 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
+from ..domain import Integer, Real, validate
 from ..network.config import NetworkConfig
 from ..network.flit import Packet, VirtualNetwork
 from ..network.interface import discard_completed
 from ..simulation import Network
 from .patterns import TrafficPattern, UniformRandom
+
+
+#: A per-node source backlog bound in flits, or ``None`` for none (a
+#: negative cap would offer nothing).
+QUEUE_LIMIT = Integer(0, optional=True)
 
 
 @dataclass(frozen=True)
@@ -37,11 +43,10 @@ class PacketMix:
     cache-line transfers.
     """
 
-    data_packet_fraction: float = 0.25
+    data_packet_fraction: float = Real(0.0, 1.0).field(0.25)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.data_packet_fraction <= 1.0:
-            raise ValueError("data_packet_fraction must be in [0, 1]")
+        validate(self)
 
     def mean_packet_flits(self, config: NetworkConfig) -> float:
         return (
@@ -86,15 +91,12 @@ class OpenLoopSource:
         self.pattern = pattern or UniformRandom(self.mesh)
         self.mix = mix
         self.rng = random.Random(f"traffic:{seed}")
-        if source_queue_limit is not None and source_queue_limit < 0:
-            raise ValueError(
-                "source_queue_limit must be >= 0 flits or None "
-                f"(got {source_queue_limit}): a negative cap offers nothing"
-            )
         #: Cap on per-node source-queue flits; once a node's queue is
         #: beyond the cap the source stops offering there (prevents
         #: unbounded memory growth when sweeping past saturation).
-        self.source_queue_limit = source_queue_limit
+        self.source_queue_limit = QUEUE_LIMIT.check(
+            "source_queue_limit", source_queue_limit
+        )
         num_nodes = self.mesh.num_nodes
         if isinstance(rate, (int, float)):
             rates = [float(rate)] * num_nodes

@@ -22,6 +22,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
+from ..domain import Integer, Real, validate
+
+#: A probability, and a non-negative rate or count.
+_FRACTION = Real(0.0, 1.0)
+_RATE = Real(0.0)
+
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -30,15 +36,15 @@ class WorkloadProfile:
     name: str
     description: str
     #: L1 misses issued per core per cycle when the core is unthrottled.
-    demand_rate: float
+    demand_rate: float = _RATE.field()
     #: Fraction of misses that are writes (GETX rather than GETS).
-    write_fraction: float
+    write_fraction: float = _FRACTION.field()
     #: Fraction of remote requests served by a 3-hop owner forward.
-    sharing_fraction: float
+    sharing_fraction: float = _FRACTION.field()
     #: Probability that a completed fill evicts a dirty line (writeback).
-    dirty_writeback_fraction: float
+    dirty_writeback_fraction: float = _FRACTION.field()
     #: Injection rate the paper measured (flits/node/cycle, Table III).
-    paper_injection_rate: float
+    paper_injection_rate: float = _RATE.field()
     #: High-load (commercial) or low-load (scientific) class.
     high_load: bool
     #: Temporal load variation ("program phases", Section I): demand is
@@ -46,30 +52,16 @@ class WorkloadProfile:
     #: period disables modulation (the calibrated default for the six
     #: paper workloads).  Use :func:`with_phases` to add phases to an
     #: existing profile.
-    phase_period: int = 0
-    phase_amplitude: float = 0.0
+    phase_period: int = Integer(0).field(0)
+    phase_amplitude: float = Real(0.0, 1.0, open_high=True).field(0.0)
     #: Mean number of sharers invalidated by a (non-forwarded) write
     #: miss.  Zero (the calibrated default) disables the invalidation
     #: protocol extension; positive values make writes wait for
     #: INV_ACKs, adding control-network traffic and write latency.
-    invalidation_fanout: float = 0.0
+    invalidation_fanout: float = _RATE.field(0.0)
 
     def __post_init__(self) -> None:
-        for frac in (
-            self.write_fraction,
-            self.sharing_fraction,
-            self.dirty_writeback_fraction,
-        ):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError("fractions must be in [0, 1]")
-        if self.demand_rate < 0:
-            raise ValueError("demand rate must be non-negative")
-        if self.phase_period < 0:
-            raise ValueError("phase period must be non-negative")
-        if not 0.0 <= self.phase_amplitude < 1.0:
-            raise ValueError("phase amplitude must be in [0, 1)")
-        if self.invalidation_fanout < 0:
-            raise ValueError("invalidation fanout must be non-negative")
+        validate(self)
 
     def demand_at(self, cycle: int) -> float:
         """Effective miss demand at ``cycle`` (phase-modulated)."""

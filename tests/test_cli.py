@@ -51,12 +51,31 @@ class TestParser:
             ["faults", "--max-retries", "-1"],
             ["faults", "--ack-timeout", "0"],
             ["faults", "--designs", "nonsense"],
+            ["faults", "--flap-rate", "inf"],
+            ["faults", "--flap-rate", "nan"],
         ],
         ids=lambda argv: " ".join(argv[1:]),
     )
     def test_invalid_fault_arguments_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Each used to parse, then exit 1 with a traceback.
+            ["trace", "--width", "1"],
+            ["faults", "--flap-rate", "inf"],
+            ["faults", "--flap-rate", "nan"],
+            ["trace", "--hotspot-fraction", "5"],
+            ["derive-thresholds", "--hysteresis", "5"],
+            ["derive-thresholds", "--rate", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_domain_values_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "compare", "sweep", "faults"])
     @pytest.mark.parametrize(

@@ -159,6 +159,22 @@ def test_fault_spec_rejects_illegal_values_naming_the_field(field, value):
         FaultSpec(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        # Each used to construct, key a job and reach the worker.
+        (FaultSpec, "flap_duration", 1.5),
+        (FaultSpec, "link_kills", 0.5),
+        (ProtectionConfig, "max_retries", 1.5),
+        (ProtectionConfig, "nack_latency", float("nan")),
+    ],
+)
+def test_counts_must_be_integers_naming_the_field(cls, field, value):
+    with pytest.raises(ValueError, match=field) as err:
+        cls(**{field: value})
+    assert repr(value) in str(err.value)
+
+
 def test_illegal_fault_spec_gets_no_job_key():
     from repro.service import JobSpec
 

@@ -97,16 +97,16 @@ class TestDesignLists:
 
 
 COUNT_ERRORS = [
-    ("seeds", 0, "seeds must be >= 1, got 0"),
+    ("seeds", 0, "seeds must be > 0, got 0"),
     ("warmup_cycles", -5, "warmup_cycles must be >= 0, got -5"),
-    ("measure_cycles", 0, "measure_cycles must be >= 1, got 0"),
+    ("measure_cycles", 0, "measure_cycles must be > 0, got 0"),
 ]
 
 
 class TestCountChecks:
     @pytest.mark.parametrize(
         "field, value, message",
-        COUNT_ERRORS + [("jobs", 0, "jobs must be >= 1, got 0")],
+        COUNT_ERRORS + [("jobs", 0, "jobs must be > 0, got 0")],
     )
     def test_runner_names_the_bad_count(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -57,7 +57,7 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["serve", flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be a positive finite number" in (
+        assert f"argument {flag}: must be a finite number > 0" in (
             capsys.readouterr().err
         )
 

@@ -233,6 +233,26 @@ def test_illegal_mesh_rejected_at_admission(mesh):
         JobSpec.from_dict({"kind": "open_loop", "rate": 0.2, **mesh})
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        # Each used to be admitted and keyed; the first two then failed
+        # in the run with a TypeError, the last two inside the run.
+        ("closed_loop", "seeds", 1.5),
+        ("closed_loop", "warmup_cycles", 10.5),
+        # Ran exactly like 1, but keyed apart from it.
+        ("closed_loop", "measure_cycles", True),
+        ("closed_loop", "base_seed", 0.5),
+        ("open_loop", "source_queue_limit", -1),
+        ("faulted", "drain_max_cycles", 0),
+    ],
+)
+def test_out_of_domain_field_rejected_at_admission(kind, field, value):
+    with pytest.raises(ValueError, match=field) as err:
+        JobSpec.from_dict({"kind": kind, field: value})
+    assert repr(value) in str(err.value)
+
+
 # -- exact result round-trips ---------------------------------------------
 
 
