@@ -10,48 +10,59 @@ producing exactly the backpressureless→backpressured adjacency that the
 gossip mechanism guards.
 """
 
-from repro import Design, Network, NetworkConfig
+from repro import Design
 from repro.harness import format_table
-from repro.traffic.patterns import Hotspot
-from repro.traffic.synthetic import OpenLoopSource
+from repro.traffic.patterns import HotspotSpec
 
-from _common import call, read, report
+from _common import read, report, spec
 
 CASES = (
     ("mild hotspot", 0.6, 0.5),
     ("strong hotspot", 0.9, 0.7),
 )
 
+#: The mode-switch counters of a forward switch: a local one, and one
+#: forced by gossip.
+FORWARD = tuple(
+    f"noc_mode_switches_total{{kind={kind},"
+    for kind in ("forward", "gossip")
+)
 
-def _hotspot(fraction, rate):
-    net = Network(NetworkConfig(), Design.AFC, seed=1)
-    source = OpenLoopSource(
-        net,
+CELLS = {
+    label: spec(
+        kind="open_loop",
+        design=Design.AFC,
         rate=rate,
-        pattern=Hotspot(net.mesh, hotspot=4, fraction=fraction),
-        seed=3,
+        pattern=HotspotSpec(node=4, fraction=fraction),
         source_queue_limit=400,
+        warmup_cycles=0,
+        measure_cycles=6_000,
+        base_seed=1,
+        metrics=True,
     )
-    source.run(6_000)
-    net.check_flit_conservation()
-    stats = net.stats
-    return {
-        "forward": sum(m.forward_switches for m in stats.mode_stats.values()),
-        "gossip": stats.total_gossip_switches,
-        "bp_fraction": stats.network_backpressured_fraction,
-    }
+    for label, fraction, rate in CASES
+}
 
 
-CELLS = {label: call(_hotspot, f, rate) for label, f, rate in CASES}
+def _forward_switches(result) -> int:
+    counters = result.observability["metrics"]["counters"]
+    return sum(v for name, v in counters.items() if name.startswith(FORWARD))
 
 
 def test_gossip_under_hotspots():
-    results = read(CELLS)
+    results = {
+        label: {
+            "forward": _forward_switches(r),
+            "gossip": r.gossip_switches,
+            "bp_fraction": r.backpressured_fraction,
+        }
+        for label, r in read(CELLS).items()
+    }
     rows = [
         [
             label,
             f"{r['forward']}",
-            f"{r['gossip']}",
+            f"{r['gossip']:.0f}",
             f"{r['bp_fraction']:.2f}",
         ]
         for label, r in results.items()

@@ -18,69 +18,74 @@ paper's reasoning predicts:
 
 from dataclasses import replace
 
-from repro import ContentionThresholds, Design, Network, NetworkConfig
+from repro import ContentionThresholds, Design, NetworkConfig
 from repro.harness import format_table
-from repro.memsys import MemorySystem
-from repro.traffic.patterns import Hotspot
-from repro.traffic.synthetic import OpenLoopSource
-from repro.traffic.workloads import WORKLOADS
+from repro.traffic.patterns import HotspotSpec
 
-from _common import call, read, report
+from _common import read, report, spec
 
 ALPHAS = (0.9, 0.99, 0.999)
 SCALES = (0.5, 1.0, 2.0)
 GOSSIP_X = (4, 8, 12)  # 2L, 4L, 6L with L = 2
 
 
-def _closed_loop_afc(alpha: float, scale: float, seed=1):
-    """AFC on ocean, closed loop, with EWMA ``alpha`` and thresholds
-    scaled by ``scale``."""
+def _ocean(alpha: float, scale: float):
+    """AFC on ocean, closed loop for 8 000 cycles, with EWMA ``alpha``
+    and thresholds scaled by ``scale``."""
     base = NetworkConfig()
     thresholds = {
         cls: ContentionThresholds(high=pair.high * scale, low=pair.low * scale)
         for cls, pair in base.thresholds.items()
     }
     config = replace(base, ewma_alpha=alpha, thresholds=thresholds)
-    net = Network(config, Design.AFC, seed=seed)
-    system = MemorySystem(net, WORKLOADS["ocean"], seed=seed + 7)
-    system.run(8_000)
-    modes = net.stats.mode_stats.values()
-    return {
-        "switches": sum(
-            m.forward_switches + m.reverse_switches for m in modes
-        ),
-        "bp_fraction": net.stats.network_backpressured_fraction,
-        "performance": system.transactions_per_kilocycle_per_core,
-    }
-
-
-def _gossip_count(gossip_threshold: int, seed: int):
-    config = replace(NetworkConfig(), gossip_threshold=gossip_threshold)
-    net = Network(config, Design.AFC, seed=seed)
-    source = OpenLoopSource(
-        net,
-        rate=0.55,
-        pattern=Hotspot(net.mesh, hotspot=4, fraction=0.7),
-        seed=seed + 13,
-        source_queue_limit=400,
+    return spec(
+        design=Design.AFC,
+        workload="ocean",
+        config=config,
+        warmup_cycles=0,
+        measure_cycles=8_000,
+        base_seed=1,
     )
-    source.run(5_000)
-    return net.stats.total_gossip_switches
+
+
+def _gossip(gossip_threshold: int, seed: int):
+    """AFC under a hotspot at 0.55 for 5 000 cycles, with gossip X."""
+    return spec(
+        kind="open_loop",
+        design=Design.AFC,
+        config=NetworkConfig(gossip_threshold=gossip_threshold),
+        rate=0.55,
+        pattern=HotspotSpec(node=4, fraction=0.7),
+        source_queue_limit=400,
+        warmup_cycles=0,
+        measure_cycles=5_000,
+        base_seed=seed,
+    )
 
 
 ALPHA = NetworkConfig().ewma_alpha
 #: Ocean closed-loop runs by configuration.
 CLOSED = {
-    **{f"alpha={a}": call(_closed_loop_afc, a, 1.0) for a in ALPHAS},
-    **{f"thresholds x{s}": call(_closed_loop_afc, ALPHA, s) for s in SCALES},
+    **{f"alpha={a}": _ocean(a, 1.0) for a in ALPHAS},
+    **{f"thresholds x{s}": _ocean(ALPHA, s) for s in SCALES},
 }
-#: Hotspot open-loop gossip switch counts, one cell per seed, by X.
-GOSSIP = {x: [call(_gossip_count, x, s) for s in (1, 2, 3)] for x in GOSSIP_X}
+#: Hotspot open-loop runs, one cell per seed, by X.
+GOSSIP = {x: [_gossip(x, s) for s in (1, 2, 3)] for x in GOSSIP_X}
 
 
 def test_design_choice_sensitivity():
-    closed = read(CLOSED)
-    gossip = {x: sum(counts) for x, counts in read(GOSSIP).items()}
+    closed = {
+        label: {
+            "switches": r.forward_switches + r.reverse_switches,
+            "bp_fraction": r.backpressured_fraction,
+            "performance": r.performance,
+        }
+        for label, r in read(CLOSED).items()
+    }
+    gossip = {
+        x: sum(r.gossip_switches for r in runs)
+        for x, runs in read(GOSSIP).items()
+    }
     rows = [
         [
             label,
@@ -90,7 +95,7 @@ def test_design_choice_sensitivity():
         ]
         for label, r in closed.items()
     ] + [
-        [f"gossip X={x}", f"{count}", "-", "-"]
+        [f"gossip X={x}", f"{count:.0f}", "-", "-"]
         for x, count in gossip.items()
     ]
     report(

@@ -16,9 +16,10 @@ process:
    stream (a non-terminal frame with a live seed past cycle 0) before
    the terminal frame;
 7. drain one small job of every other experiment kind, so that every
-   kind runs in a forked worker of a real server;
-8. restart the server over the same store — the result survives and
-   still answers as a cache hit;
+   kind runs in a forked worker of a real server, and one open-loop
+   job with a hotspot pattern and a non-default network config;
+8. restart the server over the same store — the results survive and
+   still answer as cache hits;
 9. shut down cleanly.
 
 Exit 0 = every property held.  Uses wall-clock timeouts only to bound
@@ -42,7 +43,12 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.service import KINDS, ServiceClient, ServiceError  # noqa: E402
+from repro.service import (  # noqa: E402
+    KINDS,
+    JobSpec,
+    ServiceClient,
+    ServiceError,
+)
 
 #: Big enough that a worker is observably mid-run when we kill it.
 SPEC = {
@@ -73,6 +79,17 @@ OTHER_KINDS = (
         "fault": {"link_flap_rate": 4.0, "bit_error_rate": 2.0},
     },
 )
+#: The wire fields that name a run beyond its kind: a hotspot pattern
+#: and the config fields that differ from the defaults.
+HOTSPOT_SPEC = {
+    "kind": "open_loop",
+    "design": "afc",
+    "config": {"gossip_threshold": 8},
+    "pattern": {"node": 4, "fraction": 0.7},
+    "rate": 0.4,
+    "warmup_cycles": 100,
+    "measure_cycles": 300,
+}
 #: Long enough (~1.5 s a seed) for several 0.5 s worker beats.
 WATCH_SPEC = {**SPEC, "seeds": 1, "measure_cycles": 15000}
 DEADLINE = 300.0
@@ -197,6 +214,15 @@ def main() -> int:
                 )
                 assert done["status"] == "done", done
             log(f"drained one job of each kind: {', '.join(kinds)}")
+            hotspot = client.submit(HOTSPOT_SPEC)
+            hotspot_done = client.result(
+                hotspot["key"], wait=True, timeout=DEADLINE
+            )
+            assert hotspot_done["status"] == "done", hotspot_done
+            uniform = {k: v for k, v in HOTSPOT_SPEC.items() if k != "pattern"}
+            assert hotspot["key"] == JobSpec.from_dict(HOTSPOT_SPEC).key()
+            assert hotspot["key"] != JobSpec.from_dict(uniform).key()
+            log(f"drained hotspot job {hotspot['key'][:12]} on a variant")
             counters = client.queue()["counters"]
             assert counters["jobs_failed"] == 0, counters
 
@@ -214,9 +240,16 @@ def main() -> int:
             assert stored["record"] == record, (
                 "restarted server returned a different record"
             )
+            revived = client.submit(HOTSPOT_SPEC)
+            assert revived["status"] == "cached", revived
+            assert revived["key"] == hotspot["key"], revived
+            assert (
+                client.result(hotspot["key"])["record"]
+                == hotspot_done["record"]
+            ), "restarted server returned a different hotspot record"
             counters = client.queue()["counters"]
             assert counters["seed_units_run"] == 0, counters
-            log("restarted server serves the same record from the store")
+            log("restarted server serves the same records from the store")
             client.shutdown()
         server.wait(timeout=30)
 

@@ -286,8 +286,7 @@ def _spec(
     return JobSpec(
         kind=kind,
         design=design or args.design,
-        width=args.width,
-        height=args.height,
+        config=NetworkConfig(width=args.width, height=args.height),
         warmup_cycles=args.warmup,
         measure_cycles=args.measure,
         seeds=args.seeds,
@@ -461,36 +460,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .harness.reporting import format_table
-    from .harness.sweep import SweepGrid, run_open_loop_sweep
+    from .service.jobs import run_specs
 
     designs = args.designs or list(FAULT_DESIGNS)
-    grid = SweepGrid(
-        designs=designs,
-        rates=args.rates,
-        configs={
-            "cli": NetworkConfig(width=args.width, height=args.height)
-        },
-    )
-    table = run_open_loop_sweep(
-        grid,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.measure,
-        seeds=args.seeds,
-        source_queue_limit=500,
-        jobs=args.jobs,
-        base_seed=args.base_seed,
-        engine=args.engine,
-    )
-    cells = {
-        (row[1], row[2]): (row[3], row[4]) for row in table.rows
+    specs = {
+        (rate, design): _spec(
+            args, "open_loop", design, rate=rate, source_queue_limit=500
+        )
+        for rate in args.rates
+        for design in designs
     }
-    rows = []
-    for rate in args.rates:
-        row = [f"{rate:.2f}"]
-        for design in designs:
-            throughput, latency = cells[(design.value, rate)]
-            row.append(f"{throughput:.3f} / {latency:6.1f}")
-        rows.append(row)
+    results = dict(zip(specs, run_specs(list(specs.values()), args.jobs)))
+    rows = [
+        [f"{rate:.2f}"]
+        + [
+            f"{results[rate, design].throughput:.3f} / "
+            f"{results[rate, design].avg_network_latency:6.1f}"
+            for design in designs
+        ]
+        for rate in args.rates
+    ]
     print(
         format_table(
             ["offered"] + [d.value for d in designs],

@@ -21,12 +21,6 @@ from .reporting import (
     format_table,
     geometric_mean,
 )
-from .sweep import (
-    SweepGrid,
-    SweepTable,
-    run_closed_loop_sweep,
-    run_open_loop_sweep,
-)
 
 __all__ = [
     "ClosedLoopResult",
@@ -35,12 +29,8 @@ __all__ = [
     "FaultResult",
     "MAIN_DESIGNS",
     "OpenLoopResult",
-    "SweepGrid",
-    "SweepTable",
     "format_breakdown_table",
     "format_normalized_table",
     "format_table",
     "geometric_mean",
-    "run_closed_loop_sweep",
-    "run_open_loop_sweep",
 ]

@@ -11,7 +11,7 @@ bars).
 
 What an experiment *kind* is — its per-seed inputs, how one seed runs,
 what a sample holds, how samples fold into a result — is described once,
-in :data:`KINDS`.  The runner, the sweeps, the experiment service
+in :data:`KINDS`.  The runner, the experiment service
 (:mod:`repro.service`) and the CLI look a kind up there; none of them
 branches on it (docs/EXTENDING.md, "Adding an experiment kind").
 """
@@ -51,7 +51,7 @@ from ..obs.hub import Observability, ObservabilityOptions
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import clear_run, publish_run
 from ..simulation import Network
-from ..traffic.patterns import TrafficPattern
+from ..traffic.patterns import HotspotSpec, TrafficPattern
 from ..traffic.synthetic import OpenLoopSource, PacketMix
 from ..traffic.workloads import WorkloadProfile
 
@@ -279,7 +279,9 @@ class OpenLoopJob:
     mix: PacketMix
     source_queue_limit: Optional[int]
     seed: int
-    pattern: Optional[TrafficPattern] = None
+    #: ``None`` is uniform random; a :class:`HotspotSpec` is bound to
+    #: the run's mesh.
+    pattern: Union[None, TrafficPattern, HotspotSpec] = None
     latency_groups: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
     sanitize: bool = False
     obs: Optional[ObservabilityOptions] = None
@@ -311,18 +313,21 @@ def run_open_loop_seed(job: OpenLoopJob) -> OpenLoopSample:
         net.begin_measurement()
         source.run(job.measure_cycles)
 
-    net, _, _, observability = _simulate(
-        job,
-        lambda net: OpenLoopSource(
+    def build(net: Network) -> OpenLoopSource:
+        pattern = job.pattern
+        if isinstance(pattern, HotspotSpec):
+            pattern = pattern.on(net.mesh)
+        return OpenLoopSource(
             net,
             job.rate,
-            pattern=job.pattern,
+            pattern=pattern,
             mix=job.mix,
             seed=2000 + job.seed,
             source_queue_limit=job.source_queue_limit,
-        ),
-        phases,
-    )
+        )
+
+    net, _, _, observability = _simulate(job, build, phases)
+    net.check_flit_conservation()
     stats = net.stats
     energy = net.measured_energy()
     flits = max(1, stats.flits_ejected)
@@ -656,7 +661,7 @@ KINDS: Dict[str, Kind] = {
             design=job.design,
             offered_rate=_offered(job.rate),
         ),
-        params=("rate", "source_queue_limit"),
+        params=("rate", "source_queue_limit", "pattern"),
         pinned={"mix": PacketMix()},
     ),
     "faulted": Kind(

@@ -17,7 +17,7 @@ The five *designs* compared in the paper's evaluation are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Tuple
 
@@ -121,12 +121,34 @@ class ContentionThresholds:
             )
 
 
+class ThresholdTable(dict):
+    """A read-only ``{RouterClass: ContentionThresholds}``: it hashes by
+    value, so a :class:`NetworkConfig` does too (equal configs key one
+    job and one grid cell), and no holder can edit a table it shares."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a threshold table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 #: Paper's experimentally determined thresholds (Section IV).
-DEFAULT_THRESHOLDS: Dict[RouterClass, ContentionThresholds] = {
-    RouterClass.CORNER: ContentionThresholds(high=1.8, low=1.2),
-    RouterClass.EDGE: ContentionThresholds(high=2.1, low=1.3),
-    RouterClass.CENTER: ContentionThresholds(high=2.2, low=1.7),
-}
+DEFAULT_THRESHOLDS: Dict[RouterClass, ContentionThresholds] = ThresholdTable(
+    {
+        RouterClass.CORNER: ContentionThresholds(high=1.8, low=1.2),
+        RouterClass.EDGE: ContentionThresholds(high=2.1, low=1.3),
+        RouterClass.CENTER: ContentionThresholds(high=2.2, low=1.7),
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -193,9 +215,7 @@ class NetworkConfig:
     #: neighbour has fewer than X free slots.  Must be >= 2L; the paper
     #: uses exactly 2L.
     gossip_threshold: int = Integer(2).field(4)
-    thresholds: Dict[RouterClass, ContentionThresholds] = field(
-        default_factory=lambda: dict(DEFAULT_THRESHOLDS)
-    )
+    thresholds: Dict[RouterClass, ContentionThresholds] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
         # Before the cross-field rules: a fractional latency put flits
@@ -216,6 +236,10 @@ class NetworkConfig:
                     f"{', '.join(v.name for v in VirtualNetwork)}), "
                     f"got {len(vcs)}"
                 )
+        if type(self.thresholds) is not ThresholdTable:
+            object.__setattr__(
+                self, "thresholds", ThresholdTable(self.thresholds)
+            )
         missing = [c.name for c in RouterClass if c not in self.thresholds]
         if missing:
             raise ValueError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from .flit import Flit, Packet, VirtualNetwork
+from .flit import VNETS, Flit, Packet, VirtualNetwork
 from .reassembly import CompletedPacket, ReassemblyBuffer
 from .stats import StatsCollector
 
@@ -76,7 +76,7 @@ class NetworkInterface:
         #: naive loop.
         self.on_activity: Optional[Callable[[], None]] = None
         self._queues: Dict[VirtualNetwork, Deque[Flit]] = {
-            vnet: deque() for vnet in VirtualNetwork
+            vnet: deque() for vnet in VNETS
         }
         #: Running total of queued flits across vnets (``has_pending``
         #: is polled several times per cycle per router, so it must not

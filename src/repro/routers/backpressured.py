@@ -49,7 +49,7 @@ def vc_ranges(vcs: Sequence[int]) -> Dict[VirtualNetwork, range]:
     """
     ranges: Dict[VirtualNetwork, range] = {}
     start = 0
-    for vnet, count in zip(VirtualNetwork, vcs):
+    for vnet, count in zip(VNETS, vcs):
         ranges[vnet] = range(start, start + count)
         start += count
     return ranges
@@ -93,7 +93,7 @@ def _port_layout(vcs: Tuple[int, ...]) -> _PortLayout:
                 (credit_message(vnet, vc, False), credit_message(vnet, vc, True))
                 for vc in range(sum(vcs))
             )
-            for vnet in VirtualNetwork
+            for vnet in VNETS
         ),
     )
 
@@ -145,7 +145,7 @@ class _OutputPortState:
             _DownstreamVC(credits=depth) for _ in range(sum(vcs))
         ]
         self._alloc_rr: Dict[VirtualNetwork, int] = {
-            vnet: 0 for vnet in VirtualNetwork
+            vnet: 0 for vnet in VNETS
         }
         self._alloc_scan = _port_layout(tuple(vcs)).alloc_scan
 
@@ -171,7 +171,7 @@ class _InputPort:
 
     def __init__(self, vcs: Sequence[int], depth: int) -> None:
         self.vcs: List[VirtualChannelBuffer] = []
-        for vnet, count in zip(VirtualNetwork, vcs):
+        for vnet, count in zip(VNETS, vcs):
             self.vcs.extend(
                 VirtualChannelBuffer(vnet=vnet, depth=depth)
                 for _ in range(count)
@@ -218,7 +218,7 @@ class BackpressuredRouter(BaseRouter):
         #: Local-injection streaming state: the local-port VC currently
         #: receiving each vnet's in-progress packet.
         self._stream_vc: Dict[VirtualNetwork, Optional[int]] = {
-            vnet: None for vnet in VirtualNetwork
+            vnet: None for vnet in VNETS
         }
         self._inject_rr = 0
         self._finalized = False

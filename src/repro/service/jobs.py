@@ -18,9 +18,10 @@ Key discipline — what is hashed and what is not:
   :class:`~repro.network.config.MachineConfig` (so a changed package
   default changes the key), the full
   :class:`~repro.traffic.workloads.WorkloadProfile` (so recalibration
-  changes the key), design, cycle counts, seed range, fault spec,
-  protection config, and whether metrics are collected (they ride in
-  the result payload).
+  changes the key), design, cycle counts, seed range, a hotspot
+  pattern (the uniform default is left out, so a key from before
+  patterns stands), fault spec, protection config, and whether metrics
+  are collected (they ride in the result payload).
 * **Not hashed**: the ``engine`` — engines are bit-identical by
   contract (pinned by ``tests/test_engine_determinism.py`` and
   ``tests/test_vector_engine.py``), so a result computed by the vector
@@ -32,23 +33,23 @@ Key discipline — what is hashed and what is not:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Sequence
 
 from ..domain import Integer, OneOf, validate
 from ..faults.protection import ProtectionConfig
 from ..faults.schedule import FaultSpec
 from ..harness.experiment import KINDS as _REGISTRY
 from ..harness.experiment import KIND, MEASURE, RATE, SEEDS
-from ..harness.experiment import WARMUP, ExperimentRunner
-from ..network.config import Design, NetworkConfig
-from ..network.topology import SIDE
+from ..harness.experiment import WARMUP, ExperimentRunner, map_jobs
+from ..network.config import DEFAULT_NETWORK_CONFIG, Design, NetworkConfig
 from ..obs.hub import ObservabilityOptions
+from ..traffic.patterns import HotspotSpec
 from ..traffic.synthetic import QUEUE_LIMIT
 from ..traffic.workloads import WORKLOADS
 from .canonical import content_key
 from .serialize import decode, encode
 
-__all__ = ["JobSpec", "KINDS"]
+__all__ = ["JobSpec", "KINDS", "run_specs"]
 
 #: The experiment kinds a spec can describe.
 KINDS = tuple(_REGISTRY)
@@ -67,8 +68,9 @@ class JobSpec:
 
     kind: str = KIND.field("closed_loop")
     design: Design = OneOf(Design).field(Design.AFC)
-    width: int = SIDE.field(3)
-    height: int = SIDE.field(3)
+    #: The network, mesh included; on the wire only the fields that
+    #: differ from the defaults.
+    config: NetworkConfig = DEFAULT_NETWORK_CONFIG
     warmup_cycles: int = WARMUP.field(2_000)
     measure_cycles: int = MEASURE.field(6_000)
     seeds: int = SEEDS.field(1)
@@ -82,6 +84,8 @@ class JobSpec:
     rate: float = RATE.field(0.25, checked=False)
     #: Open loop only: source backlog bound (None = unbounded).
     source_queue_limit: Optional[int] = QUEUE_LIMIT.field(2_000)
+    #: Open loop only: destinations, uniform random when ``None``.
+    pattern: Optional[HotspotSpec] = None
     #: Collect the per-seed metrics registries (merged into the result).
     metrics: bool = False
     #: Faulted only.
@@ -100,12 +104,16 @@ class JobSpec:
             _WORKLOAD.check("workload", self.workload)
         if "rate" in params:
             RATE.check("rate", self.rate)
+        if "pattern" in params and self.pattern is not None:
+            nodes = self.config.width * self.config.height
+            if self.pattern.node >= nodes:
+                raise ValueError(
+                    f"pattern.node must be < {nodes}, the nodes of the "
+                    f"{self.config.width}x{self.config.height} mesh, "
+                    f"got {self.pattern.node!r}"
+                )
 
     # -- derived ---------------------------------------------------------
-    @property
-    def config(self) -> NetworkConfig:
-        return NetworkConfig(width=self.width, height=self.height)
-
     def seed_of(self, index: int) -> int:
         return self.base_seed + index
 
@@ -116,15 +124,35 @@ class JobSpec:
         inputs = {name: getattr(self, name) for name in entry.params}
         if "workload" in inputs:
             inputs["workload"] = WORKLOADS[self.workload]
+        if inputs.get("pattern", 0) is None:
+            del inputs["pattern"]  # uniform: the key it had before patterns
         return {**entry.pinned, **inputs}
 
     # -- transport (JSON protocol) --------------------------------------
     def to_dict(self) -> dict:
-        """The JSON shape clients submit (compact, name-based)."""
-        return encode(self, _COMMON + _REGISTRY[self.kind].params)
+        """The JSON shape clients submit (compact, name-based): a
+        uniform pattern and the config's default fields are left out."""
+        out = encode(self, _COMMON + _REGISTRY[self.kind].params)
+        if out.get("pattern", 0) is None:
+            del out["pattern"]
+        changed = self.config is not DEFAULT_NETWORK_CONFIG and [
+            f.name
+            for f in fields(NetworkConfig)
+            if getattr(self.config, f.name)
+            != getattr(DEFAULT_NETWORK_CONFIG, f.name)
+        ]
+        if changed:
+            out["config"] = encode(self.config, changed)
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
+        """The spec :meth:`to_dict` wrote, or one written before specs
+        carried a config, whose ``width``/``height`` join the config."""
+        if "width" in data or "height" in data:
+            data = dict(data)
+            mesh = {k: data.pop(k) for k in ("width", "height") if k in data}
+            data["config"] = {**mesh, **data.get("config", {})}
         return decode(cls, data)
 
     # -- identity --------------------------------------------------------
@@ -198,9 +226,29 @@ class JobSpec:
 
 
 #: The fields no kind claims as its own parameter, which
-#: :meth:`JobSpec.to_dict` emits for every kind.
+#: :meth:`JobSpec.to_dict` emits for every kind; the config, which it
+#: emits as its changed fields, is not among them.
 _COMMON = tuple(
     f.name
     for f in fields(JobSpec)
-    if not any(f.name in entry.params for entry in _REGISTRY.values())
+    if f.name != "config"
+    and not any(f.name in entry.params for entry in _REGISTRY.values())
 )
+
+
+def _run_unit(unit):
+    spec, index = unit
+    return spec.run_seed(index)
+
+
+def run_specs(specs: Sequence[JobSpec], jobs: int = 1) -> List[Any]:
+    """The result of each spec, in order: every seed of every spec runs
+    in one :func:`~repro.harness.experiment.map_jobs` call over ``jobs``
+    worker processes and each spec folds its own samples, in seed
+    order, so a result is ``spec.run()``'s at any ``jobs``."""
+    units = [(spec, index) for spec in specs for index in range(spec.seeds)]
+    samples = iter(map_jobs(_run_unit, units, jobs))
+    return [
+        spec.aggregate([next(samples) for _ in range(spec.seeds)])
+        for spec in specs
+    ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import json
 import typing
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
@@ -47,9 +48,14 @@ __all__ = [
 ]
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
 def _decoder(hint: Any) -> Optional[Callable[[Any], Any]]:
     """JSON value -> field value for one field type, or ``None`` when
-    the JSON value *is* the field value (numbers, strings, dicts)."""
+    the JSON value *is* the field value (numbers, strings, dicts keyed
+    by strings)."""
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return hint
     if dataclasses.is_dataclass(hint):
@@ -67,6 +73,13 @@ def _decoder(hint: Any) -> Optional[Callable[[Any], Any]]:
         if item is None:
             return tuple
         return lambda value: tuple(item(entry) for entry in value)
+    if origin is dict and args[0] is not str:
+        # ``canonicalize`` writes a key that is not a string (an
+        # ``IntEnum`` member, say) as its JSON text.
+        key, item = _decoder(args[0]) or _same, _decoder(args[1]) or _same
+        return lambda value: {
+            key(json.loads(name)): item(entry) for name, entry in value.items()
+        }
     return None
 
 

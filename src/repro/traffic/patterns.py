@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..domain import Real
+from ..domain import Integer, Real, validate
 from ..network.topology import Mesh
 
 #: The share of packets a :class:`HotspotPattern` aims at its hotspot.
@@ -90,6 +91,22 @@ class Hotspot(TrafficPattern):
         if src != self.hotspot and rng.random() < self.fraction:
             return self.hotspot
         return self._uniform.destination(src, rng)
+
+
+@dataclass(frozen=True)
+class HotspotSpec:
+    """A :class:`Hotspot` pattern before it has a mesh: what a job spec
+    carries, sends and hashes (``None`` there is uniform random)."""
+
+    node: int = Integer(0).field(0)
+    fraction: float = HOTSPOT_FRACTION.field(0.5)
+
+    def __post_init__(self) -> None:
+        validate(self)
+
+    def on(self, mesh: Mesh) -> Hotspot:
+        """The pattern on ``mesh``."""
+        return Hotspot(mesh, self.node, self.fraction)
 
 
 class NearNeighbor(TrafficPattern):

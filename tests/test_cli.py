@@ -194,6 +194,19 @@ class TestCommands:
         assert cell in sweep(7)
         assert cell not in sweep(0)
 
+    def test_sweep_is_the_same_at_any_jobs_and_engine(self, capsys):
+        """Every seed of every cell fans out over the workers; the table
+        is still the serial one, and the engine changes nothing."""
+
+        def sweep(*extra):
+            argv = ["sweep", "--rates", "0.2", "0.4"] + self.FAST
+            assert main(argv + ["--seeds", "2", *extra]) == 0
+            return capsys.readouterr().out
+
+        serial = sweep()
+        assert sweep("--jobs", "2") == serial
+        assert sweep("--engine", "vector") == serial
+
     def test_derive_thresholds(self, capsys):
         code = main(
             ["derive-thresholds", "--rate", "0.5"] + self.FAST

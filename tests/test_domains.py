@@ -32,6 +32,7 @@ from repro.network.config import (
 )
 from repro.network.topology import Mesh
 from repro.service.jobs import JobSpec
+from repro.traffic.patterns import HotspotSpec
 from repro.traffic.synthetic import PacketMix
 from repro.traffic.workloads import APACHE
 
@@ -48,6 +49,7 @@ LEGAL = [
     PacketMix(),
     APACHE,
     JobSpec(),
+    HotspotSpec(),
 ]
 
 NUMBER_TYPES = {int, float, typing.Optional[int], typing.Optional[float]}

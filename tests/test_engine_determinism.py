@@ -28,8 +28,8 @@ from repro import Design, Network, NetworkConfig
 from repro.analysis.fingerprint import differing, fingerprint
 from repro.analysis.sanitizer import Sanitizer
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.sweep import SweepGrid, run_open_loop_sweep
 from repro.network.flit import reset_packet_ids
+from repro.service.jobs import JobSpec, run_specs
 from repro.traffic.patterns import Hotspot
 from repro.traffic.synthetic import OpenLoopSource, uniform_random_traffic
 from repro.traffic.workloads import WORKLOADS
@@ -238,23 +238,23 @@ def test_open_loop_parallel_matches_serial():
     assert results[1] == results[2]
 
 
-def test_sweep_parallel_matches_serial():
-    grid = SweepGrid(
-        designs=[Design.BACKPRESSURED, Design.AFC], rates=[0.2, 0.4]
-    )
-    tables = {
-        jobs: run_open_loop_sweep(
-            grid,
+def test_spec_grid_parallel_matches_serial():
+    """Every seed of every spec fans out over the workers at once; each
+    spec still folds exactly the samples a serial run folds."""
+    specs = [
+        JobSpec(
+            kind="open_loop",
+            design=design,
+            rate=rate,
             warmup_cycles=200,
             measure_cycles=500,
-            seeds=1,
+            seeds=2,
             source_queue_limit=200,
-            jobs=jobs,
         )
-        for jobs in (1, 2)
-    }
-    assert tables[1].columns == tables[2].columns
-    assert tables[1].rows == tables[2].rows
+        for design in (Design.BACKPRESSURED, Design.AFC)
+        for rate in (0.2, 0.4)
+    ]
+    assert run_specs(specs, jobs=2) == [spec.run() for spec in specs]
 
 
 #: Run in a fresh interpreter: one 3x3 golden case per design, through

@@ -55,7 +55,7 @@ def _grid(patch, names):
 
 
 def _closed_loop_cells(common):
-    return {c for c in common.GRID if isinstance(c, JobSpec)}
+    return {c for c in common.GRID if getattr(c, "kind", "") == "closed_loop"}
 
 
 def test_importing_every_bench_declares_cells_but_simulates_nothing():
@@ -75,6 +75,21 @@ def test_importing_every_bench_declares_cells_but_simulates_nothing():
     assert all(got is common._PENDING for got in common.GRID.values())
     kinds = {getattr(cell, "kind", "hand-built") for cell in common.GRID}
     assert kinds == {"closed_loop", "open_loop", "faulted", "hand-built"}
+
+
+def test_every_cell_but_the_spatial_variation_runs_is_a_keyed_spec():
+    """Only the spatial-variation runs are hand-built (their spillover
+    count is in no result); every other cell is a ``JobSpec``, so the
+    store can cache it under its key."""
+    names = sorted(path.stem for path in BENCH_DIR.glob("bench_*.py"))
+    with pytest.MonkeyPatch.context() as patch:
+        common, _ = _grid(patch, names)
+        spatial = set(sys.modules["bench_spatial_variation"].CELLS.values())
+    specs = [cell for cell in common.GRID if isinstance(cell, JobSpec)]
+    assert set(common.GRID) - set(specs) == spatial
+    assert len(spatial) == 3
+    assert all(len(cell.key()) == 64 for cell in specs)
+    assert sum(cell.seeds for cell in common.GRID) == 205
 
 
 @pytest.fixture(scope="module")

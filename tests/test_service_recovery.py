@@ -308,8 +308,7 @@ def test_a_killed_servers_seed_leaves_no_live_progress(tmp_path):
     live seed and no percentile its checkpoints cannot account for."""
     spec = JobSpec(
         kind="open_loop",
-        width=4,
-        height=4,
+        config=NetworkConfig(width=4, height=4),
         rate=0.25,
         seeds=2,
         warmup_cycles=500,

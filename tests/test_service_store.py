@@ -127,7 +127,7 @@ def test_key_is_stable_across_processes():
 @pytest.mark.parametrize(
     "change",
     [
-        dict(width=4),
+        dict(config=NetworkConfig(width=4)),
         dict(measure_cycles=400),
         dict(seeds=3),
         dict(base_seed=7),
@@ -228,7 +228,7 @@ def test_design_must_be_a_design_member(design):
 def test_illegal_mesh_rejected_at_admission(mesh):
     """Not inside a forked worker, after taking a queue slot."""
     with pytest.raises(ValueError, match="at least 2x2"):
-        JobSpec(kind="open_loop", rate=0.2, **mesh)
+        JobSpec(kind="open_loop", rate=0.2, config=NetworkConfig(**mesh))
     with pytest.raises(ValueError, match="at least 2x2"):
         JobSpec.from_dict({"kind": "open_loop", "rate": 0.2, **mesh})
 

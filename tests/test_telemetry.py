@@ -46,7 +46,10 @@ from repro.traffic.synthetic import uniform_random_traffic
 FAST = dict(warmup_cycles=100, measure_cycles=300)
 #: A seed long enough (~0.3 s) to be seen mid-run at 20 ms beats.
 LONG = dict(
-    width=4, height=4, rate=0.25, warmup_cycles=200, measure_cycles=2000
+    config=NetworkConfig(width=4, height=4),
+    rate=0.25,
+    warmup_cycles=200,
+    measure_cycles=2000,
 )
 
 KEY = "ab" * 32  # a syntactically valid job key for store-level tests
